@@ -30,7 +30,7 @@ from .protocols import (
     default_stirap_window,
     stirap_grid_search,
 )
-from .qspace import PureQubitSpec, link_layout, product_state
+from .qspace import InvalidStateError, PureQubitSpec, link_layout, product_state
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "run_scenario", "main", "PRESETS"]
 
@@ -312,11 +312,24 @@ def _manifest_text(cfg: ScenarioConfig) -> str:
 # --- output helpers ---------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+class _Outputs:
+    """A run's output directory, recording each file the run writes to it."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.written: list[Path] = []
+
+    def write_csv(self, name: str, header: Sequence[str], rows) -> None:
+        path = self.path / name
+        # recorded before opening, so a partly written file is removed too
+        self.written.append(path)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    def write_trajectory(self, name: str, traj: dynamics.Trajectory) -> None:
+        self.write_csv(name, *_trajectory_rows(traj))
 
 
 def _trajectory_rows(traj: dynamics.Trajectory):
@@ -332,11 +345,6 @@ def _trajectory_rows(traj: dynamics.Trajectory):
         row += [float(traj.pop_b[i]), float(fid[i]), float(traj.trace[i]), float(traj.purity[i])]
         rows.append(row)
     return header, rows
-
-
-def _write_trajectory(path: Path, traj: dynamics.Trajectory) -> None:
-    header, rows = _trajectory_rows(traj)
-    _write_csv(path, header, rows)
 
 
 # --- scenarios --------------------------------------------------------------
@@ -388,41 +396,33 @@ def _standard_run(cfg: ScenarioConfig, schedule: CouplingSchedule) -> dynamics.T
     )
 
 
-def _scenario_transfer(cfg: ScenarioConfig, out: Path) -> list[Path]:
+def _scenario_transfer(cfg: ScenarioConfig, out: _Outputs) -> None:
     traj = _standard_run(cfg, cfg.schedule())
-    files = [out / "trajectory.csv", out / "summary.csv"]
-    _write_trajectory(files[0], traj)
-    _write_csv(
-        files[1],
+    out.write_trajectory("trajectory.csv", traj)
+    out.write_csv(
+        "summary.csv",
         ["final_fidelity", "stabilization_us"],
         [[traj.final_fidelity, traj.stabilization_time() / US]],
     )
-    return files
 
 
-def _scenario_stirap_compare(cfg: ScenarioConfig, out: Path) -> list[Path]:
+def _scenario_stirap_compare(cfg: ScenarioConfig, out: _Outputs) -> None:
     stirap = replace(cfg, protocol="stirap").schedule()
     constant = replace(cfg, protocol="constant").schedule()
     _, window_end = default_stirap_window(stirap)
 
     rows = []
-    files = []
     for name, schedule in (("constant", constant), ("stirap", stirap)):
         traj = _standard_run(cfg, schedule)
-        path = out / f"trajectory_{name}.csv"
-        _write_trajectory(path, traj)
-        files.append(path)
+        out.write_trajectory(f"trajectory_{name}.csv", traj)
         # Latency: a pulsed protocol cannot hand off before its window ends;
         # a constant drive is done once its fidelity settles.
         latency = window_end if name == "stirap" else traj.stabilization_time()
         rows.append([name, traj.final_fidelity, latency / US])
-    summary = out / "summary.csv"
-    _write_csv(summary, ["protocol", "final_fidelity", "latency_us"], rows)
-    files.append(summary)
-    return files
+    out.write_csv("summary.csv", ["protocol", "final_fidelity", "latency_us"], rows)
 
 
-def _scenario_chain(cfg: ScenarioConfig, out: Path) -> list[Path]:
+def _scenario_chain(cfg: ScenarioConfig, out: _Outputs) -> None:
     schedule = cfg.schedule()
     link = network.LinkSpec(
         params=cfg.link_params(),
@@ -433,25 +433,19 @@ def _scenario_chain(cfg: ScenarioConfig, out: Path) -> list[Path]:
         sample_every=cfg.sample_every,
     )
     result = network.run_chain(cfg.target(), [link] * cfg.hops)
-    files = []
     for rec in result.per_hop:
-        path = out / f"trajectory_hop{rec.hop_index}.csv"
-        _write_trajectory(path, rec.trajectory)
-        files.append(path)
-    summary = out / "summary.csv"
-    _write_csv(
-        summary, ["hop", "fidelity"],
+        out.write_trajectory(f"trajectory_hop{rec.hop_index}.csv", rec.trajectory)
+    out.write_csv(
+        "summary.csv", ["hop", "fidelity"],
         [[rec.hop_index, rec.fidelity] for rec in result.per_hop],
     )
-    files.append(summary)
-    return files
 
 
 def _point_name(kind: str, length_m: float) -> str:
     return f"trajectory_{kind.replace('+', '_plus_')}_{length_m / 1000.0:g}km.csv"
 
 
-def _scenario_sweep_distance(cfg: ScenarioConfig, out: Path) -> list[Path]:
+def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
     link = network.LinkSpec(
         params=cfg.link_params(),
         schedule=cfg.schedule(),
@@ -463,64 +457,40 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: Path) -> list[Path]:
     )
     lengths_m = [lk * 1000.0 for lk in cfg.lengths_km]
     points = network.distance_sweep(link, cfg.media, lengths_m, cfg.target())
-    files = []
     rows = []
     for p in points:
         rows.append([p.kind, p.length / 1000.0, math.nan if p.fidelity is None else p.fidelity])
         if p.trajectory is not None:
-            path = out / _point_name(p.kind, p.length)
-            _write_trajectory(path, p.trajectory)
-            files.append(path)
-    summary = out / "summary.csv"
-    _write_csv(summary, ["kind", "length_km", "fidelity"], rows)
-    files.append(summary)
-    return files
+            out.write_trajectory(_point_name(p.kind, p.length), p.trajectory)
+    out.write_csv("summary.csv", ["kind", "length_km", "fidelity"], rows)
 
 
-def _scenario_coherent_info(cfg: ScenarioConfig, out: Path) -> list[Path]:
-    params = cfg.link_params()
-    schedule = cfg.schedule()
-    t_final = cfg.t_final_us * US
-    dt = cfg.dt_ns * NS
-
+def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
+    # One evolution, the reference-qubit probe; the curve, the target's
+    # trajectory and the Haar average are all read off its samples.
     probe = metrics.run_channel_probe(
-        params, schedule, t_final, dt,
+        cfg.link_params(), cfg.schedule(), cfg.t_final_us * US, cfg.dt_ns * NS,
         layout=link_layout(mode_dim=cfg.mode_dim), sample_every=cfg.sample_every,
     )
-    curve_rows = []
-    for i, t in enumerate(probe.trajectory.times):
-        joint = probe.trajectory.states[i]
-        curve_rows.append([
-            float(t / US),
-            metrics.coherent_information(probe, joint),
-            metrics.entanglement_fidelity(probe, joint),
-        ])
-    files = [out / "curve.csv"]
-    _write_csv(files[0], ["t_us", "coherent_info_bits", "entanglement_fidelity"], curve_rows)
-
-    traj = _standard_run(cfg, schedule)
-    traj_path = out / "trajectory.csv"
-    _write_trajectory(traj_path, traj)
-    files.append(traj_path)
-
-    run = metrics.make_link_run(params, schedule, t_final, dt, mode_dim=cfg.mode_dim)
-    avg = metrics.average_fidelity(run, cfg.n_samples, cfg.seed)
-    summary = out / "summary.csv"
-    _write_csv(
-        summary,
-        ["coherent_info_bits", "entanglement_fidelity", "average_fidelity", "stabilization_us"],
-        [[
-            metrics.coherent_information(probe),
-            metrics.entanglement_fidelity(probe),
-            avg,
-            traj.stabilization_time() / US,
-        ]],
+    info, f_e = metrics.probe_curve(probe)
+    out.write_csv(
+        "curve.csv",
+        ["t_us", "coherent_info_bits", "entanglement_fidelity"],
+        zip((probe.trajectory.times / US).tolist(), info.tolist(), f_e.tolist()),
     )
-    files.append(summary)
-    return files
+
+    traj = probe.link_trajectory(cfg.target())
+    out.write_trajectory("trajectory.csv", traj)
+
+    avg = metrics.average_fidelity(probe.link_run(), cfg.n_samples, cfg.seed)
+    out.write_csv(
+        "summary.csv",
+        ["coherent_info_bits", "entanglement_fidelity", "average_fidelity", "stabilization_us"],
+        [[float(info[-1]), float(f_e[-1]), avg, traj.stabilization_time() / US]],
+    )
 
 
-def _scenario_tune_stirap(cfg: ScenarioConfig, out: Path) -> list[Path]:
+def _scenario_tune_stirap(cfg: ScenarioConfig, out: _Outputs) -> None:
     params = cfg.link_params()
     records = stirap_grid_search(
         params,
@@ -535,9 +505,7 @@ def _scenario_tune_stirap(cfg: ScenarioConfig, out: Path) -> list[Path]:
          1 if r is best else 0]
         for r in records
     ]
-    summary = out / "summary.csv"
-    _write_csv(summary, ["pulse_width_us", "t_delay_us", "fidelity", "best"], rows)
-    return [summary]
+    out.write_csv("summary.csv", ["pulse_width_us", "t_delay_us", "fidelity", "best"], rows)
 
 
 _SCENARIO_RUNNERS = {
@@ -551,29 +519,34 @@ _SCENARIO_RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> int:
-    """Execute the configured scenario; returns the process exit status."""
+    """Execute the configured scenario; returns the process exit status.
+
+    A run that fails (an integration failure or an invalid state) removes the
+    CSVs it wrote, and only those, and records the failure in the manifest.
+    """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_path)
     out.mkdir(parents=True, exist_ok=True)
     cfg = replace(cfg, out_path=str(out), version=__version__, status="", error="",
                   failed_at_us=-1.0)
     cfg = resolve_defaults(cfg)
+    outputs = _Outputs(out)
     try:
-        written = _SCENARIO_RUNNERS[cfg.scenario](cfg, out)
-    except dynamics.IntegrationError as err:
-        for path in out.glob("*.csv"):
+        _SCENARIO_RUNNERS[cfg.scenario](cfg, outputs)
+    except (dynamics.IntegrationError, InvalidStateError) as err:
+        for path in outputs.written:
             path.unlink(missing_ok=True)
-        failed = replace(
-            cfg,
-            status="integration-failure",
-            failed_at_us=(err.t / US) if err.t is not None else -1.0,
-            error=str(err),
-        )
+        if isinstance(err, dynamics.IntegrationError):
+            status = "integration-failure"
+            failed_at_us = err.t / US if err.t is not None else -1.0
+        else:
+            status, failed_at_us = "invalid-state", -1.0
+        failed = replace(cfg, status=status, failed_at_us=failed_at_us, error=str(err))
         (out / "manifest.txt").write_text(_manifest_text(failed), encoding="utf-8")
         print(f"error: {err}", file=sys.stderr)
         return 1
     cfg = replace(cfg, status="ok")
     (out / "manifest.txt").write_text(_manifest_text(cfg), encoding="utf-8")
-    for path in written:
+    for path in outputs.written:
         print(path)
     return 0
 

@@ -55,6 +55,7 @@ __all__ = [
     "lindblad_rhs",
     "default_dt",
     "evolve",
+    "sampled_trajectory",
     "liouvillian",
     "propagator_oracle",
     "receiver_frame",
@@ -334,8 +335,8 @@ def evolve(
 
     The number of steps is rounded so a uniform grid lands exactly on t1.
     Samples (including the initial and final states) are re-symmetrized as
-    (rho + rho^dag)/2 before storage and checked for trace drift and negative
-    eigenvalues beyond the failure thresholds.
+    (rho + rho^dag)/2 before storage and, once the run ends, checked for
+    trace drift and negative eigenvalues beyond the failure thresholds.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0:
@@ -386,16 +387,12 @@ def evolve(
             out += (jump @ r @ jump_dag).sum(axis=0)
         return out
 
-    pop_vecs = _population_vectors(layout)
-    proj = _target_projector(target, layout) if target is not None else None
-
     sample_times = [t0]
     sample_states = [0.5 * (rho + dagger(rho))]
-    _check_sample(sample_states[0], t0)
 
     t = t0
-    # divergence surfaces as an IntegrationError at the next checkpoint, so
-    # transient overflow warnings from an unstable step are just noise
+    # divergence surfaces as an IntegrationError when the samples are
+    # checked, so transient overflow warnings from an unstable step are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             k1 = rhs(t, rho)
@@ -405,19 +402,36 @@ def evolve(
             rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             t = t0 + step * h
             if step % sample_every == 0 or step == n_steps:
-                sym = 0.5 * (rho + dagger(rho))
-                _check_sample(sym, t)
                 sample_times.append(t)
-                sample_states.append(sym)
+                sample_states.append(0.5 * (rho + dagger(rho)))
 
-    times = np.array(sample_times)
-    states = np.array(sample_states)
+    return sampled_trajectory(
+        layout, np.array(sample_times), np.array(sample_states), target=target
+    )
+
+
+def sampled_trajectory(
+    layout: SystemLayout,
+    times: np.ndarray,
+    states: np.ndarray,
+    target: Optional[PureQubitSpec] = None,
+) -> Trajectory:
+    """Check stored samples and derive the trajectory columns from them.
+
+    Each sample is checked in time order for trace drift and negative
+    eigenvalues beyond the failure thresholds; the first failing sample
+    raises IntegrationError carrying its time.
+    """
+    for t, rho in zip(times, states):
+        _check_sample(rho, float(t))
+    pop_vecs = _population_vectors(layout)
     diagonals = np.einsum("sii->si", states).real
     populations = diagonals @ pop_vecs.T
     trace = diagonals.sum(axis=1)
     pur = np.einsum("sij,sji->s", states, states).real
     fidelity = None
-    if proj is not None:
+    if target is not None:
+        proj = _target_projector(target, layout)
         fidelity = np.clip(np.einsum("ij,sji->s", proj, states).real, 0.0, 1.0)
     return Trajectory(
         layout=layout,

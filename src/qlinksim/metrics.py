@@ -7,6 +7,15 @@ qubit A, and the joint system is evolved with R untouched by the Hamiltonian
 and by every collapse channel. Entropies of the reduced (B) and (R, B) states
 then give the coherent information I = S(B') - S(R'B'), the second term being
 the entropy exchange realized through purification.
+
+The evolved probe state J is the Choi state of the link channel (Horodecki et
+al., PRA 60, 1888 (1999)), so one evolution determines the link's response to
+every input: a qubit state rho placed on A, with the rest of the link in its
+ground state, evolves into 2 Tr_R[(rho^T (x) I) J]. ChannelProbe applies this
+map to each stored sample, which yields the Haar-average fidelity
+(ChannelProbe.link_run) and the trajectory of any input
+(ChannelProbe.link_trajectory) without evolving again; make_link_run keeps
+one dense evolution per input as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .qspace import (
     SystemLayout,
     partial_trace,
     product_state,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 
@@ -32,6 +42,7 @@ __all__ = [
     "ChannelProbe",
     "transfer_fidelity",
     "run_channel_probe",
+    "probe_curve",
     "coherent_information",
     "entanglement_fidelity",
     "haar_qubit_specs",
@@ -79,6 +90,56 @@ class ChannelProbe:
     @property
     def site_b(self) -> int:
         return self.layout.n_sites - 1
+
+    @property
+    def link_layout(self) -> SystemLayout:
+        """The link's own layout, without the reference qubit."""
+        return SystemLayout(self.layout.sites[1:])
+
+    def evolved_trajectory(self) -> dynamics.Trajectory:
+        """The probe's sampled evolution; ValueError if it has not run."""
+        if self.trajectory is None:
+            raise ValueError("probe has not been evolved")
+        return self.trajectory
+
+    def link_states(self, spec: PureQubitSpec, joints: np.ndarray) -> np.ndarray:
+        """Link states that input spec evolves into, read off probe states.
+
+        joints is one probe state or a stack (..., D, D); each J maps to
+        2 Tr_R[(rho^T (x) I) J], rho being the input state on A.
+        """
+        joints = np.asarray(joints)
+        d = self.layout.total_dim // 2
+        blocks = joints.reshape(joints.shape[:-2] + (2, d, 2, d))
+        return 2.0 * np.einsum("ab,...axby->...xy", spec.density_matrix(), blocks)
+
+    def link_run(self) -> Callable[[PureQubitSpec], np.ndarray]:
+        """Received-state map of the evolved link, as make_link_run gives it.
+
+        An input spec maps to the receiver-frame state of B, derived from the
+        final probe state. Each derived link state gets the validity check a
+        dense run gives its samples; a failure raises IntegrationError.
+        """
+        traj = self.evolved_trajectory()
+        t_final = float(traj.times[-1])
+        link = self.link_layout
+
+        def run(spec: PureQubitSpec) -> np.ndarray:
+            rho = self.link_states(spec, traj.final_state)
+            dynamics._check_sample(rho, t_final)
+            return dynamics.receiver_frame(partial_trace(rho, link.n_sites - 1, link))
+
+        return run
+
+    def link_trajectory(self, target: PureQubitSpec) -> dynamics.Trajectory:
+        """Trajectory of the link with target on A, derived from the probe's samples.
+
+        It has the times, columns and per-sample checks of evolve run on
+        target (x) vacuum with the probe's step and sampling.
+        """
+        traj = self.evolved_trajectory()
+        states = self.link_states(target, traj.states)
+        return dynamics.sampled_trajectory(self.link_layout, traj.times, states, target=target)
 
 
 def _probe_initial(layout: SystemLayout) -> tuple[SystemLayout, np.ndarray]:
@@ -166,6 +227,25 @@ def entanglement_fidelity(probe: ChannelProbe, joint: Optional[np.ndarray] = Non
     frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
     rho_rb = frame @ rho_rb @ frame
     return _clamp_fidelity(float(np.real(np.trace(bell_phi_plus() @ rho_rb))))
+
+
+def probe_curve(probe: ChannelProbe) -> tuple[np.ndarray, np.ndarray]:
+    """Coherent information (bits) and entanglement fidelity at every probe sample.
+
+    One batched pass over the stacked samples: the values of
+    coherent_information and entanglement_fidelity, sample by sample.
+    """
+    states = probe.evolved_trajectory().states
+    n = len(states)
+    mid = probe.layout.total_dim // 4  # qubit A and the mediators
+    rho_rb = np.einsum(
+        "srmbtmc->srbtc", states.reshape(n, 2, mid, 2, 2, mid, 2)
+    ).reshape(n, 4, 4)
+    rho_b = np.einsum("srbrc->sbc", rho_rb.reshape(n, 2, 2, 2, 2))
+    info = von_neumann_entropies(rho_b) - von_neumann_entropies(rho_rb)
+    frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
+    overlaps = np.einsum("ij,sji->s", frame @ bell_phi_plus() @ frame, rho_rb).real
+    return info, np.array([_clamp_fidelity(float(f)) for f in overlaps])
 
 
 def haar_qubit_specs(n_samples: int, seed: int) -> list[PureQubitSpec]:

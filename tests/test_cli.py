@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qlinksim import metrics
 from qlinksim.cli import (
     PRESETS,
     ConfigError,
     ScenarioConfig,
+    _standard_run,
     build_config,
     load_config,
     main,
@@ -14,6 +16,7 @@ from qlinksim.cli import (
     resolve_defaults,
     run_scenario,
 )
+from qlinksim.qspace import InvalidStateError
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 
@@ -254,6 +257,44 @@ class TestScenarioRuns:
         info = float(summary_rows[0][0])
         assert -2.0 <= info <= 1.0
 
+    def test_coherent_info_matches_dense_runs(self, tmp_path):
+        # the single-probe outputs against the per-sample metrics, evolve and
+        # one dense evolution per Haar sample
+        cfg = build_config({
+            "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
+            "gamma_2pi_mhz": 2.0, "theta_deg": 60.0, "phi_deg": 40.0,
+            "dt_ns": 0.02, "n_samples": 5, "seed": 3,
+        })
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        cfg = resolve_defaults(cfg)
+        params, schedule = cfg.link_params(), cfg.schedule()
+        t_final, dt = cfg.t_final_us * 1e-6, cfg.dt_ns * 1e-9
+
+        probe = metrics.run_channel_probe(params, schedule, t_final, dt,
+                                          sample_every=cfg.sample_every)
+        _, curve = read_csv(tmp_path / "out" / "curve.csv")
+        np.testing.assert_allclose(
+            np.array(curve, dtype=float),
+            [[t / 1e-6, metrics.coherent_information(probe, j),
+              metrics.entanglement_fidelity(probe, j)]
+             for t, j in zip(probe.trajectory.times, probe.trajectory.states)],
+            rtol=0, atol=1e-12)
+
+        dense = _standard_run(cfg, schedule)
+        _, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+        expected = np.column_stack([dense.times / 1e-6, dense.populations, dense.fidelity,
+                                    dense.trace, dense.purity])
+        np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=0, atol=1e-12)
+
+        _, summary = read_csv(tmp_path / "out" / "summary.csv")
+        info, f_e, avg, stab_us = (float(v) for v in summary[0])
+        assert info == pytest.approx(metrics.coherent_information(probe), abs=1e-12)
+        assert f_e == pytest.approx(metrics.entanglement_fidelity(probe), abs=1e-12)
+        dense_avg = metrics.average_fidelity(
+            metrics.make_link_run(params, schedule, t_final, dt), cfg.n_samples, cfg.seed)
+        assert avg == pytest.approx(dense_avg, abs=1e-12)
+        assert stab_us == dense.stabilization_time() / 1e-6
+
     def test_tune_stirap_outputs(self, tmp_path):
         cfg = build_config({
             "scenario": "tune-stirap", "g0_2pi_mhz": 100.0,
@@ -280,6 +321,37 @@ class TestFailureHandling:
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         assert "status = integration-failure" in manifest
         assert "failed_at_us" in manifest
+
+    def test_failed_run_keeps_csvs_it_did_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        cfg = build_config({
+            "scenario": "transfer", "preset": "fig5-red", "t_final_us": 0.2, "dt_ns": 4.0,
+        })
+        assert run_scenario(cfg, out) == 1
+        assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]
+        assert (out / "earlier.csv").read_text(encoding="utf-8") == "a,b\n1,2\n"
+
+    def test_invalid_state_is_reported_in_the_manifest(self, tmp_path, monkeypatch, capsys):
+        def invalid(*args, **kwargs):
+            raise InvalidStateError("eigenvalue -2.000e-07 below -1e-07; not a density matrix")
+
+        # fails after curve.csv and trajectory.csv are written
+        monkeypatch.setattr(metrics, "average_fidelity", invalid)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("a\n1\n", encoding="utf-8")
+        cfg = build_config({
+            "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
+            "dt_ns": 0.02, "n_samples": 5,
+        })
+        assert run_scenario(cfg, out) == 1
+        assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert "status = invalid-state" in manifest
+        assert "error = eigenvalue -2.000e-07 below -1e-07" in manifest
+        assert "eigenvalue -2.000e-07" in capsys.readouterr().err
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         bad = write_config(tmp_path, "scenario = transfer\nbogus_key = 1\n")

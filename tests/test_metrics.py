@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_density_matrix
-from qlinksim.dynamics import LinkParams, receiver_frame
+from qlinksim.dynamics import (
+    IntegrationError,
+    LinkParams,
+    default_dt,
+    evolve,
+    receiver_frame,
+    sampled_trajectory,
+    standard_collapse,
+)
 from qlinksim.metrics import (
     ChannelProbe,
     average_fidelity,
@@ -13,15 +21,20 @@ from qlinksim.metrics import (
     entanglement_fidelity,
     haar_qubit_specs,
     make_link_run,
+    probe_curve,
     run_channel_probe,
     transfer_fidelity,
 )
+from qlinksim.protocols import StirapSchedule, default_stirap_window
 from qlinksim.qspace import (
+    InvalidStateError,
     Mode,
     PureQubitSpec,
     Qubit,
     SystemLayout,
+    link_layout,
     partial_trace,
+    product_state,
     von_neumann_entropy,
 )
 
@@ -228,3 +241,109 @@ class TestAverageFidelity:
         # without the frame alignment the equator state would score ~0
         raw = receiver_frame(run(spec))
         assert transfer_fidelity(raw, spec) < 0.01
+
+
+# The probe's Choi-state map against one dense evolution per input, on fig4
+# with constant drive and on the weak-loss link (fig4 with 1000x weaker qubit
+# decay) with a short pulse pair.
+FIG4 = LinkParams(
+    g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+    gamma_a=6 * TWO_PI_MHZ, gamma_b=6 * TWO_PI_MHZ,
+)
+WEAK_LOSS = LinkParams(
+    g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+    gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ,
+)
+SHORT_STIRAP = StirapSchedule(
+    g0_a=WEAK_LOSS.g_a, g0_b=WEAK_LOSS.g_b, pulse_width=0.5e-6, t_delay=0.6e-6,
+)
+EQUIVALENCE_TOL = 1e-12
+
+
+@pytest.fixture(scope="module", params=["fig4-constant", "weak-loss-stirap"])
+def link_case(request):
+    """(params, schedule, t_final, dt, sample_every) and the evolved probe."""
+    if request.param == "fig4-constant":
+        params, schedule = FIG4, FIG4.constant_schedule()
+        t_final = 2 * transfer_time(FIG4)
+        dt = default_dt(params, schedule)
+    else:
+        params, schedule = WEAK_LOSS, SHORT_STIRAP
+        t_final = default_stirap_window(SHORT_STIRAP)[1]
+        dt = 2e-9
+    setup = (params, schedule, t_final, dt, 7)
+    probe = run_channel_probe(params, schedule, t_final, dt, sample_every=7)
+    return setup, probe
+
+
+def probe_ending_with_b_eigenvalue(lam: float) -> ChannelProbe:
+    """Two-sample probe whose final state has eigenvalue lam on B."""
+    bad_b = np.diag([1.0 - lam, lam]).astype(complex)
+    good = joint_from_parts(MIXED, GROUND, GROUND, GROUND)
+    bad = joint_from_parts(MIXED, GROUND, GROUND, bad_b)
+    traj = sampled_trajectory(PROBE_LAYOUT, np.array([0.0, 1e-9]), np.stack([good, bad]))
+    return ChannelProbe(layout=PROBE_LAYOUT, joint_initial=good, evolved_joint=bad,
+                        trajectory=traj)
+
+
+class TestProbeChannelMap:
+    def test_link_run_matches_dense_link_run(self, link_case):
+        (params, schedule, t_final, dt, _), probe = link_case
+        dense = make_link_run(params, schedule, t_final, dt)
+        derived = probe.link_run()
+        specs = [PureQubitSpec(theta=0.0), PureQubitSpec(theta=math.pi)]
+        specs += haar_qubit_specs(3, seed=7)
+        for spec in specs:
+            np.testing.assert_allclose(derived(spec), dense(spec), rtol=0, atol=EQUIVALENCE_TOL)
+
+    def test_link_trajectory_matches_evolve(self, link_case):
+        (params, schedule, t_final, dt, sample_every), probe = link_case
+        target = PureQubitSpec(theta=1.1, phi=0.7)
+        layout = link_layout()
+        rho0 = product_state([target, None, None], layout)
+        dense = evolve(rho0, layout, params, schedule, standard_collapse(params, layout),
+                       (0.0, t_final), dt, sample_every=sample_every, target=target)
+        derived = probe.link_trajectory(target)
+        np.testing.assert_array_equal(derived.times, dense.times)
+        for column in ("populations", "trace", "purity", "fidelity"):
+            np.testing.assert_allclose(getattr(derived, column), getattr(dense, column),
+                                       rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+        assert derived.stabilization_time() == dense.stabilization_time()
+
+    def test_batched_curve_matches_per_sample_metrics(self, link_case):
+        _, probe = link_case
+        info, f_e = probe_curve(probe)
+        states = probe.trajectory.states
+        assert len(info) == len(f_e) == len(states)
+        np.testing.assert_allclose(
+            info, [coherent_information(probe, j) for j in states],
+            rtol=0, atol=EQUIVALENCE_TOL)
+        np.testing.assert_allclose(
+            f_e, [entanglement_fidelity(probe, j) for j in states],
+            rtol=0, atol=EQUIVALENCE_TOL)
+
+    def test_negative_eigenvalue_rejected_by_both_curve_paths(self):
+        # eigenvalue -1e-6 on B: within evolve's tolerance, beyond the entropy's
+        probe = probe_ending_with_b_eigenvalue(-1e-6)
+        with pytest.raises(InvalidStateError, match="below -1e-07"):
+            coherent_information(probe, probe.evolved_joint)
+        with pytest.raises(InvalidStateError, match="below -1e-07"):
+            probe_curve(probe)
+
+    def test_derived_link_states_are_checked_like_dense_samples(self):
+        # the probe state's eigenvalue -7.5e-6 passes evolve's -1e-5 threshold;
+        # the derived link state's -1.5e-5 does not
+        probe = probe_ending_with_b_eigenvalue(-1.5e-5)
+        spec = PureQubitSpec(theta=0.3, phi=1.0)
+        with pytest.raises(IntegrationError, match="below -1e-05") as err:
+            probe.link_run()(spec)
+        assert err.value.t == 1e-9
+        with pytest.raises(IntegrationError, match="below -1e-05"):
+            probe.link_trajectory(spec)
+
+    def test_unevolved_probe_rejected(self):
+        probe = ChannelProbe(layout=PROBE_LAYOUT, joint_initial=np.eye(16) / 16)
+        for derive in (probe.link_run, lambda: probe.link_trajectory(PureQubitSpec(0.0)),
+                       lambda: probe_curve(probe)):
+            with pytest.raises(ValueError, match="not been evolved"):
+                derive()
