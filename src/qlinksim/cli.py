@@ -326,7 +326,7 @@ class _Outputs:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join(map(_fmt, row)) + "\n")
 
     def write_trajectory(self, name: str, traj: dynamics.Trajectory) -> None:
         self.write_csv(name, *_trajectory_rows(traj))
@@ -338,13 +338,10 @@ def _trajectory_rows(traj: dynamics.Trajectory):
     header += ["pop_W" if i == 0 else f"pop_W{i + 1}" for i in range(n_mediators)]
     header += ["pop_B", "fidelity", "trace", "purity"]
     fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [float(t / US), float(traj.pop_a[i])]
-        row += [float(x) for x in traj.pop_w[i]]
-        row += [float(traj.pop_b[i]), float(fid[i]), float(traj.trace[i]), float(traj.purity[i])]
-        rows.append(row)
-    return header, rows
+    columns = np.column_stack(
+        [traj.times / US, traj.populations, fid, traj.trace, traj.purity]
+    )
+    return header, columns.tolist()
 
 
 # --- scenarios --------------------------------------------------------------

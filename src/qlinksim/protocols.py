@@ -48,6 +48,10 @@ class ConstantSchedule:
     def g_b_at(self, t: float) -> float:
         return self.g0_b
 
+    def couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_A, g_B) at every entry of an array of times."""
+        return np.full(np.shape(times), self.g0_a), np.full(np.shape(times), self.g0_b)
+
 
 @dataclass(frozen=True)
 class StirapSchedule:
@@ -81,6 +85,12 @@ class StirapSchedule:
     def g_b_at(self, t: float) -> float:
         x = (t - self.t_center) / self.pulse_width
         return self.g0_b * math.exp(-x * x)
+
+    def couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(g_A, g_B) at every entry of an array of times, as g_a_at and g_b_at."""
+        x_a = (times - self.t_center - self.t_delay) / self.pulse_width
+        x_b = (times - self.t_center) / self.pulse_width
+        return self.g0_a * np.exp(-x_a * x_a), self.g0_b * np.exp(-x_b * x_b)
 
     def window(self) -> tuple[float, float]:
         return default_stirap_window(self)
