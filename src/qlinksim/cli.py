@@ -27,6 +27,7 @@ from .protocols import (
     ConstantSchedule,
     CouplingSchedule,
     StirapSchedule,
+    best_stirap_record,
     default_stirap_window,
     stirap_grid_search,
 )
@@ -103,7 +104,6 @@ class ScenarioConfig:
     t_final_us: float = -1.0  # -1: scenario default
     dt_ns: float = -1.0  # -1: resolve-fastest-rate rule
     sample_every: int = -1  # -1: aim for ~1000 stored samples
-    mode_dim: int = 2
     # chain / per-hop evolution window (-1: 20 us for chains, the bare
     # transfer time pi/(sqrt(2) g0) for distance sweeps)
     hops: int = 7
@@ -192,7 +192,7 @@ class ScenarioConfig:
 
 # --- config file handling -------------------------------------------------
 
-_INT_KEYS = {"sample_every", "mode_dim", "hops", "n_samples", "seed"}
+_INT_KEYS = {"sample_every", "hops", "n_samples", "seed"}
 _STR_KEYS = {"scenario", "preset", "protocol", "out_path", "status", "error", "version"}
 _LIST_FLOAT_KEYS = {"lengths_km", "tune_widths_us", "tune_delays_us"}
 _LIST_STR_KEYS = {"media"}
@@ -204,10 +204,11 @@ _NONNEGATIVE_KEYS = {
     "fiber_attenuation_db_per_km", "fiber_refractive_index",
 }
 
-# Keys where -1 means "apply the documented default"; other negatives are typos.
-_SENTINEL_KEYS = {
-    "g0_a_2pi_mhz", "g0_b_2pi_mhz", "gamma_2pi_mhz", "pulse_width_us",
-    "t_delay_us", "t_center_us", "t_final_us", "dt_ns", "hop_time_us",
+# Keys where -1 means "apply the documented default"; other negatives are
+# typos. All but the zero-valid ones read 0 as unset too, so must be > 0.
+_ZERO_VALID_SENTINEL_KEYS = {"g0_a_2pi_mhz", "g0_b_2pi_mhz", "gamma_2pi_mhz", "t_center_us"}
+_SENTINEL_KEYS = _ZERO_VALID_SENTINEL_KEYS | {
+    "pulse_width_us", "t_delay_us", "t_final_us", "dt_ns", "hop_time_us", "sample_every",
 }
 
 _KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -259,8 +260,10 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
     for key in _SENTINEL_KEYS:
         value = getattr(cfg, key)
-        if not math.isfinite(value) or (value < 0 and value != -1.0):
-            raise ConfigError(f"{key} must be >= 0 (or -1 for the default), got {value!r}")
+        zero_valid = key in _ZERO_VALID_SENTINEL_KEYS
+        if value != -1 and not (math.isfinite(value) and (value > 0 or zero_valid and value == 0)):
+            bound = ">=" if zero_valid else ">"
+            raise ConfigError(f"{key} must be {bound} 0 (or -1 for the default), got {value!r}")
     if not 0.0 <= cfg.theta_deg <= 180.0:
         raise ConfigError(f"theta_deg must be in [0, 180], got {cfg.theta_deg!r}")
     if cfg.hops < 1:
@@ -383,7 +386,7 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def _standard_run(cfg: ScenarioConfig, schedule: CouplingSchedule) -> dynamics.Trajectory:
     params = cfg.link_params()
-    layout = link_layout(mode_dim=cfg.mode_dim)
+    layout = link_layout()
     target = cfg.target()
     rho0 = product_state([target] + [None] * (layout.n_sites - 1), layout)
     collapse = dynamics.standard_collapse(params, layout)
@@ -425,7 +428,6 @@ def _scenario_chain(cfg: ScenarioConfig, out: _Outputs) -> None:
         params=cfg.link_params(),
         schedule=schedule,
         hop_time=cfg.hop_time_us * US,
-        mode_dim=cfg.mode_dim,
         dt=cfg.dt_ns * NS,
         sample_every=cfg.sample_every,
     )
@@ -448,7 +450,6 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
         schedule=cfg.schedule(),
         hop_time=cfg.hop_time_us * US,
         medium=cfg.medium(),
-        mode_dim=cfg.mode_dim,
         dt=cfg.dt_ns * NS,
         sample_every=cfg.sample_every,
     )
@@ -463,11 +464,11 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
 
 
 def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
-    # One evolution, the reference-qubit probe; the curve, the target's
-    # trajectory and the Haar average are all read off its samples.
+    # One evolution, the channel probe; the curve, the target's trajectory
+    # and the Haar average are all read off its Choi states.
     probe = metrics.run_channel_probe(
         cfg.link_params(), cfg.schedule(), cfg.t_final_us * US, cfg.dt_ns * NS,
-        layout=link_layout(mode_dim=cfg.mode_dim), sample_every=cfg.sample_every,
+        sample_every=cfg.sample_every,
     )
     info, f_e = metrics.probe_curve(probe)
     out.write_csv(
@@ -493,10 +494,9 @@ def _scenario_tune_stirap(cfg: ScenarioConfig, out: _Outputs) -> None:
         params,
         [w * US for w in cfg.tune_widths_us],
         [d * US for d in cfg.tune_delays_us],
-        mode_dim=cfg.mode_dim,
         dt=cfg.dt_ns * NS if cfg.dt_ns > 0 else None,
     )
-    best = min(records, key=lambda r: (-r["fidelity"], r["window"], r["pulse_width"]))
+    best = best_stirap_record(records)
     rows = [
         [r["pulse_width"] / US, r["t_delay"] / US, r["fidelity"],
          1 if r is best else 0]

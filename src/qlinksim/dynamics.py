@@ -19,13 +19,12 @@ blocks of rho that can be non-zero there. Those are the one-excitation block
 R (one row per site) and its coherence u with the vacuum; the vacuum
 population follows from the trace, which RK4 keeps exactly. R and u are
 stepped together as one small real vector, one RK4 step matrix per step, and
-dense states are rebuilt only at the sample times. Every other state (the
-reference-qubit probe of `metrics` adds a two-excitation component) goes
-through `evolve_dense`, RK4 on the whole density matrix, which is also the
-reference the sector stepper is tested against; the two apply the same RK4
-polynomial and agree to roundoff. The independent cross-check
-`propagator_oracle` instead exponentiates the column-stacked Liouvillian and
-shares no code with either stepper.
+dense states are rebuilt only at the sample times. Every other state (two
+excitations, or a coherence with them) goes through `evolve_dense`, RK4 on
+the whole density matrix, which is also the reference the sector stepper is
+tested against; the two apply the same RK4 polynomial and agree to roundoff.
+The independent cross-check `propagator_oracle` instead exponentiates the
+column-stacked Liouvillian and shares no code with either stepper.
 
 Receiver frame: completing the resonant transfer (driven or adiabatic) lands
 the excitation on B with a deterministic minus sign, since the passage goes
@@ -304,7 +303,10 @@ class Trajectory:
         return float(self.fidelity[-1])
 
     def stabilization_time(self, tol: float = 0.01) -> float:
-        """Earliest sampled time after which fidelity stays within tol of its end value."""
+        """Earliest sampled time after which fidelity stays within tol of its end value.
+
+        Its resolution is one sample spacing, sample_every * dt.
+        """
         if self.fidelity is None:
             raise ValueError("trajectory was run without a target")
         settled = np.abs(self.fidelity - self.fidelity[-1]) < tol

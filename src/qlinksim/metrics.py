@@ -1,28 +1,28 @@
 """Transfer-quality metrics: target fidelity, entanglement fidelity,
 Haar-average fidelity, and coherent information.
 
-Channel-level quantities are obtained operationally: an idle reference qubit
-R is prepended to the link, prepared maximally entangled with the source
-qubit A, and the joint system is evolved with R untouched by the Hamiltonian
-and by every collapse channel. Entropies of the reduced (B) and (R, B) states
-then give the coherent information I = S(B') - S(R'B'), the second term being
-the entropy exchange realized through purification.
+Channel-level quantities are read off the Choi state J of the link channel
+(Horodecki et al., PRA 60, 1888 (1999)): the joint state that an idle
+reference qubit R, prepared maximally entangled with the source qubit A,
+reaches with the link. R is never evolved: run_channel_probe assembles J from
+one run of the link alone from |+> on A, which takes evolve's one-excitation
+sector path. Entropies of the reduced (B) and (R, B) states of J give the
+coherent information I = S(B') - S(R'B'), the second term being the entropy
+exchange realized through purification.
 
-The evolved probe state J is the Choi state of the link channel (Horodecki et
-al., PRA 60, 1888 (1999)), so one evolution determines the link's response to
-every input: a qubit state rho placed on A, with the rest of the link in its
-ground state, evolves into 2 Tr_R[(rho^T (x) I) J]. ChannelProbe applies this
-map to each stored sample, which yields the Haar-average fidelity
-(ChannelProbe.link_run) and the trajectory of any input
-(ChannelProbe.link_trajectory) without evolving again; make_link_run keeps
-one dense evolution per input as the independent cross-check.
+J determines the link's response to every input: a qubit state rho placed on
+A, with the rest of the link in its ground state, evolves into
+2 Tr_R[(rho^T (x) I) J]. ChannelProbe applies this map to each stored sample,
+which yields the Haar-average fidelity (ChannelProbe.link_run) and the
+trajectory of any input (ChannelProbe.link_trajectory) without evolving
+again; make_link_run keeps one evolve run per input as the cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .qspace import (
     PureQubitSpec,
     Qubit,
     SystemLayout,
+    link_layout,
     partial_trace,
     product_state,
     von_neumann_entropies,
@@ -142,17 +143,22 @@ class ChannelProbe:
         return dynamics.sampled_trajectory(self.link_layout, traj.times, states, target=target)
 
 
-def _probe_initial(layout: SystemLayout) -> tuple[SystemLayout, np.ndarray]:
-    probe_layout = SystemLayout((Qubit(),) + layout.sites)
-    rest_dim = layout.total_dim // 2  # everything after qubit A
-    ket = np.zeros(probe_layout.total_dim, dtype=complex)
-    rest_ground = np.zeros(rest_dim, dtype=complex)
-    rest_ground[0] = 1.0
-    for z in (0, 1):
-        e = np.zeros(2, dtype=complex)
-        e[z] = 1.0
-        ket += np.kron(np.kron(e, e), rest_ground) / math.sqrt(2.0)
-    return probe_layout, np.outer(ket, ket.conj())
+def _choi_states(states: np.ndarray) -> np.ndarray:
+    """Choi states J of the link from a stack of its states S evolved from |+> on A.
+
+    Basis index 0 is the vacuum. The response is linear and the vacuum does
+    not evolve, so E(|1><0|) = 2 S[1:, 0], E(|1><1|) = 2 S[1:, 1:] plus
+    2 S_00 - 1 on the vacuum, E(|0><0|) = |vac><vac|, and
+    J = [[E(|0><0|), E(|1><0|)^dag], [E(|1><0|), E(|1><1|)]] / 2.
+    """
+    n, d = len(states), states.shape[-1]
+    blocks = np.zeros((n, 2, d, 2, d), dtype=complex)
+    blocks[:, 0, 0, 0, 0] = 0.5
+    blocks[:, 1, 1:, 0, 0] = states[:, 1:, 0]
+    blocks[:, 0, 0, 1, 1:] = states[:, 1:, 0].conj()
+    blocks[:, 1, 1:, 1, 1:] = states[:, 1:, 1:]
+    blocks[:, 1, 0, 1, 0] = states[:, 0, 0] - 0.5
+    return blocks.reshape(n, 2 * d, 2 * d)
 
 
 def run_channel_probe(
@@ -161,46 +167,24 @@ def run_channel_probe(
     t_final: float,
     dt: Optional[float] = None,
     *,
-    layout: Optional[SystemLayout] = None,
-    collapse: Optional[Sequence[dynamics.CollapseChannel]] = None,
     sample_every: int = 100,
-    g_hop: float = 0.0,
 ) -> ChannelProbe:
-    """Evolve the reference-extended link and return the filled probe.
+    """Evolve the link once from |+> on A and return the probe of its Choi states.
 
-    The link Hamiltonian and collapse channels are lifted as I_R (x) X, so the
-    reference qubit is strictly idle.
+    The Choi states get the trace and eigenvalue checks of evolve's samples.
     """
-    from .qspace import link_layout
-
-    if layout is None:
-        layout = link_layout()
+    layout = link_layout()
     if dt is None:
         dt = dynamics.default_dt(params, schedule)
-    if collapse is None:
-        collapse = dynamics.standard_collapse(params, layout)
-
-    probe_layout, joint0 = _probe_initial(layout)
-    eye_r = np.eye(2, dtype=complex)
-    terms = dynamics.hamiltonian_terms(params, layout, g_hop=g_hop)
-    lifted_terms = dynamics.HamiltonianTerms(
-        h_static=np.kron(eye_r, terms.h_static),
-        h_a=np.kron(eye_r, terms.h_a),
-        h_b=np.kron(eye_r, terms.h_b),
+    rho0 = product_state([np.full((2, 2), 0.5)] + [None] * (layout.n_sites - 1), layout)
+    link = dynamics.evolve(
+        rho0, layout, params, schedule, dynamics.standard_collapse(params, layout),
+        (0.0, t_final), dt, sample_every=sample_every,
     )
-    lifted_collapse = [
-        dynamics.CollapseChannel(np.kron(eye_r, ch.operator), ch.rate) for ch in collapse
-    ]
-    traj = dynamics.evolve(
-        joint0, probe_layout, params, schedule, lifted_collapse,
-        (0.0, t_final), dt, sample_every=sample_every, terms=lifted_terms,
-    )
-    return ChannelProbe(
-        layout=probe_layout,
-        joint_initial=joint0,
-        evolved_joint=traj.final_state,
-        trajectory=traj,
-    )
+    probe_layout = SystemLayout((Qubit(),) + layout.sites)
+    joints = _choi_states(link.states)
+    traj = dynamics.sampled_trajectory(probe_layout, link.times, joints)
+    return ChannelProbe(probe_layout, joints[0], evolved_joint=joints[-1], trajectory=traj)
 
 
 def _reduced(probe: ChannelProbe, joint: Optional[np.ndarray], keep) -> np.ndarray:
@@ -281,13 +265,9 @@ def make_link_run(
     schedule: CouplingSchedule,
     t_final: float,
     dt: Optional[float] = None,
-    *,
-    mode_dim: int = 2,
 ) -> Callable[[PureQubitSpec], np.ndarray]:
     """End-to-end single-link channel: place the input on A, evolve, read B."""
-    from .qspace import link_layout
-
-    layout = link_layout(mode_dim=mode_dim)
+    layout = link_layout()
     collapse = dynamics.standard_collapse(params, layout)
     terms = dynamics.hamiltonian_terms(params, layout)
     step = dt if dt is not None else dynamics.default_dt(params, schedule)

@@ -132,7 +132,6 @@ class LinkSpec:
     hop_time: float
     medium: Optional[MediumModel] = None
     n_mediators: int = 1
-    mode_dim: int = 2
     g_hop: float = 0.0
     dt: Optional[float] = None
     sample_every: int = 100
@@ -184,7 +183,7 @@ def run_hop(
     """
     input_qubit = np.asarray(input_qubit, dtype=complex)
     check_density_matrix(input_qubit)
-    layout = link_layout(n_mediators=link.n_mediators, mode_dim=link.mode_dim)
+    layout = link_layout(n_mediators=link.n_mediators)
     params = link.effective_params()
     rho0 = product_state([input_qubit] + [None] * (layout.n_sites - 1), layout)
     collapse = dynamics.standard_collapse(params, layout)

@@ -24,6 +24,7 @@ __all__ = [
     "default_stirap_window",
     "tune_stirap",
     "stirap_grid_search",
+    "best_stirap_record",
 ]
 
 # Adiabaticity g0*T and pulse overlap t_delay/T used when nothing is specified.
@@ -132,7 +133,6 @@ def stirap_grid_search(
     width_grid: Sequence[float],
     delay_grid: Sequence[float],
     *,
-    mode_dim: int = 2,
     dt: float | None = None,
 ) -> list[dict]:
     """Evaluate end-of-window transfer fidelity for every (T, t_delay) pair.
@@ -145,7 +145,7 @@ def stirap_grid_search(
 
     if len(width_grid) == 0 or len(delay_grid) == 0:
         raise ValueError("grids must be non-empty")
-    layout = link_layout(mode_dim=mode_dim)
+    layout = link_layout()
     target = PureQubitSpec(theta=math.pi)
     rho0 = product_state([target, None, None], layout)
     collapse = dynamics.standard_collapse(params, layout)
@@ -174,18 +174,21 @@ def stirap_grid_search(
     return records
 
 
+def best_stirap_record(records: Sequence[dict]) -> dict:
+    """The grid record with the highest final transfer fidelity.
+
+    Ties are broken by smaller total window duration, then by smaller width.
+    """
+    return min(records, key=lambda r: (-r["fidelity"], r["window"], r["pulse_width"]))
+
+
 def tune_stirap(
     params,
     width_grid: Sequence[float],
     delay_grid: Sequence[float],
     *,
-    mode_dim: int = 2,
     dt: float | None = None,
 ) -> tuple[float, float]:
-    """Best (pulse_width, t_delay) by final transfer fidelity.
-
-    Ties are broken by smaller total window duration, then by smaller width.
-    """
-    records = stirap_grid_search(params, width_grid, delay_grid, mode_dim=mode_dim, dt=dt)
-    best = min(records, key=lambda r: (-r["fidelity"], r["window"], r["pulse_width"]))
+    """Best (pulse_width, t_delay) of the grid, ranked by best_stirap_record."""
+    best = best_stirap_record(stirap_grid_search(params, width_grid, delay_grid, dt=dt))
     return (best["pulse_width"], best["t_delay"])

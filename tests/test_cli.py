@@ -161,11 +161,11 @@ class TestScenarioRuns:
         assert summary_header == ["final_fidelity", "stabilization_us"]
         assert len(summary_rows) == 1
 
-    def test_extra_mediators_add_columns(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, FAST_TRANSFER + "mode_dim = 3\n"))
-        assert run_scenario(cfg, tmp_path / "out") == 0
-        header, _ = read_csv(tmp_path / "out" / "trajectory.csv")
-        assert header == ["t_us", "pop_A", "pop_W", "pop_B", "fidelity", "trace", "purity"]
+    def test_mode_dim_key_rejected(self, tmp_path):
+        # one excitation never fills a Fock level above 1, so there is no
+        # truncation to configure
+        with pytest.raises(ConfigError, match="unknown key 'mode_dim'"):
+            load_config(write_config(tmp_path, FAST_TRANSFER + "mode_dim = 3\n"))
 
     def test_mediator_chain_trajectory_header(self):
         # library-level layouts with several mediators get numbered columns
@@ -259,7 +259,7 @@ class TestScenarioRuns:
 
     def test_coherent_info_matches_dense_runs(self, tmp_path):
         # the single-probe outputs against the per-sample metrics, evolve and
-        # one dense evolution per Haar sample
+        # one evolution of its own per Haar sample
         cfg = build_config({
             "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
             "gamma_2pi_mhz": 2.0, "theta_deg": 60.0, "phi_deg": 40.0,
@@ -390,3 +390,15 @@ class TestConfigDataclass:
     def test_negative_non_sentinel_rejected(self):
         with pytest.raises(ConfigError, match="t_final_us"):
             build_config({"scenario": "transfer", "t_final_us": -2.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("sample_every", -7), ("sample_every", 0), ("dt_ns", 0.0), ("t_final_us", 0.0),
+        ("hop_time_us", 0.0), ("pulse_width_us", 0.0), ("t_delay_us", 0.0),
+    ])
+    def test_values_that_would_fall_back_to_the_default_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must be > 0 \(or -1 for the default\)"):
+            build_config({"scenario": "transfer", key: value})
+
+    def test_zero_pulse_center_is_kept(self):
+        cfg = build_config({"scenario": "transfer", "protocol": "stirap", "t_center_us": 0.0})
+        assert cfg.schedule().t_center == 0.0

@@ -5,10 +5,14 @@ import pytest
 
 from conftest import make_density_matrix
 from qlinksim.dynamics import (
+    CollapseChannel,
+    HamiltonianTerms,
     IntegrationError,
     LinkParams,
     default_dt,
     evolve,
+    evolve_dense,
+    hamiltonian_terms,
     receiver_frame,
     sampled_trajectory,
     standard_collapse,
@@ -243,7 +247,7 @@ class TestAverageFidelity:
         assert transfer_fidelity(raw, spec) < 0.01
 
 
-# The probe's Choi-state map against one dense evolution per input, on fig4
+# The probe's Choi-state map against one evolution of its own per input, on fig4
 # with constant drive and on the weak-loss link (fig4 with 1000x weaker qubit
 # decay) with a short pulse pair.
 FIG4 = LinkParams(
@@ -286,7 +290,35 @@ def probe_ending_with_b_eigenvalue(lam: float) -> ChannelProbe:
                         trajectory=traj)
 
 
+def lifted_probe(params, schedule, t_final, dt, sample_every):
+    """The probe evolved densely on (R, A, W, B): the reference.
+
+    The link's Hamiltonian terms and jumps are lifted as I_R (x) X, so R stays
+    idle, and the run starts from |Phi+> on (R, A) with the link in vacuum.
+    """
+    layout = link_layout()
+    eye_r = np.eye(2, dtype=complex)
+    terms = hamiltonian_terms(params, layout)
+    lifted_terms = HamiltonianTerms(
+        *(np.kron(eye_r, m) for m in (terms.h_static, terms.h_a, terms.h_b)))
+    lifted_collapse = [CollapseChannel(np.kron(eye_r, ch.operator), ch.rate)
+                       for ch in standard_collapse(params, layout)]
+    vacuum = product_state([None, None], SystemLayout((Mode(2), Qubit())))
+    joint0 = np.kron(bell_phi_plus(), vacuum)
+    return evolve_dense(joint0, PROBE_LAYOUT, params, schedule, lifted_collapse,
+                        (0.0, t_final), dt, sample_every=sample_every, terms=lifted_terms)
+
+
 class TestProbeChannelMap:
+    def test_choi_states_match_the_lifted_dense_probe(self, link_case):
+        (params, schedule, t_final, dt, sample_every), probe = link_case
+        dense = lifted_probe(params, schedule, t_final, dt, sample_every)
+        np.testing.assert_array_equal(probe.trajectory.times, dense.times)
+        np.testing.assert_allclose(probe.trajectory.states, dense.states,
+                                   rtol=0, atol=EQUIVALENCE_TOL)
+        np.testing.assert_allclose(probe.joint_initial, dense.states[0],
+                                   rtol=0, atol=EQUIVALENCE_TOL)
+
     def test_link_run_matches_dense_link_run(self, link_case):
         (params, schedule, t_final, dt, _), probe = link_case
         dense = make_link_run(params, schedule, t_final, dt)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import cli, dynamics, metrics
+from qlinksim import cli, dynamics
 from qlinksim.cli import build_config, run_scenario
 from qlinksim.dynamics import (
     IntegrationError,
@@ -137,6 +137,8 @@ SECTOR_SCENARIOS = {
                        "dt_ns": 0.05, "sample_every": 500},
     "tune-stirap": {"scenario": "tune-stirap", "tune_widths_us": (0.25,),
                     "tune_delays_us": (0.3,), "dt_ns": 1.0, **WEAK_LOSS},
+    "coherent-info": {"scenario": "coherent-info", "preset": "fig4", "dt_ns": 1.0,
+                      "sample_every": 10, "n_samples": 5},
 }
 
 
@@ -169,13 +171,16 @@ class TestDensePathStays:
         # the doubly excited state is outside the sector's blocks
         assert traj.populations[0].sum() == pytest.approx(2.0)
 
-    def test_coherent_info_probe(self, monkeypatch):
+    def test_coherence_with_two_excitations(self, monkeypatch):
         calls = self.count_dense_calls(monkeypatch)
+        layout = link_layout()
         params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=1e6)
-        probe = metrics.run_channel_probe(params, params.constant_schedule(), 1e-7, 1e-9,
-                                          sample_every=10)
-        # the idle reference qubit adds a two-excitation component
-        assert calls == [probe.layout]
+        plus, excited = PureQubitSpec(theta=math.pi / 2), PureQubitSpec(theta=math.pi)
+        # (|0> + |1>) on A with B excited: one excitation coherent with two
+        rho0 = product_state([plus, None, excited], layout)
+        evolve(rho0, layout, params, params.constant_schedule(),
+               standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
+        assert calls == [layout]
 
     def test_leaking_hamiltonian_term(self, monkeypatch):
         # a static term coupling a one-excitation state to a two-excitation one
