@@ -127,7 +127,7 @@ class ChannelProbe:
 
         def run(spec: PureQubitSpec) -> np.ndarray:
             rho = self.link_states(spec, traj.final_state)
-            dynamics._check_sample(rho, t_final)
+            dynamics._check_samples(np.array([t_final]), rho[None])
             return dynamics.receiver_frame(partial_trace(rho, link.n_sites - 1, link))
 
         return run

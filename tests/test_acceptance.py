@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import hamiltonian_at
 from qlinksim.cli import PRESETS, build_config, run_scenario
 from qlinksim.dynamics import (
     LinkParams,
     default_dt,
     evolve,
-    hamiltonian_at,
     propagator_oracle,
     standard_collapse,
 )

@@ -257,6 +257,19 @@ class TestScenarioRuns:
         info = float(summary_rows[0][0])
         assert -2.0 <= info <= 1.0
 
+    @pytest.mark.parametrize("rates", [
+        {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006},
+        {"preset": "fig5-red"},
+    ], ids=["weak-loss", "fig5-red"])
+    def test_coherent_info_at_the_default_dt_is_ok(self, rates, tmp_path):
+        # both once failed as invalid-state (eigenvalues -8.477e-7 and
+        # -1.002e-7), when RK4 on the density matrix lost positivity; the
+        # amplitude engine's states are positive by construction
+        cfg = build_config({"scenario": "coherent-info", "n_samples": 5, **rates})
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text(encoding="utf-8")
+        assert "status = ok" in manifest
+
     def test_coherent_info_matches_dense_runs(self, tmp_path):
         # the single-probe outputs against the per-sample metrics, evolve and
         # one evolution of its own per Haar sample
@@ -321,6 +334,21 @@ class TestFailureHandling:
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         assert "status = integration-failure" in manifest
         assert "failed_at_us" in manifest
+
+    def test_integration_failure_message_names_step_grid_and_quantity(self, tmp_path, capsys):
+        cfg = build_config({
+            "scenario": "transfer", "preset": "fig5-red", "t_final_us": 0.2, "dt_ns": 4.0,
+        })
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 1
+        message = ("vacuum refill Tr R0 - Tr R = -3.035e+00 below -1e-05, a lower bound on "
+                   "the smallest eigenvalue at t = 4.000000e-09 s (step 1 of 50, "
+                   "dt = 4.000000e-09 s, sample_every = 1)")
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"error = {message}\n" in manifest
+        failed_at = next(line for line in manifest.splitlines() if line.startswith("failed_at"))
+        assert float(failed_at.split("=")[1]) == pytest.approx(0.004, rel=1e-12)
+        assert message in capsys.readouterr().err
 
     def test_failed_run_keeps_csvs_it_did_not_write(self, tmp_path):
         out = tmp_path / "out"

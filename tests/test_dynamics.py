@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_density_matrix, make_hermitian
+from conftest import hamiltonian_at, lindblad_rhs, make_density_matrix, make_hermitian
 from qlinksim.dynamics import (
     CollapseChannel,
     IntegrationError,
     LinkParams,
     default_dt,
     evolve,
-    hamiltonian_at,
-    lindblad_rhs,
     liouvillian,
     propagator_oracle,
     standard_collapse,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_density_matrix
+from conftest import make_density_matrix, refilled_states, rk4_columns
 from qlinksim.dynamics import (
     CollapseChannel,
     HamiltonianTerms,
@@ -11,7 +11,6 @@ from qlinksim.dynamics import (
     LinkParams,
     default_dt,
     evolve,
-    evolve_dense,
     hamiltonian_terms,
     receiver_frame,
     sampled_trajectory,
@@ -291,10 +290,12 @@ def probe_ending_with_b_eigenvalue(lam: float) -> ChannelProbe:
 
 
 def lifted_probe(params, schedule, t_final, dt, sample_every):
-    """The probe evolved densely on (R, A, W, B): the reference.
+    """The probe evolved on (R, A, W, B) by RK4 on its lifted state vector: the reference.
 
     The link's Hamiltonian terms and jumps are lifted as I_R (x) X, so R stays
-    idle, and the run starts from |Phi+> on (R, A) with the link in vacuum.
+    idle. The run starts from |Phi+> on (R, A) with the link in vacuum. The
+    vector evolves under the no-jump drift, and the norm it loses is put back
+    on |1_R> (x) vacuum, where every jump of the excitation lands.
     """
     layout = link_layout()
     eye_r = np.eye(2, dtype=complex)
@@ -303,10 +304,12 @@ def lifted_probe(params, schedule, t_final, dt, sample_every):
         *(np.kron(eye_r, m) for m in (terms.h_static, terms.h_a, terms.h_b)))
     lifted_collapse = [CollapseChannel(np.kron(eye_r, ch.operator), ch.rate)
                        for ch in standard_collapse(params, layout)]
-    vacuum = product_state([None, None], SystemLayout((Mode(2), Qubit())))
-    joint0 = np.kron(bell_phi_plus(), vacuum)
-    return evolve_dense(joint0, PROBE_LAYOUT, params, schedule, lifted_collapse,
-                        (0.0, t_final), dt, sample_every=sample_every, terms=lifted_terms)
+    bell, vacuum = np.array([1, 0, 0, 1]) / math.sqrt(2), np.eye(4)[0]
+    times, columns = rk4_columns(lifted_terms, lifted_collapse, schedule,
+                                 np.kron(bell, vacuum)[:, None], (0.0, t_final), dt,
+                                 sample_every)
+    one_r_vacuum = 0b1000
+    return sampled_trajectory(PROBE_LAYOUT, times, refilled_states(columns, 1, one_r_vacuum, 0))
 
 
 class TestProbeChannelMap:

@@ -1,15 +1,19 @@
-"""The one-excitation sector stepper against the dense RK4 stepper.
+"""The one-excitation amplitude engine against its references.
 
-evolve steps only the blocks of rho that can be non-zero when a run provably
-stays in vacuum (+) one excitation; evolve_dense steps the whole density
-matrix and is the reference here.
+evolve steps the amplitudes of the one-excitation states when a run provably
+stays in vacuum (+) one excitation. Its reference here is the same RK4 on the
+run's full-space column vectors plus the vacuum refill (conftest's
+sector_reference), which agrees to roundoff; evolve_dense (RK4 on the whole
+density matrix) and propagator_oracle agree to the RK4 error.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import hamiltonian_at, rk4_columns, sector_columns, sector_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,14 +24,25 @@ from qlinksim.dynamics import (
     LinkParams,
     evolve,
     evolve_dense,
+    propagator_oracle,
     sampled_trajectory,
     standard_collapse,
 )
-from qlinksim.protocols import StirapSchedule
+from qlinksim.protocols import StirapSchedule, default_stirap_window
 from qlinksim.qspace import PureQubitSpec, Qubit, SystemLayout, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 EQUIVALENCE_TOL = 1e-12
+
+FIG4 = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+                  gamma_a=6 * TWO_PI_MHZ, gamma_b=6 * TWO_PI_MHZ)
+LOW_LOSS = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+                      gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ)
+LOW_LOSS_STIRAP = StirapSchedule(g0_a=LOW_LOSS.g_a, g0_b=LOW_LOSS.g_b,
+                                 pulse_width=0.5e-6, t_delay=0.6e-6)
+# RK4 on the amplitudes is not RK4 on rho: the two differ by the method's
+# error, about 1e-7 at fig4's default step
+RK4_ERROR_TOL = 1e-6
 
 
 def _dense_forbidden(*args, **kwargs):
@@ -39,7 +54,7 @@ def sector_only():
     return mock.patch.object(dynamics, "evolve_dense", _dense_forbidden)
 
 
-# --- property: the sector path is the dense RK4 step, restricted -------------
+# --- property: the amplitude engine is RK4 on the run's full-space columns ----
 
 rates = st.floats(0.0, 20.0)  # x 2 pi MHz
 
@@ -95,32 +110,109 @@ def sector_runs(draw):
 def test_sector_path_matches_dense_rk4(run):
     with sector_only():
         sector = evolve(**run)
-    dense = evolve_dense(**run)
-    np.testing.assert_array_equal(sector.times, dense.times)
-    np.testing.assert_allclose(sector.states, dense.states, rtol=0, atol=EQUIVALENCE_TOL)
+    reference = sector_reference(**run)
+    np.testing.assert_array_equal(sector.times, reference.times)
+    np.testing.assert_allclose(sector.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
     for column in ("populations", "trace", "purity", "fidelity"):
-        np.testing.assert_allclose(getattr(sector, column), getattr(dense, column),
+        np.testing.assert_allclose(getattr(sector, column), getattr(reference, column),
                                    rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
 
 
-def test_unstable_step_fails_at_the_dense_paths_time():
-    # fig5-red with a 4 ns step: RK4 is unstable at this coupling
+def fig5_red_run(t_final, dt):
     g = 100 * TWO_PI_MHZ
     params = LinkParams(g_a=g, g_b=g, kappa=6 * TWO_PI_MHZ,
                         gamma_a=65 * TWO_PI_MHZ, gamma_b=65 * TWO_PI_MHZ)
     layout = link_layout()
-    run = dict(
+    return dict(
         rho0=product_state([PureQubitSpec(theta=math.pi / 2), None, None], layout),
         layout=layout, params=params, schedule=params.constant_schedule(),
-        collapse=standard_collapse(params, layout), t_span=(0.0, 0.2e-6), dt=4e-9,
+        collapse=standard_collapse(params, layout), t_span=(0.0, t_final), dt=dt,
     )
+
+
+def first_refill_failure(run):
+    """Step at which the reference's vacuum refill first breaks the bound, and dt."""
+    rho0, layout = run["rho0"], run["layout"]
+    terms = dynamics.hamiltonian_terms(run["params"], layout)
+    x0 = sector_columns(rho0, layout)[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, columns = rk4_columns(terms, run["collapse"], run["schedule"], x0,
+                                     run["t_span"], run["dt"])
+        delta = (np.abs(x0) ** 2).sum() - (np.abs(columns) ** 2).sum(axis=(1, 2))
+        failed = ~np.isfinite(delta) | (delta < dynamics.MIN_EIGENVALUE_MIN)
+    assert failed.any()
+    return int(np.argmax(failed)), times[1] - times[0]
+
+
+def test_unstable_step_fails_at_the_dense_paths_time():
+    # fig5-red with a 4 ns step: RK4 is unstable at this coupling. The
+    # engine checks every step, the dense path only its samples, so the
+    # engine fails first, at the first step whose refill breaks the bound.
+    run = fig5_red_run(0.2e-6, 4e-9)
+    step, h = first_refill_failure(run)
     for sample_every in (1, 10):
         with sector_only(), pytest.raises(IntegrationError) as sector:
             evolve(**run, sample_every=sample_every)
         with pytest.raises(IntegrationError) as dense:
             evolve_dense(**run, sample_every=sample_every)
-        assert sector.value.t is not None
-        assert sector.value.t == dense.value.t
+        assert sector.value.t == pytest.approx(step * h, rel=1e-12)
+        assert f"(step {step} of 50, dt = 4.000000e-09 s, sample_every = {sample_every})" \
+            in str(sector.value)
+        assert sector.value.t <= dense.value.t
+
+
+@pytest.mark.parametrize("sample_every", [1, 10, 40, 400, 4000])
+def test_verdict_does_not_depend_on_the_sampling_cadence(sample_every):
+    # fig5-red at 0.25 ns over 2 us: the step matrix is a contraction there,
+    # so the refill never shrinks and every cadence passes with positive states
+    traj = evolve(**fig5_red_run(2e-6, 0.25e-9), sample_every=sample_every)
+    assert np.linalg.eigvalsh(traj.states).min() >= -1e-12
+    with pytest.raises(IntegrationError, match="vacuum refill"):
+        evolve(**fig5_red_run(2e-6, 4e-9), sample_every=sample_every)
+
+
+def test_constant_drive_powers_match_the_step_by_step_product():
+    # the dense-output benchmark's 23,200 steps: blocked powers of the one
+    # step matrix against one RK4 step at a time
+    run = dict(link_run(LOW_LOSS, LOW_LOSS.constant_schedule(), 20e-6,
+                        dynamics.default_dt(LOW_LOSS)), sample_every=1000)
+    with sector_only():
+        traj = evolve(**run)
+    reference = sector_reference(**run)
+    np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
+
+
+def link_run(params, schedule, t_final, dt):
+    layout = link_layout()
+    target = PureQubitSpec(theta=1.1, phi=0.7)
+    return dict(rho0=product_state([target, None, None], layout), layout=layout,
+                params=params, schedule=schedule, collapse=standard_collapse(params, layout),
+                t_span=(0.0, t_final), dt=dt, sample_every=25, target=target)
+
+
+@pytest.mark.parametrize("run", [
+    link_run(FIG4, FIG4.constant_schedule(), 2e-6, dynamics.default_dt(FIG4)),
+    link_run(LOW_LOSS, LOW_LOSS_STIRAP, default_stirap_window(LOW_LOSS_STIRAP)[1], 2e-9),
+], ids=["fig4", "low-loss-stirap"])
+def test_engine_matches_the_dense_stepper_to_the_rk4_error(run):
+    with sector_only():
+        sector = evolve(**run)
+    dense = evolve_dense(**run)
+    np.testing.assert_allclose(sector.states, dense.states, rtol=0, atol=RK4_ERROR_TOL)
+    for column in ("populations", "trace", "purity", "fidelity"):
+        np.testing.assert_allclose(getattr(sector, column), getattr(dense, column),
+                                   rtol=0, atol=RK4_ERROR_TOL, err_msg=column)
+
+
+def test_engine_matches_the_exponential_oracle_to_the_rk4_error():
+    run = link_run(FIG4, FIG4.constant_schedule(), 2e-6, dynamics.default_dt(FIG4))
+    h = hamiltonian_at(0.0, FIG4, run["schedule"], run["layout"])
+    with sector_only():
+        traj = evolve(**run)
+    for t, state in zip(traj.times[::10], traj.states[::10]):
+        np.testing.assert_allclose(
+            state, propagator_oracle(run["rho0"], h, run["collapse"], t),
+            rtol=0, atol=RK4_ERROR_TOL)
 
 
 # --- dispatch --------------------------------------------------------------
@@ -209,6 +301,24 @@ class TestDensePathStays:
         assert calls == [layout]
 
 
+def test_transfer_never_builds_a_dense_state_stack(tmp_path, monkeypatch):
+    def stack_built(self):
+        raise AssertionError("dense state stack built")
+
+    monkeypatch.setattr(dynamics.Trajectory, "states", property(stack_built))
+    cfg = build_config(dict(SECTOR_SCENARIOS["transfer"], t_final_us=2.0, dt_ns=0.2,
+                            sample_every=1))
+    tracemalloc.start()
+    try:
+        with sector_only():
+            assert run_scenario(cfg, tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10,001 samples as 8 x 8 complex states would take 10.2 MB at once
+    assert peak < 10_001 * 8 * 8 * 16
+
+
 # --- sample checks ----------------------------------------------------------
 
 
@@ -278,24 +388,34 @@ def per_cell_rows(traj):
 
 @pytest.mark.parametrize("name", ["transfer", "chain"])
 def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch):
-    cfg = build_config(SECTOR_SCENARIOS[name])
+    # byte-identical to rows built per cell, equal to the amplitude reference
+    # to roundoff, and equal to evolve_dense, a second algorithm, to the RK4
+    # error; at 1 ns steps the two RK4 schemes differ by 3e-6 on transfer
+    cfg = build_config({**SECTOR_SCENARIOS[name], "dt_ns": 0.5})
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_trajectory_rows", per_cell_rows)
         assert run_scenario(cfg, tmp_path / "per-cell") == 0
+        patch.setattr(dynamics, "evolve", sector_reference)
+        assert run_scenario(cfg, tmp_path / "reference") == 0
         patch.setattr(dynamics, "evolve", evolve_dense)
         assert run_scenario(cfg, tmp_path / "dense") == 0
 
+    def table(directory, csv):
+        lines = (tmp_path / directory / csv).read_text().splitlines()
+        return lines[0], np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+    others = {"reference": EQUIVALENCE_TOL, "dense": RK4_ERROR_TOL}
     names = sorted(p.name for p in (tmp_path / "sector").glob("*.csv"))
-    assert names == sorted(p.name for p in (tmp_path / "dense").glob("*.csv"))
     assert any(n.startswith("trajectory") for n in names)
+    for other in others:
+        assert names == sorted(p.name for p in (tmp_path / other).glob("*.csv"))
     for csv in names:
         got = (tmp_path / "sector" / csv).read_bytes()
         assert got == (tmp_path / "per-cell" / csv).read_bytes(), csv
-        lines = got.decode().splitlines()
-        dense = (tmp_path / "dense" / csv).read_text().splitlines()
-        assert lines[0] == dense[0]
-        np.testing.assert_allclose(
-            np.array([line.split(",") for line in lines[1:]], dtype=float),
-            np.array([line.split(",") for line in dense[1:]], dtype=float),
-            rtol=0, atol=EQUIVALENCE_TOL, err_msg=csv)
+        header, values = table("sector", csv)
+        for other, tol in others.items():
+            other_header, other_values = table(other, csv)
+            assert header == other_header
+            np.testing.assert_allclose(values, other_values, rtol=0, atol=tol,
+                                       err_msg=f"{csv} against {other}")
