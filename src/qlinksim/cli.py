@@ -272,8 +272,14 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for key in _LIST_FLOAT_KEYS | _LIST_STR_KEYS:
+        if not getattr(cfg, key):
+            raise ConfigError(f"{key} must list at least one value")
     if any(length < 0 for length in cfg.lengths_km):
         raise ConfigError("lengths_km entries must be >= 0")
+    for key in ("tune_widths_us", "tune_delays_us"):
+        if not all(math.isfinite(v) and v > 0 for v in getattr(cfg, key)):
+            raise ConfigError(f"{key} entries must be finite and > 0, got {getattr(cfg, key)!r}")
     for kind in cfg.media:
         if kind not in (network.CAVITY, network.FIBER, network.CAVITY_PLUS_FIBER):
             raise ConfigError(f"unknown medium kind {kind!r}")
@@ -464,23 +470,23 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
 
 
 def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
-    # One evolution, the channel probe; the curve, the target's trajectory
-    # and the Haar average are all read off its Choi states.
-    probe = metrics.run_channel_probe(
+    # One amplitude run, the link's channel; the curve, the target's
+    # trajectory and the Haar average are all read off it in closed form.
+    channel = metrics.run_channel_probe(
         cfg.link_params(), cfg.schedule(), cfg.t_final_us * US, cfg.dt_ns * NS,
         sample_every=cfg.sample_every,
     )
-    info, f_e = metrics.probe_curve(probe)
+    info, f_e = metrics.probe_curve(channel)
     out.write_csv(
         "curve.csv",
         ["t_us", "coherent_info_bits", "entanglement_fidelity"],
-        zip((probe.trajectory.times / US).tolist(), info.tolist(), f_e.tolist()),
+        zip((channel.times / US).tolist(), info.tolist(), f_e.tolist()),
     )
 
-    traj = probe.link_trajectory(cfg.target())
+    traj = channel.link_trajectory(cfg.target())
     out.write_trajectory("trajectory.csv", traj)
 
-    avg = metrics.average_fidelity(probe.link_run(), cfg.n_samples, cfg.seed)
+    avg = metrics.average_fidelity(channel.link_run(), cfg.n_samples, cfg.seed)
     out.write_csv(
         "summary.csv",
         ["coherent_info_bits", "entanglement_fidelity", "average_fidelity", "stabilization_us"],

@@ -25,6 +25,10 @@ states are built only when read. Every other state goes through
 (the two agree to the RK4 error). The independent cross-check
 `propagator_oracle` exponentiates the column-stacked Liouvillian.
 
+`link_channel` runs a link once, from |1> on A, on generators built site by
+site (`link_generators`); the LinkChannel it returns gives the received
+state and the trajectory of any qubit input in closed form.
+
 Receiver frame: completing the resonant transfer (driven or adiabatic) lands
 the excitation on B with a deterministic minus sign, since the passage goes
 through the (|1_A 0 0> - |0 0 1_B>)-type dark combination. A receiver that
@@ -49,6 +53,7 @@ from .qspace import (
     SystemLayout,
     dagger,
     embed,
+    link_layout,
     local_operator,
 )
 
@@ -59,6 +64,9 @@ __all__ = [
     "IntegrationError",
     "standard_collapse",
     "hamiltonian_terms",
+    "link_generators",
+    "LinkChannel",
+    "link_channel",
     "default_dt",
     "evolve",
     "evolve_dense",
@@ -219,6 +227,27 @@ def hamiltonian_terms(
     return HamiltonianTerms(h_static=h_static, h_a=h_a, h_b=h_b)
 
 
+def link_generators(params: LinkParams, n_mediators: int = 1, g_hop: float = 0.0) -> np.ndarray:
+    """A_0, A_A and A_B of the link's one-excitation amplitudes, c' = A(t) c.
+
+    A(t) = A_0 + g_A(t) A_A + g_B(t) A_B is the drift -i H - sum_j rate_j L_j^dag L_j / 2
+    of hamiltonian_terms and standard_collapse on the states with the
+    excitation on one site, ordered by site (A, mediators..., B).
+    """
+    if n_mediators < 1:
+        raise ValueError("a link needs at least one mediator mode")
+    m = n_mediators + 2
+    a = np.zeros((3, m, m), dtype=complex)
+    omega = np.array([params.omega_q] + [params.omega_w] * n_mediators + [params.omega_q])
+    decay = np.array([params.gamma_a] + [params.kappa] * n_mediators + [params.gamma_b])
+    a[0].flat[:: m + 1] = -1j * omega - 0.5 * decay
+    hop = np.arange(1, m - 2)
+    a[0, hop, hop + 1] = a[0, hop + 1, hop] = -1j * g_hop
+    a[1, 0, 1] = a[1, 1, 0] = -1j
+    a[2, -1, -2] = a[2, -2, -1] = -1j
+    return a
+
+
 def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None) -> float:
     """Step resolving the fastest rate by at least 200 steps per cycle, capped at 1 ns."""
     fastest = params.max_rate()
@@ -326,17 +355,8 @@ class _Grid:
                 f"dt = {self.h:.6e} s, sample_every = {self.sample_every})")
 
 
-def _checked_run(
-    rho0: np.ndarray,
-    layout: SystemLayout,
-    t_span: tuple[float, float],
-    dt: float,
-    sample_every: int,
-) -> tuple[np.ndarray, _Grid]:
-    """Validate a run's arguments; returns rho0 as a complex copy and the run's grid.
-
-    The number of steps is rounded so a uniform grid lands exactly on t1.
-    """
+def _checked_grid(t_span: tuple[float, float], dt: float, sample_every: int) -> _Grid:
+    """Validate a run's grid; the number of steps is rounded so it lands exactly on t1."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -344,12 +364,19 @@ def _checked_run(
         raise ValueError("t_span must satisfy t1 > t0")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    return _Grid(t0, (t1 - t0) / n_steps, n_steps, sample_every)
+
+
+def _checked_run(rho0: np.ndarray, layout: SystemLayout, t_span: tuple[float, float], dt: float,
+                 sample_every: int) -> tuple[np.ndarray, _Grid]:
+    """Validate a run's arguments; returns rho0 as a complex copy and the run's grid."""
+    grid = _checked_grid(t_span, dt, sample_every)
     rho = np.array(rho0, dtype=complex)
     d = layout.total_dim
     if rho.shape != (d, d):
         raise ValueError(f"initial state shape {rho.shape} does not match layout dim {d}")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    return rho, _Grid(t0, (t1 - t0) / n_steps, n_steps, sample_every)
+    return rho, grid
 
 
 def _drift_terms(
@@ -521,14 +548,12 @@ def _sector_trajectory(
     layout: SystemLayout,
     target: Optional[PureQubitSpec],
 ) -> Trajectory:
-    """evolve on a sector run: RK4 on C, the columns in closed form, dense states on demand.
+    """evolve on a sector run: RK4 on C, then the columns in closed form.
 
     R0 is factored by pivoted Cholesky, not eigh, whose LAPACK code alone adds
     0.4 MB of resident memory; u0 is the Hermitian part, as in dense samples.
-    Populations are diag R, the trace is that of rho0, the purity is
-    rho_vv^2 + 2 |u|^2 + Tr R^2, and the fidelity reads rho_B off R_BB and u_B.
     """
-    m, d = len(one), len(rho)
+    m = len(one)
     r = rho[np.ix_(one, one)]
     r = 0.5 * (r + dagger(r))
     floor, columns = 1e-15 * r.trace().real, []
@@ -547,10 +572,24 @@ def _sector_trajectory(
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _rk4_amplitudes(np.concatenate([c0.real, c0.imag]), rank, generators,
                                  schedule, grid, steps)
-    c = blocks[:, :m] + 1j * blocks[:, m:]
+    trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
+    return _amplitude_trajectory(grid.t0 + steps * grid.h, blocks[:, :m] + 1j * blocks[:, m:],
+                                 rank, trace, one, layout, target)
+
+
+def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: float,
+                          one: np.ndarray, layout: SystemLayout,
+                          target: Optional[PureQubitSpec]) -> Trajectory:
+    """The trajectory of amplitude blocks C = [R's factors, u], columns in closed form.
+
+    one holds the basis index of each one-excitation state. Populations are
+    diag R, the purity is rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R,
+    the fidelity reads rho_B off R_BB and u_B, and dense states are built
+    only when read.
+    """
+    d = layout.total_dim
     r, u = c[..., :rank], c[..., -1]
     r_diag = (r.real**2 + r.imag**2).sum(axis=-1)
-    trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
     vacuum = trace - r_diag.sum(axis=-1)
     gram = r.conj().swapaxes(-1, -2) @ r
     purity = vacuum**2 + 2.0 * (u.real**2 + u.imag**2).sum(axis=-1)
@@ -573,10 +612,70 @@ def _sector_trajectory(
         return states
 
     return Trajectory(
-        layout=layout, times=grid.t0 + steps * grid.h, state_at=state_at,
-        populations=r_diag @ sites.T, trace=np.full(len(steps), trace), purity=purity,
+        layout=layout, times=times, state_at=state_at,
+        populations=r_diag @ sites.T, trace=np.full(len(times), trace), purity=purity,
         fidelity=fidelity, target=target,
     )
+
+
+# --- the link's qubit channel ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinkChannel:
+    """The qubit channel a link realizes, from one amplitude run.
+
+    amplitudes[s] is c(t_s) = K(t_s) e_A, by site (A, mediators..., B): where
+    |1> sent from A, every other site empty, has gone by sample s. With
+    rho_a = [[1 - p, x], [x*, p]] on A the run's blocks are R = p |c><c| and
+    u = x* c, so the link is amplitude damping plus a phase, fixed by the
+    receiver-frame amplitude f = -c_B (Bose, PRL 91, 207901 (2003)).
+    """
+
+    times: np.ndarray
+    amplitudes: np.ndarray
+
+    @property
+    def f(self) -> np.ndarray:
+        """Receiver-frame amplitude on B at every sample."""
+        return -self.amplitudes[:, -1]
+
+    def received_state(self, rho_a: np.ndarray) -> np.ndarray:
+        """Final receiver-frame state of B, [[1 - p |f|^2, x f*], [x* f, p |f|^2]]."""
+        # f[-1], read without negating every sample: the Haar average calls this per input
+        f, x, p = -complex(self.amplitudes[-1, -1]), rho_a[0, 1], rho_a[1, 1].real
+        survived = p * (f.real**2 + f.imag**2)
+        return np.array([[rho_a[0, 0].real + p - survived, x * f.conjugate()],
+                         [x.conjugate() * f, survived]])
+
+    def link_run(self) -> Callable[[PureQubitSpec], np.ndarray]:
+        """Received-state map of the link: an input spec to the final state of B."""
+        return lambda spec: self.received_state(spec.density_matrix())
+
+    def link_trajectory(self, target: PureQubitSpec,
+                        rho_a: Optional[np.ndarray] = None) -> Trajectory:
+        """Trajectory with rho_a (default: target) on A, scored against target, in closed form."""
+        rho_a = target.density_matrix() if rho_a is None else rho_a
+        layout = link_layout(n_mediators=self.amplitudes.shape[-1] - 2)
+        one = np.ravel_multi_index(tuple(np.eye(layout.n_sites, dtype=int)), layout.dims)
+        factors = np.array([math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]])
+        return _amplitude_trajectory(self.times, self.amplitudes[..., None] * factors, 1,
+                                     rho_a.trace().real, one, layout, target)
+
+
+def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float, dt: float, *,
+                 sample_every: int = 1, n_mediators: int = 1, g_hop: float = 0.0) -> LinkChannel:
+    """Run the link once from |1> on A over (0, t_final): its channel at every sample.
+
+    RK4 steps e_A under link_generators with evolve's grid and per-step
+    checks, delta = 1 - sum_i |c_i|^2 for the refill: an input's is p delta.
+    """
+    grid = _checked_grid((0.0, t_final), dt, sample_every)
+    m, steps = n_mediators + 2, grid.sample_steps()
+    generators = _realified(link_generators(params, n_mediators, g_hop))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked per step
+        blocks = _rk4_amplitudes(np.eye(2 * m, 1), 1, generators, schedule, grid, steps)
+    return LinkChannel(grid.t0 + steps * grid.h, blocks[:, :m, 0] + 1j * blocks[:, m:, 0])
 
 
 def _realified(a: np.ndarray) -> np.ndarray:

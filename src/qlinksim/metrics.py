@@ -1,27 +1,24 @@
 """Transfer-quality metrics: target fidelity, entanglement fidelity,
 Haar-average fidelity, and coherent information.
 
-Channel-level quantities are read off the Choi state J of the link channel
-(Horodecki et al., PRA 60, 1888 (1999)): the joint state that an idle
-reference qubit R, prepared maximally entangled with the source qubit A,
-reaches with the link. R is never evolved: run_channel_probe assembles J from
-one run of the link alone from |+> on A, which takes evolve's one-excitation
-sector path. Entropies of the reduced (B) and (R, B) states of J give the
-coherent information I = S(B') - S(R'B'), the second term being the entropy
-exchange realized through purification.
-
-J determines the link's response to every input: a qubit state rho placed on
-A, with the rest of the link in its ground state, evolves into
-2 Tr_R[(rho^T (x) I) J]. ChannelProbe applies this map to each stored sample,
-which yields the Haar-average fidelity (ChannelProbe.link_run) and the
-trajectory of any input (ChannelProbe.link_trajectory) without evolving
-again; make_link_run keeps one evolve run per input as the cross-check.
+A one-excitation link is a qubit channel, amplitude damping plus a phase,
+fixed at each time by one complex number: the receiver-frame amplitude f
+that |1> sent from A reaches on B (dynamics.LinkChannel; Bose, PRL 91, 207901
+(2003)). run_channel_probe runs the link once from |1> on A. Channel-level
+quantities then follow in closed form (Horodecki et al., PRA 60, 1888
+(1999)): with an idle reference qubit R prepared in |Phi+> with A, the
+(R, B) state has eigenvalues (1 +- eta)/2 and B alone 1 - eta/2 and eta/2,
+where eta = |f|^2. So the entanglement fidelity is F_e = |1 + f|^2 / 4 and
+the coherent information I = S(B') - S(R'B') = h(eta/2) - h((1 - eta)/2),
+with h the binary entropy. The same channel gives the received state of any
+input (LinkChannel.link_run, for the Haar-average fidelity) and its
+trajectory (LinkChannel.link_trajectory) without evolving again;
+make_link_run keeps one evolve run per input as the cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,17 +27,13 @@ from . import dynamics
 from .protocols import CouplingSchedule
 from .qspace import (
     PureQubitSpec,
-    Qubit,
-    SystemLayout,
     link_layout,
     partial_trace,
     product_state,
-    von_neumann_entropies,
-    von_neumann_entropy,
+    spectrum_entropies,
 )
 
 __all__ = [
-    "ChannelProbe",
     "transfer_fidelity",
     "run_channel_probe",
     "probe_curve",
@@ -68,99 +61,6 @@ def transfer_fidelity(rho_b: np.ndarray, target: PureQubitSpec) -> float:
     return _clamp_fidelity(float(np.real(ket.conj() @ rho_b @ ket)))
 
 
-def bell_phi_plus() -> np.ndarray:
-    """|Phi+><Phi+| on two qubits."""
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = ket[3] = 1.0 / math.sqrt(2.0)
-    return np.outer(ket, ket.conj())
-
-
-@dataclass
-class ChannelProbe:
-    """Reference-extended link state before and after evolution.
-
-    layout is the link layout with the idle reference qubit R prepended at
-    site 0; joint_initial restricted to (R, A) is the Bell state |Phi+>.
-    """
-
-    layout: SystemLayout
-    joint_initial: np.ndarray
-    evolved_joint: Optional[np.ndarray] = None
-    trajectory: Optional[dynamics.Trajectory] = None
-
-    @property
-    def site_b(self) -> int:
-        return self.layout.n_sites - 1
-
-    @property
-    def link_layout(self) -> SystemLayout:
-        """The link's own layout, without the reference qubit."""
-        return SystemLayout(self.layout.sites[1:])
-
-    def evolved_trajectory(self) -> dynamics.Trajectory:
-        """The probe's sampled evolution; ValueError if it has not run."""
-        if self.trajectory is None:
-            raise ValueError("probe has not been evolved")
-        return self.trajectory
-
-    def link_states(self, spec: PureQubitSpec, joints: np.ndarray) -> np.ndarray:
-        """Link states that input spec evolves into, read off probe states.
-
-        joints is one probe state or a stack (..., D, D); each J maps to
-        2 Tr_R[(rho^T (x) I) J], rho being the input state on A.
-        """
-        joints = np.asarray(joints)
-        d = self.layout.total_dim // 2
-        blocks = joints.reshape(joints.shape[:-2] + (2, d, 2, d))
-        return 2.0 * np.einsum("ab,...axby->...xy", spec.density_matrix(), blocks)
-
-    def link_run(self) -> Callable[[PureQubitSpec], np.ndarray]:
-        """Received-state map of the evolved link, as make_link_run gives it.
-
-        An input spec maps to the receiver-frame state of B, derived from the
-        final probe state. Each derived link state gets the validity check a
-        dense run gives its samples; a failure raises IntegrationError.
-        """
-        traj = self.evolved_trajectory()
-        t_final = float(traj.times[-1])
-        link = self.link_layout
-
-        def run(spec: PureQubitSpec) -> np.ndarray:
-            rho = self.link_states(spec, traj.final_state)
-            dynamics._check_samples(np.array([t_final]), rho[None])
-            return dynamics.receiver_frame(partial_trace(rho, link.n_sites - 1, link))
-
-        return run
-
-    def link_trajectory(self, target: PureQubitSpec) -> dynamics.Trajectory:
-        """Trajectory of the link with target on A, derived from the probe's samples.
-
-        It has the times, columns and per-sample checks of evolve run on
-        target (x) vacuum with the probe's step and sampling.
-        """
-        traj = self.evolved_trajectory()
-        states = self.link_states(target, traj.states)
-        return dynamics.sampled_trajectory(self.link_layout, traj.times, states, target=target)
-
-
-def _choi_states(states: np.ndarray) -> np.ndarray:
-    """Choi states J of the link from a stack of its states S evolved from |+> on A.
-
-    Basis index 0 is the vacuum. The response is linear and the vacuum does
-    not evolve, so E(|1><0|) = 2 S[1:, 0], E(|1><1|) = 2 S[1:, 1:] plus
-    2 S_00 - 1 on the vacuum, E(|0><0|) = |vac><vac|, and
-    J = [[E(|0><0|), E(|1><0|)^dag], [E(|1><0|), E(|1><1|)]] / 2.
-    """
-    n, d = len(states), states.shape[-1]
-    blocks = np.zeros((n, 2, d, 2, d), dtype=complex)
-    blocks[:, 0, 0, 0, 0] = 0.5
-    blocks[:, 1, 1:, 0, 0] = states[:, 1:, 0]
-    blocks[:, 0, 0, 1, 1:] = states[:, 1:, 0].conj()
-    blocks[:, 1, 1:, 1, 1:] = states[:, 1:, 1:]
-    blocks[:, 1, 0, 1, 0] = states[:, 0, 0] - 0.5
-    return blocks.reshape(n, 2 * d, 2 * d)
-
-
 def run_channel_probe(
     params: dynamics.LinkParams,
     schedule: CouplingSchedule,
@@ -168,68 +68,48 @@ def run_channel_probe(
     dt: Optional[float] = None,
     *,
     sample_every: int = 100,
-) -> ChannelProbe:
-    """Evolve the link once from |+> on A and return the probe of its Choi states.
-
-    The Choi states get the trace and eigenvalue checks of evolve's samples.
-    """
-    layout = link_layout()
+) -> dynamics.LinkChannel:
+    """Run the link once from |1> on A and return its channel at every sample."""
     if dt is None:
         dt = dynamics.default_dt(params, schedule)
-    rho0 = product_state([np.full((2, 2), 0.5)] + [None] * (layout.n_sites - 1), layout)
-    link = dynamics.evolve(
-        rho0, layout, params, schedule, dynamics.standard_collapse(params, layout),
-        (0.0, t_final), dt, sample_every=sample_every,
-    )
-    probe_layout = SystemLayout((Qubit(),) + layout.sites)
-    joints = _choi_states(link.states)
-    traj = dynamics.sampled_trajectory(probe_layout, link.times, joints)
-    return ChannelProbe(probe_layout, joints[0], evolved_joint=joints[-1], trajectory=traj)
+    return dynamics.link_channel(params, schedule, t_final, dt, sample_every=sample_every)
 
 
-def _reduced(probe: ChannelProbe, joint: Optional[np.ndarray], keep) -> np.ndarray:
-    state = probe.evolved_joint if joint is None else joint
-    if state is None:
-        raise ValueError("probe has not been evolved")
-    return partial_trace(state, keep, probe.layout)
+def _coherent_information(f: np.ndarray) -> np.ndarray:
+    eta = f.real**2 + f.imag**2
+    s_b = spectrum_entropies(np.stack([1.0 - 0.5 * eta, 0.5 * eta], axis=-1))
+    s_rb = spectrum_entropies(np.stack([0.5 * (1.0 + eta), 0.5 * (1.0 - eta)], axis=-1))
+    return s_b - s_rb
 
 
-def coherent_information(probe: ChannelProbe, joint: Optional[np.ndarray] = None) -> float:
-    """I = S(rho_B') - S(rho_RB') in bits for the evolved probe state."""
-    rho_b = _reduced(probe, joint, probe.site_b)
-    rho_rb = _reduced(probe, joint, (0, probe.site_b))
-    return von_neumann_entropy(rho_b) - von_neumann_entropy(rho_rb)
+def _entanglement_fidelity(f: np.ndarray) -> np.ndarray:
+    overlaps = 0.25 * ((1.0 + f.real) ** 2 + f.imag**2)
+    for value in overlaps[(overlaps < 0.0) | (overlaps > 1.0)]:
+        _clamp_fidelity(float(value))  # raises beyond the slack
+    return np.clip(overlaps, 0.0, 1.0)
 
 
-def entanglement_fidelity(probe: ChannelProbe, joint: Optional[np.ndarray] = None) -> float:
-    """Overlap of the reduced (R, B) state with the initial Bell state.
+def coherent_information(channel: dynamics.LinkChannel) -> float:
+    """I = S(rho_B') - S(rho_RB') in bits at the channel's last sample."""
+    return float(_coherent_information(channel.f[-1:])[0])
+
+
+def entanglement_fidelity(channel: dynamics.LinkChannel) -> float:
+    """Overlap of the (R, B) state with the initial Bell state at the last sample.
 
     B is read in the calibrated receiver frame, so the ideal lossless link
     scores 1.
     """
-    rho_rb = _reduced(probe, joint, (0, probe.site_b))
-    frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
-    rho_rb = frame @ rho_rb @ frame
-    return _clamp_fidelity(float(np.real(np.trace(bell_phi_plus() @ rho_rb))))
+    return float(_entanglement_fidelity(channel.f[-1:])[0])
 
 
-def probe_curve(probe: ChannelProbe) -> tuple[np.ndarray, np.ndarray]:
-    """Coherent information (bits) and entanglement fidelity at every probe sample.
+def probe_curve(channel: dynamics.LinkChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Coherent information (bits) and entanglement fidelity at every sample.
 
-    One batched pass over the stacked samples: the values of
-    coherent_information and entanglement_fidelity, sample by sample.
+    The entropies' eigenvalues go through qspace's clamp, so a survival
+    |f|^2 above 1 + 2 EIGENVALUE_TOL raises InvalidStateError.
     """
-    states = probe.evolved_trajectory().states
-    n = len(states)
-    mid = probe.layout.total_dim // 4  # qubit A and the mediators
-    rho_rb = np.einsum(
-        "srmbtmc->srbtc", states.reshape(n, 2, mid, 2, 2, mid, 2)
-    ).reshape(n, 4, 4)
-    rho_b = np.einsum("srbrc->sbc", rho_rb.reshape(n, 2, 2, 2, 2))
-    info = von_neumann_entropies(rho_b) - von_neumann_entropies(rho_rb)
-    frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
-    overlaps = np.einsum("ij,sji->s", frame @ bell_phi_plus() @ frame, rho_rb).real
-    return info, np.array([_clamp_fidelity(float(f)) for f in overlaps])
+    return _coherent_information(channel.f), _entanglement_fidelity(channel.f)
 
 
 def haar_qubit_specs(n_samples: int, seed: int) -> list[PureQubitSpec]:

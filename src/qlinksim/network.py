@@ -1,9 +1,12 @@
 """Multi-hop chains and communication-medium models.
 
 A hop transfers the current qubit state through one link: the input goes on
-qubit A, mediators start in vacuum, B starts in |0>, the link evolves for
-hop_time, and the reduced state of B (mediator and source traced out, no
-residual entanglement carried along) feeds the next hop.
+qubit A, mediators start in vacuum, B starts in |0>, and the link runs for
+hop_time. A link is the qubit channel of one amplitude run
+(dynamics.LinkChannel), so a hop reads its received state and its
+trajectory off the channel in closed form, and the received state of B (no
+residual entanglement carried along) is the next hop's input. A chain runs
+each distinct link once, however many hops use it.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
 distance loses photons linearly in length; a fiber's end-to-end dB
@@ -26,7 +29,7 @@ import numpy as np
 from . import dynamics
 from .metrics import transfer_fidelity
 from .protocols import CouplingSchedule, StirapSchedule, default_stirap_window
-from .qspace import PureQubitSpec, check_density_matrix, link_layout, partial_trace, product_state
+from .qspace import PureQubitSpec, check_density_matrix
 
 __all__ = [
     "CAVITY",
@@ -38,6 +41,7 @@ __all__ = [
     "ChainResult",
     "SweepPoint",
     "effective_kappa",
+    "link_channel",
     "run_hop",
     "run_chain",
     "distance_sweep",
@@ -171,42 +175,53 @@ class ChainResult:
         return [rec.fidelity for rec in self.per_hop]
 
 
+def link_channel(link: LinkSpec) -> dynamics.LinkChannel:
+    """The link's channel over its hop, from one amplitude run."""
+    params = link.effective_params()
+    dt = link.dt if link.dt is not None else dynamics.default_dt(params, link.schedule)
+    return dynamics.link_channel(
+        params, link.schedule, link.hop_time, dt, sample_every=link.sample_every,
+        n_mediators=link.n_mediators, g_hop=link.g_hop,
+    )
+
+
 def run_hop(
     input_qubit: np.ndarray,
     link: LinkSpec,
     target: PureQubitSpec,
+    channel: Optional[dynamics.LinkChannel] = None,
 ) -> tuple[np.ndarray, dynamics.Trajectory]:
     """Send a (possibly mixed) qubit state through one link.
 
-    Returns the received qubit state (reduced onto B at hop_time) and the
-    trajectory with fidelity against `target` sampled along the way.
+    Returns the received qubit state (B at hop_time, in the receiver frame)
+    and the trajectory with fidelity against `target` sampled along the way.
+    channel is link_channel(link) when the caller has it already.
     """
     input_qubit = np.asarray(input_qubit, dtype=complex)
     check_density_matrix(input_qubit)
-    layout = link_layout(n_mediators=link.n_mediators)
-    params = link.effective_params()
-    rho0 = product_state([input_qubit] + [None] * (layout.n_sites - 1), layout)
-    collapse = dynamics.standard_collapse(params, layout)
-    dt = link.dt if link.dt is not None else dynamics.default_dt(params, link.schedule)
-    traj = dynamics.evolve(
-        rho0, layout, params, link.schedule, collapse, (0.0, link.hop_time), dt,
-        sample_every=link.sample_every, target=target, g_hop=link.g_hop,
-    )
-    out = dynamics.receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
-    out = 0.5 * (out + out.conj().T)
+    if channel is None:
+        channel = link_channel(link)
+    out = channel.received_state(input_qubit)
     check_density_matrix(out)
-    return out, traj
+    return out, channel.link_trajectory(target, input_qubit)
 
 
 def run_chain(initial: PureQubitSpec, links: Sequence[LinkSpec]) -> ChainResult:
-    """Compose hops sequentially, scoring each node against the original target."""
+    """Compose hops sequentially, scoring each node against the original target.
+
+    Each distinct link runs once; every hop through it reads its own input's
+    output and trajectory off that run.
+    """
     if len(links) == 0:
         raise ValueError("chain needs at least one link")
     state = initial.density_matrix()
+    channels: dict[LinkSpec, dynamics.LinkChannel] = {}
     result = ChainResult()
     for index, link in enumerate(links, start=1):
         try:
-            state, traj = run_hop(state, link, target=initial)
+            if link not in channels:
+                channels[link] = link_channel(link)
+            state, traj = run_hop(state, link, target=initial, channel=channels[link])
         except dynamics.IntegrationError as err:
             raise dynamics.IntegrationError(f"hop {index}: {err}", t=err.t) from err
         result.per_hop.append(

@@ -27,7 +27,7 @@ __all__ = [
     "product_state",
     "partial_trace",
     "von_neumann_entropy",
-    "von_neumann_entropies",
+    "spectrum_entropies",
     "purity",
     "check_density_matrix",
     "dagger",
@@ -243,32 +243,25 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2).real)
 
 
-def _entropy_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one density matrix or a stack, clamped to [0, 1].
+def spectrum_entropies(lam: np.ndarray) -> np.ndarray:
+    """Entropies in bits of one spectrum or a stack (..., k), eigenvalues clamped to [0, 1].
 
     Raises InvalidStateError for an eigenvalue below -EIGENVALUE_TOL; for a
     stack, the message names the most negative one.
     """
-    lam = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    lam = np.asarray(lam, dtype=float)
     if lam.min() < -EIGENVALUE_TOL:
         raise InvalidStateError(
             f"eigenvalue {lam.min():.3e} below -{EIGENVALUE_TOL:g}; not a density matrix"
         )
-    return np.clip(lam, 0.0, 1.0)
+    lam = np.clip(lam, 0.0, 1.0)
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return -(lam * logs).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) in bits, clamping eigenvalues to [0, 1]."""
-    lam = _entropy_eigenvalues(rho)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
-
-
-def von_neumann_entropies(states: np.ndarray) -> np.ndarray:
-    """Entropies in bits of a stack (..., d, d) of density matrices at once."""
-    lam = _entropy_eigenvalues(states)
-    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return -(lam * logs).sum(axis=-1)
+    return float(spectrum_entropies(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
 def check_density_matrix(

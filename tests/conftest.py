@@ -1,8 +1,30 @@
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 import pytest
 
-from qlinksim.dynamics import hamiltonian_terms, sampled_trajectory
-from qlinksim.qspace import dagger
+from qlinksim import dynamics
+from qlinksim.dynamics import (
+    Trajectory,
+    default_dt,
+    hamiltonian_terms,
+    receiver_frame,
+    sampled_trajectory,
+    standard_collapse,
+)
+from qlinksim.metrics import _clamp_fidelity
+from qlinksim.qspace import (
+    PureQubitSpec,
+    Qubit,
+    SystemLayout,
+    dagger,
+    link_layout,
+    partial_trace,
+    product_state,
+    spectrum_entropies,
+)
 
 
 def make_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -129,3 +151,178 @@ def sector_reference(rho0, layout, params, schedule, collapse, t_span, dt, sampl
     base[:, 0, 0] = np.real(rho0[0, 0])
     states = refilled_states(columns, n_factor, 0, base)
     return sampled_trajectory(layout, times, states, target=target)
+
+
+# --- reference for the link's channel: the Choi state of a reference-qubit probe ---
+#
+# The production path reads every channel-level quantity off the link's one
+# amplitude run in closed form. The reference below is the construction it
+# replaced: the joint state J of an idle reference qubit R, prepared in |Phi+>
+# with A, assembled from one evolve run of the link from |+> on A, with
+# entropies from eigvalsh and link states from 2 Tr_R[(rho^T (x) I) J].
+
+
+def bell_phi_plus() -> np.ndarray:
+    """|Phi+><Phi+| on two qubits."""
+    ket = np.zeros(4, dtype=complex)
+    ket[0] = ket[3] = 1.0 / math.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+def von_neumann_entropies(states: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack (..., d, d) of density matrices, by eigvalsh."""
+    return spectrum_entropies(np.linalg.eigvalsh(np.asarray(states, dtype=complex)))
+
+
+@dataclass
+class ChannelProbe:
+    """Reference-extended link state before and after evolution.
+
+    layout is the link layout with the idle reference qubit R prepended at
+    site 0; joint_initial restricted to (R, A) is the Bell state |Phi+>.
+    """
+
+    layout: SystemLayout
+    joint_initial: np.ndarray
+    evolved_joint: Optional[np.ndarray] = None
+    trajectory: Optional[Trajectory] = None
+
+    @property
+    def site_b(self) -> int:
+        return self.layout.n_sites - 1
+
+    @property
+    def link_layout(self) -> SystemLayout:
+        """The link's own layout, without the reference qubit."""
+        return SystemLayout(self.layout.sites[1:])
+
+    def evolved_trajectory(self) -> Trajectory:
+        """The probe's sampled evolution; ValueError if it has not run."""
+        if self.trajectory is None:
+            raise ValueError("probe has not been evolved")
+        return self.trajectory
+
+    def link_states(self, spec, joints: np.ndarray) -> np.ndarray:
+        """Link states that input spec (a PureQubitSpec or a 2x2 state) evolves into.
+
+        joints is one probe state or a stack (..., D, D); each J maps to
+        2 Tr_R[(rho^T (x) I) J], rho being the input state on A.
+        """
+        rho = spec.density_matrix() if isinstance(spec, PureQubitSpec) else spec
+        joints = np.asarray(joints)
+        d = self.layout.total_dim // 2
+        blocks = joints.reshape(joints.shape[:-2] + (2, d, 2, d))
+        return 2.0 * np.einsum("ab,...axby->...xy", rho, blocks)
+
+    def link_run(self) -> Callable[[PureQubitSpec], np.ndarray]:
+        """Received-state map derived from the final probe state, with dense checks."""
+        traj = self.evolved_trajectory()
+        t_final = float(traj.times[-1])
+        link = self.link_layout
+
+        def run(spec: PureQubitSpec) -> np.ndarray:
+            rho = self.link_states(spec, traj.final_state)
+            dynamics._check_samples(np.array([t_final]), rho[None])
+            return receiver_frame(partial_trace(rho, link.n_sites - 1, link))
+
+        return run
+
+    def link_trajectory(self, target: PureQubitSpec, rho_a=None) -> Trajectory:
+        """Trajectory of the link with rho_a (default: target) on A, from the probe's samples."""
+        traj = self.evolved_trajectory()
+        states = self.link_states(target if rho_a is None else rho_a, traj.states)
+        return sampled_trajectory(self.link_layout, traj.times, states, target=target)
+
+
+def _choi_states(states: np.ndarray) -> np.ndarray:
+    """Choi states J of the link from a stack of its states S evolved from |+> on A.
+
+    Basis index 0 is the vacuum. The response is linear and the vacuum does
+    not evolve, so E(|1><0|) = 2 S[1:, 0], E(|1><1|) = 2 S[1:, 1:] plus
+    2 S_00 - 1 on the vacuum, E(|0><0|) = |vac><vac|, and
+    J = [[E(|0><0|), E(|1><0|)^dag], [E(|1><0|), E(|1><1|)]] / 2.
+    """
+    n, d = len(states), states.shape[-1]
+    blocks = np.zeros((n, 2, d, 2, d), dtype=complex)
+    blocks[:, 0, 0, 0, 0] = 0.5
+    blocks[:, 1, 1:, 0, 0] = states[:, 1:, 0]
+    blocks[:, 0, 0, 1, 1:] = states[:, 1:, 0].conj()
+    blocks[:, 1, 1:, 1, 1:] = states[:, 1:, 1:]
+    blocks[:, 1, 0, 1, 0] = states[:, 0, 0] - 0.5
+    return blocks.reshape(n, 2 * d, 2 * d)
+
+
+def run_choi_probe(params, schedule, t_final, dt=None, *, sample_every=100, n_mediators=1,
+                   g_hop=0.0) -> ChannelProbe:
+    """Evolve the link once from |+> on A and return the probe of its Choi states."""
+    layout = link_layout(n_mediators=n_mediators)
+    if dt is None:
+        dt = default_dt(params, schedule)
+    rho0 = product_state([np.full((2, 2), 0.5)] + [None] * (layout.n_sites - 1), layout)
+    link = dynamics.evolve(
+        rho0, layout, params, schedule, standard_collapse(params, layout),
+        (0.0, t_final), dt, sample_every=sample_every, g_hop=g_hop,
+    )
+    probe_layout = SystemLayout((Qubit(),) + layout.sites)
+    joints = _choi_states(link.states)
+    traj = sampled_trajectory(probe_layout, link.times, joints)
+    return ChannelProbe(probe_layout, joints[0], evolved_joint=joints[-1], trajectory=traj)
+
+
+def _reduced(probe: ChannelProbe, joint, keep) -> np.ndarray:
+    state = probe.evolved_joint if joint is None else joint
+    if state is None:
+        raise ValueError("probe has not been evolved")
+    return partial_trace(state, keep, probe.layout)
+
+
+def choi_coherent_information(probe: ChannelProbe, joint=None) -> float:
+    """I = S(rho_B') - S(rho_RB') in bits of the probe state."""
+    rho_b = _reduced(probe, joint, probe.site_b)
+    rho_rb = _reduced(probe, joint, (0, probe.site_b))
+    return float(von_neumann_entropies(rho_b) - von_neumann_entropies(rho_rb))
+
+
+def choi_entanglement_fidelity(probe: ChannelProbe, joint=None) -> float:
+    """Overlap of the (R, B) state, B in the receiver frame, with |Phi+>."""
+    rho_rb = _reduced(probe, joint, (0, probe.site_b))
+    frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
+    rho_rb = frame @ rho_rb @ frame
+    return _clamp_fidelity(float(np.real(np.trace(bell_phi_plus() @ rho_rb))))
+
+
+def choi_probe_curve(probe: ChannelProbe) -> tuple[np.ndarray, np.ndarray]:
+    """Coherent information and entanglement fidelity at every probe sample, batched."""
+    states = probe.evolved_trajectory().states
+    n = len(states)
+    mid = probe.layout.total_dim // 4  # qubit A and the mediators
+    rho_rb = np.einsum(
+        "srmbtmc->srbtc", states.reshape(n, 2, mid, 2, 2, mid, 2)
+    ).reshape(n, 4, 4)
+    rho_b = np.einsum("srbrc->sbc", rho_rb.reshape(n, 2, 2, 2, 2))
+    info = von_neumann_entropies(rho_b) - von_neumann_entropies(rho_rb)
+    frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
+    overlaps = np.einsum("ij,sji->s", frame @ bell_phi_plus() @ frame, rho_rb).real
+    return info, np.array([_clamp_fidelity(float(f)) for f in overlaps])
+
+
+# --- reference for a hop: the link evolved step by step -------------------------
+
+
+def evolved_hop(input_qubit, link, target, channel=None):
+    """network.run_hop by one dynamics.evolve run on input (x) vacuum: the reference.
+
+    B's state is read by a partial trace of the final state. channel is
+    ignored; the evolve bound in dynamics at call time runs the link.
+    """
+    layout = link_layout(n_mediators=link.n_mediators)
+    params = link.effective_params()
+    rho0 = product_state([input_qubit] + [None] * (layout.n_sites - 1), layout)
+    dt = link.dt if link.dt is not None else default_dt(params, link.schedule)
+    traj = dynamics.evolve(
+        rho0, layout, params, link.schedule, standard_collapse(params, layout),
+        (0.0, link.hop_time), dt, sample_every=link.sample_every, target=target,
+        g_hop=link.g_hop,
+    )
+    out = receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
+    return 0.5 * (out + out.conj().T), traj

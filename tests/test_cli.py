@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import choi_coherent_information, choi_entanglement_fidelity, run_choi_probe
 
 from qlinksim import metrics
 from qlinksim.cli import (
@@ -271,8 +272,8 @@ class TestScenarioRuns:
         assert "status = ok" in manifest
 
     def test_coherent_info_matches_dense_runs(self, tmp_path):
-        # the single-probe outputs against the per-sample metrics, evolve and
-        # one evolution of its own per Haar sample
+        # the closed-form outputs against the Choi reference's per-sample
+        # metrics, evolve and one evolution of its own per Haar sample
         cfg = build_config({
             "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
             "gamma_2pi_mhz": 2.0, "theta_deg": 60.0, "phi_deg": 40.0,
@@ -283,13 +284,11 @@ class TestScenarioRuns:
         params, schedule = cfg.link_params(), cfg.schedule()
         t_final, dt = cfg.t_final_us * 1e-6, cfg.dt_ns * 1e-9
 
-        probe = metrics.run_channel_probe(params, schedule, t_final, dt,
-                                          sample_every=cfg.sample_every)
+        probe = run_choi_probe(params, schedule, t_final, dt, sample_every=cfg.sample_every)
         _, curve = read_csv(tmp_path / "out" / "curve.csv")
         np.testing.assert_allclose(
             np.array(curve, dtype=float),
-            [[t / 1e-6, metrics.coherent_information(probe, j),
-              metrics.entanglement_fidelity(probe, j)]
+            [[t / 1e-6, choi_coherent_information(probe, j), choi_entanglement_fidelity(probe, j)]
              for t, j in zip(probe.trajectory.times, probe.trajectory.states)],
             rtol=0, atol=1e-12)
 
@@ -301,8 +300,8 @@ class TestScenarioRuns:
 
         _, summary = read_csv(tmp_path / "out" / "summary.csv")
         info, f_e, avg, stab_us = (float(v) for v in summary[0])
-        assert info == pytest.approx(metrics.coherent_information(probe), abs=1e-12)
-        assert f_e == pytest.approx(metrics.entanglement_fidelity(probe), abs=1e-12)
+        assert info == pytest.approx(choi_coherent_information(probe), abs=1e-12)
+        assert f_e == pytest.approx(choi_entanglement_fidelity(probe), abs=1e-12)
         dense_avg = metrics.average_fidelity(
             metrics.make_link_run(params, schedule, t_final, dt), cfg.n_samples, cfg.seed)
         assert avg == pytest.approx(dense_avg, abs=1e-12)
@@ -426,6 +425,26 @@ class TestConfigDataclass:
     def test_values_that_would_fall_back_to_the_default_rejected(self, key, value):
         with pytest.raises(ConfigError, match=rf"{key} must be > 0 \(or -1 for the default\)"):
             build_config({"scenario": "transfer", key: value})
+
+    @pytest.mark.parametrize("value", [(), (-0.5,), (math.inf,)])
+    def test_tune_widths_rejected_when_empty_or_non_positive(self, value):
+        with pytest.raises(ConfigError, match="tune_widths_us"):
+            build_config({"scenario": "tune-stirap", "tune_widths_us": value})
+
+    @pytest.mark.parametrize("value", [(), (0.6, -1.0), (0.0,)])
+    def test_tune_delays_rejected_when_empty_or_non_positive(self, value):
+        with pytest.raises(ConfigError, match="tune_delays_us"):
+            build_config({"scenario": "tune-stirap", "tune_delays_us": value})
+
+    def test_empty_lengths_rejected(self):
+        with pytest.raises(ConfigError, match="lengths_km must list at least one value"):
+            build_config({"scenario": "sweep-distance", "lengths_km": ()})
+
+    def test_empty_media_rejected(self, tmp_path):
+        # "media =" once ran and wrote a summary with only its header
+        path = write_config(tmp_path, "scenario = sweep-distance\nmedia =\n")
+        with pytest.raises(ConfigError, match="media must list at least one value"):
+            load_config(path)
 
     def test_zero_pulse_center_is_kept(self):
         cfg = build_config({"scenario": "transfer", "protocol": "stirap", "t_center_us": 0.0})

@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_density_matrix, refilled_states, rk4_columns
+from conftest import (
+    ChannelProbe,
+    bell_phi_plus,
+    choi_coherent_information,
+    choi_entanglement_fidelity,
+    choi_probe_curve,
+    make_density_matrix,
+    refilled_states,
+    rk4_columns,
+    run_choi_probe,
+)
 from qlinksim.dynamics import (
     CollapseChannel,
     HamiltonianTerms,
     IntegrationError,
+    LinkChannel,
     LinkParams,
     default_dt,
     evolve,
@@ -17,9 +28,7 @@ from qlinksim.dynamics import (
     standard_collapse,
 )
 from qlinksim.metrics import (
-    ChannelProbe,
     average_fidelity,
-    bell_phi_plus,
     coherent_information,
     entanglement_fidelity,
     haar_qubit_specs,
@@ -101,15 +110,17 @@ class TestTransferFidelity:
 
 
 class TestChannelProbe:
+    """The Choi-state reference the closed forms are checked against."""
+
     def test_initial_joint_restricted_to_r_a_is_bell(self):
         params = ideal_params()
-        probe = run_channel_probe(params, params.constant_schedule(), 1e-12, dt=1e-12)
+        probe = run_choi_probe(params, params.constant_schedule(), 1e-12, dt=1e-12)
         rho_ra = partial_trace(probe.joint_initial, (0, 1), probe.layout)
         np.testing.assert_allclose(rho_ra, bell_phi_plus(), atol=1e-15)
 
     def test_initial_b_is_ground(self):
         params = ideal_params()
-        probe = run_channel_probe(params, params.constant_schedule(), 1e-12, dt=1e-12)
+        probe = run_choi_probe(params, params.constant_schedule(), 1e-12, dt=1e-12)
         rho_b = partial_trace(probe.joint_initial, probe.site_b, probe.layout)
         np.testing.assert_allclose(rho_b, GROUND, atol=1e-15)
 
@@ -119,7 +130,7 @@ class TestChannelProbe:
             kappa=TWO_PI_MHZ, gamma_a=TWO_PI_MHZ, gamma_b=TWO_PI_MHZ,
         )
         t_star = transfer_time(params)
-        probe = run_channel_probe(params, params.constant_schedule(), t_star, dt=t_star / 500)
+        probe = run_choi_probe(params, params.constant_schedule(), t_star, dt=t_star / 500)
         rho_r = partial_trace(probe.evolved_joint, 0, probe.layout)
         np.testing.assert_allclose(rho_r, MIXED, atol=1e-9)
 
@@ -139,7 +150,8 @@ class TestCoherentInformation:
     def test_depolarized_output_is_minus_one(self):
         # S(B) = 1 bit, S(RB) = 2 bits for R (x) B both maximally mixed
         joint = joint_from_parts(MIXED, GROUND, GROUND, MIXED)
-        assert coherent_information(probe_from_joint(joint)) == pytest.approx(-1.0, abs=1e-12)
+        assert choi_coherent_information(probe_from_joint(joint)) == pytest.approx(
+            -1.0, abs=1e-12)
 
     def test_bounded_by_output_entropy_and_one_bit(self):
         params = LinkParams(
@@ -147,8 +159,10 @@ class TestCoherentInformation:
             gamma_a=6 * TWO_PI_MHZ, gamma_b=6 * TWO_PI_MHZ,
         )
         t_star = transfer_time(params)
-        probe = run_channel_probe(params, params.constant_schedule(), t_star, dt=t_star / 500)
-        info = coherent_information(probe)
+        channel = run_channel_probe(params, params.constant_schedule(), t_star,
+                                    dt=t_star / 500)
+        info = coherent_information(channel)
+        probe = run_choi_probe(params, params.constant_schedule(), t_star, dt=t_star / 500)
         rho_b = partial_trace(probe.evolved_joint, probe.site_b, probe.layout)
         assert info <= von_neumann_entropy(rho_b) + 1e-12
         assert info <= 1.0 + 1e-12
@@ -156,14 +170,14 @@ class TestCoherentInformation:
     def test_closed_system_joint_state_stays_pure(self):
         params = ideal_params()
         t_star = transfer_time(params)
-        probe = run_channel_probe(params, params.constant_schedule(), t_star, dt=t_star / 2000)
+        probe = run_choi_probe(params, params.constant_schedule(), t_star, dt=t_star / 2000)
         rho_rb = partial_trace(probe.evolved_joint, (0, probe.site_b), probe.layout)
         assert von_neumann_entropy(rho_rb) < 1e-3
 
     def test_unevolved_probe_rejected(self):
         probe = ChannelProbe(layout=PROBE_LAYOUT, joint_initial=np.eye(16) / 16)
         with pytest.raises(ValueError):
-            coherent_information(probe)
+            choi_coherent_information(probe)
 
 
 class TestEntanglementFidelity:
@@ -175,7 +189,8 @@ class TestEntanglementFidelity:
 
     def test_replacement_channel_is_quarter(self):
         joint = joint_from_parts(MIXED, GROUND, GROUND, GROUND)
-        assert entanglement_fidelity(probe_from_joint(joint)) == pytest.approx(0.25, abs=1e-12)
+        assert choi_entanglement_fidelity(probe_from_joint(joint)) == pytest.approx(
+            0.25, abs=1e-12)
 
     def test_fully_dephased_bell_mixture_is_half(self):
         phi_plus = bell_phi_plus()
@@ -183,7 +198,8 @@ class TestEntanglementFidelity:
         phi_minus = np.outer(ket_minus, ket_minus.conj())
         rho_rb = 0.5 * (phi_plus + phi_minus)
         joint = joint_from_rb(rho_rb, GROUND, GROUND)
-        assert entanglement_fidelity(probe_from_joint(joint)) == pytest.approx(0.5, abs=1e-12)
+        assert choi_entanglement_fidelity(probe_from_joint(joint)) == pytest.approx(
+            0.5, abs=1e-12)
 
 
 class TestHaarSampling:
@@ -265,7 +281,7 @@ EQUIVALENCE_TOL = 1e-12
 
 @pytest.fixture(scope="module", params=["fig4-constant", "weak-loss-stirap"])
 def link_case(request):
-    """(params, schedule, t_final, dt, sample_every) and the evolved probe."""
+    """(params, schedule, t_final, dt, sample_every), the link's channel and its Choi probe."""
     if request.param == "fig4-constant":
         params, schedule = FIG4, FIG4.constant_schedule()
         t_final = 2 * transfer_time(FIG4)
@@ -275,8 +291,9 @@ def link_case(request):
         t_final = default_stirap_window(SHORT_STIRAP)[1]
         dt = 2e-9
     setup = (params, schedule, t_final, dt, 7)
-    probe = run_channel_probe(params, schedule, t_final, dt, sample_every=7)
-    return setup, probe
+    channel = run_channel_probe(params, schedule, t_final, dt, sample_every=7)
+    probe = run_choi_probe(params, schedule, t_final, dt, sample_every=7)
+    return setup, channel, probe
 
 
 def probe_ending_with_b_eigenvalue(lam: float) -> ChannelProbe:
@@ -314,7 +331,7 @@ def lifted_probe(params, schedule, t_final, dt, sample_every):
 
 class TestProbeChannelMap:
     def test_choi_states_match_the_lifted_dense_probe(self, link_case):
-        (params, schedule, t_final, dt, sample_every), probe = link_case
+        (params, schedule, t_final, dt, sample_every), _, probe = link_case
         dense = lifted_probe(params, schedule, t_final, dt, sample_every)
         np.testing.assert_array_equal(probe.trajectory.times, dense.times)
         np.testing.assert_allclose(probe.trajectory.states, dense.states,
@@ -323,51 +340,60 @@ class TestProbeChannelMap:
                                    rtol=0, atol=EQUIVALENCE_TOL)
 
     def test_link_run_matches_dense_link_run(self, link_case):
-        (params, schedule, t_final, dt, _), probe = link_case
+        (params, schedule, t_final, dt, _), channel, _ = link_case
         dense = make_link_run(params, schedule, t_final, dt)
-        derived = probe.link_run()
+        derived = channel.link_run()
         specs = [PureQubitSpec(theta=0.0), PureQubitSpec(theta=math.pi)]
         specs += haar_qubit_specs(3, seed=7)
         for spec in specs:
             np.testing.assert_allclose(derived(spec), dense(spec), rtol=0, atol=EQUIVALENCE_TOL)
 
     def test_link_trajectory_matches_evolve(self, link_case):
-        (params, schedule, t_final, dt, sample_every), probe = link_case
+        (params, schedule, t_final, dt, sample_every), channel, _ = link_case
         target = PureQubitSpec(theta=1.1, phi=0.7)
         layout = link_layout()
         rho0 = product_state([target, None, None], layout)
         dense = evolve(rho0, layout, params, schedule, standard_collapse(params, layout),
                        (0.0, t_final), dt, sample_every=sample_every, target=target)
-        derived = probe.link_trajectory(target)
+        derived = channel.link_trajectory(target)
         np.testing.assert_array_equal(derived.times, dense.times)
         for column in ("populations", "trace", "purity", "fidelity"):
             np.testing.assert_allclose(getattr(derived, column), getattr(dense, column),
                                        rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+        np.testing.assert_allclose(derived.states, dense.states, rtol=0, atol=EQUIVALENCE_TOL)
         assert derived.stabilization_time() == dense.stabilization_time()
 
     def test_batched_curve_matches_per_sample_metrics(self, link_case):
-        _, probe = link_case
-        info, f_e = probe_curve(probe)
+        # the closed forms against the Choi reference's eigvalsh, sample by sample
+        _, channel, probe = link_case
+        info, f_e = probe_curve(channel)
         states = probe.trajectory.states
+        np.testing.assert_array_equal(channel.times, probe.trajectory.times)
         assert len(info) == len(f_e) == len(states)
         np.testing.assert_allclose(
-            info, [coherent_information(probe, j) for j in states],
+            info, [choi_coherent_information(probe, j) for j in states],
             rtol=0, atol=EQUIVALENCE_TOL)
         np.testing.assert_allclose(
-            f_e, [entanglement_fidelity(probe, j) for j in states],
+            f_e, [choi_entanglement_fidelity(probe, j) for j in states],
             rtol=0, atol=EQUIVALENCE_TOL)
+        assert coherent_information(channel) == info[-1]
+        assert entanglement_fidelity(channel) == f_e[-1]
 
     def test_negative_eigenvalue_rejected_by_both_curve_paths(self):
-        # eigenvalue -1e-6 on B: within evolve's tolerance, beyond the entropy's
+        # eigenvalue -1e-6: within evolve's tolerance, beyond the entropy's;
+        # on the channel, the (R, B) eigenvalue (1 - |f|^2)/2 of |f|^2 = 1 + 2e-6
+        channel = LinkChannel(np.array([0.0, 1e-9]),
+                              np.array([[1.0, 0, 0], [0, 0, -math.sqrt(1.0 + 2e-6)]]))
         probe = probe_ending_with_b_eigenvalue(-1e-6)
-        with pytest.raises(InvalidStateError, match="below -1e-07"):
-            coherent_information(probe, probe.evolved_joint)
-        with pytest.raises(InvalidStateError, match="below -1e-07"):
-            probe_curve(probe)
+        for curve in (lambda: coherent_information(channel), lambda: probe_curve(channel),
+                      lambda: choi_coherent_information(probe, probe.evolved_joint),
+                      lambda: choi_probe_curve(probe)):
+            with pytest.raises(InvalidStateError, match="below -1e-07"):
+                curve()
 
     def test_derived_link_states_are_checked_like_dense_samples(self):
-        # the probe state's eigenvalue -7.5e-6 passes evolve's -1e-5 threshold;
-        # the derived link state's -1.5e-5 does not
+        # the reference's derived states: the probe state's eigenvalue -7.5e-6
+        # passes evolve's -1e-5 threshold; the derived link state's -1.5e-5 does not
         probe = probe_ending_with_b_eigenvalue(-1.5e-5)
         spec = PureQubitSpec(theta=0.3, phi=1.0)
         with pytest.raises(IntegrationError, match="below -1e-05") as err:
@@ -379,6 +405,6 @@ class TestProbeChannelMap:
     def test_unevolved_probe_rejected(self):
         probe = ChannelProbe(layout=PROBE_LAYOUT, joint_initial=np.eye(16) / 16)
         for derive in (probe.link_run, lambda: probe.link_trajectory(PureQubitSpec(0.0)),
-                       lambda: probe_curve(probe)):
+                       lambda: choi_probe_curve(probe)):
             with pytest.raises(ValueError, match="not been evolved"):
                 derive()

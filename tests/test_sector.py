@@ -13,11 +13,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import hamiltonian_at, rk4_columns, sector_columns, sector_reference
+from conftest import (
+    evolved_hop,
+    hamiltonian_at,
+    rk4_columns,
+    sector_columns,
+    sector_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import cli, dynamics
+from qlinksim import cli, dynamics, network
 from qlinksim.cli import build_config, run_scenario
 from qlinksim.dynamics import (
     IntegrationError,
@@ -390,12 +396,16 @@ def per_cell_rows(traj):
 def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch):
     # byte-identical to rows built per cell, equal to the amplitude reference
     # to roundoff, and equal to evolve_dense, a second algorithm, to the RK4
-    # error; at 1 ns steps the two RK4 schemes differ by 3e-6 on transfer
+    # error; at 1 ns steps the two RK4 schemes differ by 3e-6 on transfer. A
+    # chain's references evolve every hop from its input, so they also check
+    # that hops read off the link's one run compose like evolved ones
     cfg = build_config({**SECTOR_SCENARIOS[name], "dt_ns": 0.5})
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_trajectory_rows", per_cell_rows)
         assert run_scenario(cfg, tmp_path / "per-cell") == 0
+        # a chain's hops go through the evolve patched in below, one run per hop
+        patch.setattr(network, "run_hop", evolved_hop)
         patch.setattr(dynamics, "evolve", sector_reference)
         assert run_scenario(cfg, tmp_path / "reference") == 0
         patch.setattr(dynamics, "evolve", evolve_dense)
