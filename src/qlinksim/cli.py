@@ -165,7 +165,13 @@ class ScenarioConfig:
         if g0 <= 0:
             raise ConfigError("stirap protocol needs a positive coupling amplitude")
         width = self.pulse_width_us * US if self.pulse_width_us > 0 else self.adiabaticity / g0
+        if width <= 0:
+            raise ConfigError("adiabaticity must be > 0 for the stirap protocol unless "
+                              f"pulse_width_us is set, got {self.adiabaticity!r}")
         delay = self.t_delay_us * US if self.t_delay_us > 0 else self.delay_ratio * width
+        if delay <= 0:
+            raise ConfigError("delay_ratio must be > 0 for the stirap protocol unless "
+                              f"t_delay_us is set, got {self.delay_ratio!r}")
         center = self.t_center_us * US if self.t_center_us >= 0 else 3.0 * width
         return StirapSchedule(
             g0_a=self.g0_a(), g0_b=self.g0_b(),
@@ -285,6 +291,29 @@ def _validate(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"unknown medium kind {kind!r}")
     if cfg.protocol not in ("", "constant", "stirap"):
         raise ConfigError(f"protocol must be 'constant' or 'stirap', got {cfg.protocol!r}")
+    if (cfg.omega_q_2pi_mhz > 0) != (cfg.omega_w_2pi_mhz > 0):
+        raise ConfigError(
+            "omega_q_2pi_mhz and omega_w_2pi_mhz must both be > 0 (lab frame) or both be 0 "
+            f"(rotating frame), got {cfg.omega_q_2pi_mhz!r} and {cfg.omega_w_2pi_mhz!r}"
+        )
+    if not math.isfinite(cfg.phi_deg):
+        raise ConfigError(f"phi_deg must be finite, got {cfg.phi_deg!r}")
+    _check_schedules(cfg)
+
+
+def _check_schedules(cfg: ScenarioConfig) -> None:
+    """Build the drive schedules a run uses, so that one it cannot take is a ConfigError."""
+    if cfg.scenario == "tune-stirap":  # its schedules come from the tune grids
+        return
+    cfg = resolve_defaults(cfg)
+    schedule = cfg.schedule()
+    if cfg.scenario == "stirap-compare":
+        replace(cfg, protocol="stirap").schedule()
+    if cfg.scenario in ("chain", "sweep-distance") and isinstance(schedule, StirapSchedule):
+        _, window_end = default_stirap_window(schedule)
+        if cfg.hop_time_us * US < window_end:
+            raise ConfigError(f"hop_time_us = {cfg.hop_time_us!r} is shorter than the stirap "
+                              f"pulse window, which ends at {window_end / US!r} us")
 
 
 def build_config(values: dict, overrides: Optional[dict] = None) -> ScenarioConfig:

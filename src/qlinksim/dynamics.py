@@ -12,17 +12,16 @@ L = sigma_minus and mediator photon loss L = a, both unit-normalized, so an
 isolated excited qubit decays as exp(-gamma t).
 
 Integration is fixed-step classical RK4, with the Hamiltonian re-evaluated
-at the substage times. A link carries at most one excitation: when the
-initial state, the Hamiltonian terms and the collapse operators provably keep
-a run in the vacuum (+) one-excitation subspace, `evolve` steps only the
-amplitudes of the one-excitation states, one column per factor of the
-initial one-excitation block plus its coherence with the vacuum, and puts the
-population they lose back on the vacuum. Such states are positive by
-construction as long as that refill is, which is checked at every step. The
-trajectory columns follow from the amplitudes in closed form, and dense
-states are built only when read. Every other state goes through
-`evolve_dense`, RK4 on the whole density matrix, which also serves as a check
-(the two agree to the RK4 error). The independent cross-check
+at the substage times. A link carries at most one excitation, and `evolve`
+runs only what provably stays in the vacuum (+) one-excitation subspace: the
+initial state, the Hamiltonian terms and the collapse operators are checked
+for it, and a run that leaves it raises ValueError naming the condition. It
+steps only the amplitudes of the one-excitation states, one column per
+factor of the initial one-excitation block plus its coherence with the
+vacuum, and puts the population they lose back on the vacuum. Such states
+are positive by construction as long as that refill is, which is checked at
+every step. The trajectory columns follow from the amplitudes in closed
+form, and dense states are built only when read. The independent cross-check
 `propagator_oracle` exponentiates the column-stacked Liouvillian.
 
 `link_channel` runs a link once, from |1> on A, on generators built site by
@@ -69,8 +68,6 @@ __all__ = [
     "link_channel",
     "default_dt",
     "evolve",
-    "evolve_dense",
-    "sampled_trajectory",
     "liouvillian",
     "propagator_oracle",
     "receiver_frame",
@@ -264,9 +261,9 @@ class Trajectory:
 
     populations holds one column per site (qubit excitation or mediator
     photon number expectation); fidelity is present when a target was set.
-    state_at(index) returns the dense sample(s) at an index or slice; a
-    one-excitation run builds them only when read, so states rebuilds the
-    whole stack on every read: read one sample with state_at(i) or final_state.
+    state_at(index) returns the dense sample(s) at an index or slice, built
+    only when read, so states rebuilds the whole stack on every read: read
+    one sample with state_at(i) or final_state.
     """
 
     layout: SystemLayout
@@ -328,11 +325,6 @@ def _population_vectors(layout: SystemLayout) -> np.ndarray:
     Row i holds site i's occupation number in every basis state.
     """
     return np.indices(layout.dims).reshape(layout.n_sites, -1).astype(float)
-
-
-def _target_projector(target: PureQubitSpec, layout: SystemLayout) -> np.ndarray:
-    """Projector scoring the last site against the target, in the receiver frame."""
-    return embed(receiver_frame(target.density_matrix()), layout.n_sites - 1, layout)
 
 
 @dataclass(frozen=True)
@@ -412,83 +404,37 @@ def evolve(
     Samples include the initial and final states. A failed check raises
     IntegrationError naming the quantity, its value, the step and the grid.
 
-    A run that provably stays in the vacuum (+) one-excitation subspace (see
-    _one_excitation_sector) steps the amplitudes of its one-excitation
-    states; its states are positive whenever the vacuum refill is, which is
-    checked at every step. Every other run goes through evolve_dense, whose
-    samples are checked for trace drift and negative eigenvalues.
+    The run must provably stay in the vacuum (+) one-excitation subspace (see
+    _one_excitation_sector), else ValueError names the condition that fails.
+    rho0 is checked once for trace drift and negative eigenvalues; after that
+    the states are positive whenever the vacuum refill is, which is checked
+    at every step.
     """
     rho, grid = _checked_run(rho0, layout, t_span, dt, sample_every)
+    _check_initial_state(0.5 * (rho + dagger(rho)), grid)
     if terms is None:
         terms = hamiltonian_terms(params, layout, g_hop=g_hop)
     drift = _drift_terms(terms, collapse)
     one = _one_excitation_sector(layout, rho, drift, collapse)
-    if one is None:
-        return evolve_dense(
-            rho0, layout, params, schedule, collapse, t_span, dt,
-            sample_every=sample_every, target=target, g_hop=g_hop, terms=terms,
-        )
-    _check_samples(np.array([grid.t0]), 0.5 * (rho + dagger(rho))[None], grid=grid)
     return _sector_trajectory(rho, one, drift, schedule, grid, layout, target)
 
 
-def evolve_dense(
-    rho0: np.ndarray,
-    layout: SystemLayout,
-    params: LinkParams,
-    schedule: CouplingSchedule,
-    collapse: Sequence[CollapseChannel],
-    t_span: tuple[float, float],
-    dt: float,
-    sample_every: int = 1,
-    target: Optional[PureQubitSpec] = None,
-    g_hop: float = 0.0,
-    terms: Optional[HamiltonianTerms] = None,
-) -> Trajectory:
-    """evolve's integration, by classical RK4 on the whole density matrix.
+def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
+    """Raise IntegrationError at step 0 unless rho0 is finite, unit-trace and positive.
 
-    The Hamiltonian is re-evaluated at the substage times, and samples are
-    re-symmetrized as (rho + rho^dag)/2 before storage. It serves every
-    state outside the one-excitation sector, and serves as a check on it.
+    The checks, in this order, are non-finite entries, trace drift beyond
+    TRACE_DRIFT_MAX and an eigenvalue below MIN_EIGENVALUE_MIN.
     """
-    rho, grid = _checked_run(rho0, layout, t_span, dt, sample_every)
-    t0, h, n_steps = grid.t0, grid.h, grid.n_steps
-    if terms is None:
-        terms = hamiltonian_terms(params, layout, g_hop=g_hop)
-    h2 = 0.5 * h
-    m_static, m_a, m_b = _drift_terms(terms, collapse)
-    if collapse:
-        jump = np.stack([ch.rate * ch.operator for ch in collapse])
-        jump_dag = np.stack([dagger(ch.operator) for ch in collapse])
-    else:
-        jump = jump_dag = None
-
-    def rhs(t: float, r: np.ndarray) -> np.ndarray:
-        m = m_static + schedule.g_a_at(t) * m_a + schedule.g_b_at(t) * m_b
-        out = m @ r + r @ dagger(m)
-        if jump is not None:
-            out += (jump @ r @ jump_dag).sum(axis=0)
-        return out
-
-    sample_times = [t0]
-    sample_states = [0.5 * (rho + dagger(rho))]
-
-    t = t0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            k1 = rhs(t, rho)
-            k2 = rhs(t + h2, rho + h2 * k1)
-            k3 = rhs(t + h2, rho + h2 * k2)
-            k4 = rhs(t + h, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t = t0 + step * h
-            if step % sample_every == 0 or step == n_steps:
-                sample_times.append(t)
-                sample_states.append(0.5 * (rho + dagger(rho)))
-
-    return sampled_trajectory(
-        layout, np.array(sample_times), np.array(sample_states), target=target, grid=grid
-    )
+    where, t = grid.where(0), grid.t0
+    if not np.isfinite(rho).all():
+        raise IntegrationError(f"state diverged (non-finite entries) {where}", t=t)
+    trace = float(rho.trace().real)
+    if abs(trace - 1.0) > TRACE_DRIFT_MAX:
+        raise IntegrationError(f"trace drifted to {trace:.9f} {where}", t=t)
+    lam_min = float(np.linalg.eigvalsh(rho).min())
+    if lam_min < MIN_EIGENVALUE_MIN:
+        raise IntegrationError(f"eigenvalue {lam_min:.3e} below {MIN_EIGENVALUE_MIN:g} {where}",
+                               t=t)
 
 
 # --- the vacuum (+) one-excitation sector ------------------------------------
@@ -513,29 +459,29 @@ def _one_excitation_sector(
     rho0: np.ndarray,
     drift: Sequence[np.ndarray],
     collapse: Sequence[CollapseChannel],
-) -> Optional[np.ndarray]:
-    """Basis indices of the one-excitation states, if the run provably stays in the sector.
+) -> np.ndarray:
+    """Basis indices of the one-excitation states, once the run provably stays in the sector.
 
     The proof is on the actual matrices: rho0 vanishes outside vacuum (+)
     one excitation; every drift term (Hamiltonian terms and the decay
     sum_j rate_j L_j^dag L_j / 2) maps the vacuum to 0 and the one-excitation
     states into themselves; and every collapse operator annihilates the
-    vacuum and maps the one-excitation states onto the vacuum. Returns None
-    when any of these fails. Index 0 is the vacuum.
+    vacuum and maps the one-excitation states onto the vacuum. Raises
+    ValueError naming the first of these that fails. Index 0 is the vacuum.
     """
     excitations = _population_vectors(layout).sum(axis=0)
     one = np.flatnonzero(excitations == 1)
     outside = excitations > 1
     if rho0[outside].any() or rho0[:, outside].any():
-        return None
+        raise ValueError("the initial state lies outside vacuum (+) one excitation")
     off_one = np.ones(layout.total_dim, dtype=bool)
     off_one[one] = False
-    for m in drift:
+    for name, m in zip(("static", "g_A", "g_B"), drift):
         if m[:, 0].any() or m[np.ix_(off_one, one)].any():
-            return None
-    for ch in collapse:
+            raise ValueError(f"the {name} drift term leaves vacuum (+) one excitation")
+    for i, ch in enumerate(collapse):
         if ch.operator[:, 0].any() or ch.operator[1:, one].any():
-            return None
+            raise ValueError(f"collapse operator {i} leaves vacuum (+) one excitation")
     return one
 
 
@@ -663,13 +609,17 @@ class LinkChannel:
                                      rho_a.trace().real, one, layout, target)
 
 
-def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float, dt: float, *,
-                 sample_every: int = 1, n_mediators: int = 1, g_hop: float = 0.0) -> LinkChannel:
+def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
+                 dt: Optional[float] = None, *, sample_every: int = 1, n_mediators: int = 1,
+                 g_hop: float = 0.0) -> LinkChannel:
     """Run the link once from |1> on A over (0, t_final): its channel at every sample.
 
     RK4 steps e_A under link_generators with evolve's grid and per-step
     checks, delta = 1 - sum_i |c_i|^2 for the refill: an input's is p delta.
+    dt defaults to default_dt(params, schedule).
     """
+    if dt is None:
+        dt = default_dt(params, schedule)
     grid = _checked_grid((0.0, t_final), dt, sample_every)
     m, steps = n_mediators + 2, grid.sample_steps()
     generators = _realified(link_generators(params, n_mediators, g_hop))
@@ -789,82 +739,6 @@ def _rk4_amplitudes(
             c = out
         record(start, blocks[:n])
     return samples
-
-
-# --- samples -------------------------------------------------------------------
-
-# Samples checked at once; bounds the temporary copies eigvalsh makes.
-_CHECK_BATCH = 128
-
-
-def sampled_trajectory(
-    layout: SystemLayout,
-    times: np.ndarray,
-    states: np.ndarray,
-    target: Optional[PureQubitSpec] = None,
-    grid: Optional[_Grid] = None,
-) -> Trajectory:
-    """Check stored samples and derive the trajectory columns from them.
-
-    Each sample is checked for non-finite entries, trace drift and negative
-    eigenvalues beyond the failure thresholds; the first failing sample in
-    time order raises IntegrationError carrying its time, and also its step
-    when the samples are those of grid.
-    """
-    _check_samples(times, states, grid=grid)
-    pop_vecs = _population_vectors(layout)
-    diagonals = np.einsum("sii->si", states).real
-    populations = diagonals @ pop_vecs.T
-    trace = diagonals.sum(axis=1)
-    pur = np.einsum("sij,sji->s", states, states).real
-    fidelity = None
-    if target is not None:
-        proj = _target_projector(target, layout)
-        fidelity = np.clip(np.einsum("ij,sji->s", proj, states).real, 0.0, 1.0)
-    return Trajectory(
-        layout=layout,
-        times=times,
-        state_at=states.__getitem__,
-        populations=populations,
-        trace=trace,
-        purity=pur,
-        fidelity=fidelity,
-        target=target,
-    )
-
-
-def _check_samples(times: np.ndarray, states: np.ndarray, grid: Optional[_Grid] = None) -> None:
-    """Raise IntegrationError for the first sample, in time order, that fails a check.
-
-    A sample fails on a non-finite entry, else on trace drift, else on a
-    negative eigenvalue beyond the thresholds; the message names the first
-    of these that the sample fails, and where.
-    """
-    steps = grid.sample_steps() if grid is not None else None
-    for start in range(0, len(states), _CHECK_BATCH):
-        batch = states[start : start + _CHECK_BATCH]
-        finite = np.isfinite(batch).all(axis=(1, 2))
-        traces = np.trace(batch, axis1=1, axis2=2).real
-        if finite.all():
-            lam_min = np.linalg.eigvalsh(batch).min(axis=1)
-        else:
-            lam_min = np.full(len(batch), np.inf)
-            lam_min[finite] = np.linalg.eigvalsh(batch[finite]).min(axis=1)
-        with np.errstate(invalid="ignore"):
-            drifted = np.abs(traces - 1.0) > TRACE_DRIFT_MAX
-        failed = ~finite | drifted | (lam_min < MIN_EIGENVALUE_MIN)
-        if not failed.any():
-            continue
-        i = int(np.argmax(failed))
-        t = float(times[start + i])
-        where = grid.where(int(steps[start + i])) if grid is not None else f"at t = {t:.6e} s"
-        if not finite[i]:
-            raise IntegrationError(f"state diverged (non-finite entries) {where}", t=t)
-        if drifted[i]:
-            raise IntegrationError(f"trace drifted to {float(traces[i]):.9f} {where}", t=t)
-        raise IntegrationError(
-            f"eigenvalue {float(lam_min[i]):.3e} below {MIN_EIGENVALUE_MIN:g} {where}", t=t
-        )
 
 
 def liouvillian(h: np.ndarray, collapse: Sequence[CollapseChannel]) -> np.ndarray:

@@ -70,8 +70,6 @@ def run_channel_probe(
     sample_every: int = 100,
 ) -> dynamics.LinkChannel:
     """Run the link once from |1> on A and return its channel at every sample."""
-    if dt is None:
-        dt = dynamics.default_dt(params, schedule)
     return dynamics.link_channel(params, schedule, t_final, dt, sample_every=sample_every)
 
 

@@ -177,11 +177,9 @@ class ChainResult:
 
 def link_channel(link: LinkSpec) -> dynamics.LinkChannel:
     """The link's channel over its hop, from one amplitude run."""
-    params = link.effective_params()
-    dt = link.dt if link.dt is not None else dynamics.default_dt(params, link.schedule)
     return dynamics.link_channel(
-        params, link.schedule, link.hop_time, dt, sample_every=link.sample_every,
-        n_mediators=link.n_mediators, g_hop=link.g_hop,
+        link.effective_params(), link.schedule, link.hop_time, link.dt,
+        sample_every=link.sample_every, n_mediators=link.n_mediators, g_hop=link.g_hop,
     )
 
 

@@ -93,9 +93,6 @@ class StirapSchedule:
         x_b = (times - self.t_center) / self.pulse_width
         return self.g0_a * np.exp(-x_a * x_a), self.g0_b * np.exp(-x_b * x_b)
 
-    def window(self) -> tuple[float, float]:
-        return default_stirap_window(self)
-
 
 CouplingSchedule = Union[ConstantSchedule, StirapSchedule]
 

@@ -264,21 +264,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(spectrum_entropies(np.linalg.eigvalsh(np.asarray(rho, dtype=complex))))
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    *,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eigenvalue_tol: float = EIGENVALUE_TOL,
-) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidStateError unless rho is Hermitian, unit-trace and PSD."""
     rho = np.asarray(rho, dtype=complex)
     herm = np.max(np.abs(rho - dagger(rho)))
-    if herm > hermiticity_tol:
-        raise InvalidStateError(f"Hermiticity violation {herm:.3e} > {hermiticity_tol:g}")
+    if herm > HERMITICITY_TOL:
+        raise InvalidStateError(f"Hermiticity violation {herm:.3e} > {HERMITICITY_TOL:g}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidStateError(f"trace deviation |{tr:.12f} - 1| > {trace_tol:g}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvalidStateError(f"trace deviation |{tr:.12f} - 1| > {TRACE_TOL:g}")
     lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -eigenvalue_tol:
-        raise InvalidStateError(f"minimum eigenvalue {lam_min:.3e} < -{eigenvalue_tol:g}")
+    if lam_min < -EIGENVALUE_TOL:
+        raise InvalidStateError(f"minimum eigenvalue {lam_min:.3e} < -{EIGENVALUE_TOL:g}")

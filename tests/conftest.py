@@ -7,11 +7,11 @@ import pytest
 
 from qlinksim import dynamics
 from qlinksim.dynamics import (
+    IntegrationError,
     Trajectory,
     default_dt,
     hamiltonian_terms,
     receiver_frame,
-    sampled_trajectory,
     standard_collapse,
 )
 from qlinksim.metrics import _clamp_fidelity
@@ -20,6 +20,7 @@ from qlinksim.qspace import (
     Qubit,
     SystemLayout,
     dagger,
+    embed,
     link_layout,
     partial_trace,
     product_state,
@@ -64,6 +65,92 @@ def lindblad_rhs(rho, h, collapse):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+# --- reference: RK4 on the whole density matrix, with every sample checked ----
+
+
+def per_sample_check(times, states):
+    """Raise IntegrationError for the first sample, in time order, that fails a check.
+
+    A sample fails on a non-finite entry, else on trace drift, else on a
+    negative eigenvalue beyond dynamics' thresholds.
+    """
+    for t, rho in zip(times, states):
+        t = float(t)
+        if not np.isfinite(rho).all():
+            raise IntegrationError(f"state diverged (non-finite entries) at t = {t:.6e} s", t=t)
+        tr = float(np.trace(rho).real)
+        if abs(tr - 1.0) > dynamics.TRACE_DRIFT_MAX:
+            raise IntegrationError(f"trace drifted to {tr:.9f} at t = {t:.6e} s", t=t)
+        lam_min = float(np.linalg.eigvalsh(rho).min())
+        if lam_min < dynamics.MIN_EIGENVALUE_MIN:
+            raise IntegrationError(
+                f"eigenvalue {lam_min:.3e} below {dynamics.MIN_EIGENVALUE_MIN:g} "
+                f"at t = {t:.6e} s", t=t)
+
+
+def sampled_trajectory(layout, times, states, target=None) -> Trajectory:
+    """Check stored samples and derive the trajectory columns from them."""
+    per_sample_check(times, states)
+    pop_vecs = np.indices(layout.dims).reshape(layout.n_sites, -1)
+    diagonals = np.einsum("sii->si", states).real
+    fidelity = None
+    if target is not None:
+        proj = embed(receiver_frame(target.density_matrix()), layout.n_sites - 1, layout)
+        fidelity = np.clip(np.einsum("ij,sji->s", proj, states).real, 0.0, 1.0)
+    return Trajectory(
+        layout=layout, times=times, state_at=states.__getitem__,
+        populations=diagonals @ pop_vecs.T, trace=diagonals.sum(axis=1),
+        purity=np.einsum("sij,sji->s", states, states).real, fidelity=fidelity, target=target,
+    )
+
+
+def evolve_dense(rho0, layout, params, schedule, collapse, t_span, dt, sample_every=1,
+                 target=None, g_hop=0.0, terms=None) -> Trajectory:
+    """dynamics.evolve by classical RK4 on the whole density matrix: the reference.
+
+    The Hamiltonian is re-evaluated at the substage times, and samples are
+    re-symmetrized as (rho + rho^dag)/2 before storage. It takes any state,
+    in or outside the one-excitation sector.
+    """
+    rho, grid = dynamics._checked_run(rho0, layout, t_span, dt, sample_every)
+    t0, h, n_steps = grid.t0, grid.h, grid.n_steps
+    if terms is None:
+        terms = hamiltonian_terms(params, layout, g_hop=g_hop)
+    h2 = 0.5 * h
+    m_static, m_a, m_b = dynamics._drift_terms(terms, collapse)
+    if collapse:
+        jump = np.stack([ch.rate * ch.operator for ch in collapse])
+        jump_dag = np.stack([dagger(ch.operator) for ch in collapse])
+    else:
+        jump = jump_dag = None
+
+    def rhs(t: float, r: np.ndarray) -> np.ndarray:
+        m = m_static + schedule.g_a_at(t) * m_a + schedule.g_b_at(t) * m_b
+        out = m @ r + r @ dagger(m)
+        if jump is not None:
+            out += (jump @ r @ jump_dag).sum(axis=0)
+        return out
+
+    sample_times = [t0]
+    sample_states = [0.5 * (rho + dagger(rho))]
+
+    t = t0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = rhs(t, rho)
+            k2 = rhs(t + h2, rho + h2 * k1)
+            k3 = rhs(t + h2, rho + h2 * k2)
+            k4 = rhs(t + h, rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            t = t0 + step * h
+            if step % sample_every == 0 or step == n_steps:
+                sample_times.append(t)
+                sample_states.append(0.5 * (rho + dagger(rho)))
+
+    return sampled_trajectory(layout, np.array(sample_times), np.array(sample_states),
+                              target=target)
 
 
 # --- reference for the one-excitation amplitude engine -----------------------
@@ -222,7 +309,7 @@ class ChannelProbe:
 
         def run(spec: PureQubitSpec) -> np.ndarray:
             rho = self.link_states(spec, traj.final_state)
-            dynamics._check_samples(np.array([t_final]), rho[None])
+            per_sample_check([t_final], rho[None])
             return receiver_frame(partial_trace(rho, link.n_sites - 1, link))
 
         return run

@@ -4,7 +4,7 @@ dynamics.link_channel runs a link once, from |1> on A, on generators built
 site by site. Every metric, hop, chain and sweep point is read off that run
 in closed form. The references here are the kron-built drift restricted to
 the one-excitation states, one evolve run per input with a partial trace,
-evolve_dense, and the Choi state of a reference-qubit probe (conftest).
+and, from conftest, evolve_dense and the Choi state of a reference-qubit probe.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     choi_coherent_information,
     choi_entanglement_fidelity,
+    evolve_dense,
     evolved_hop,
     run_choi_probe,
 )
@@ -26,7 +27,6 @@ from qlinksim.dynamics import (
     IntegrationError,
     LinkParams,
     evolve,
-    evolve_dense,
     link_channel,
     link_generators,
     receiver_frame,

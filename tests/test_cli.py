@@ -386,6 +386,26 @@ class TestFailureHandling:
         assert "bogus_key" in capsys.readouterr().err
         assert main([]) == 2  # scenario missing
 
+    @pytest.mark.parametrize("text, key", [
+        ("scenario = transfer\nomega_q_2pi_mhz = 5\n", "omega_q_2pi_mhz"),
+        ("scenario = transfer\nphi_deg = inf\n", "phi_deg"),
+        ("scenario = transfer\nphi_deg = nan\n", "phi_deg"),
+        ("scenario = chain\nprotocol = stirap\nhop_time_us = 1.0\n", "hop_time_us"),
+        ("scenario = sweep-distance\nprotocol = stirap\nhop_time_us = 2.0\n", "hop_time_us"),
+        ("scenario = transfer\nprotocol = stirap\nadiabaticity = 0\n", "adiabaticity"),
+        ("scenario = transfer\nprotocol = stirap\ndelay_ratio = 0\n", "delay_ratio"),
+    ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
+            "sweep-hop-in-window", "zero-adiabaticity", "zero-delay-ratio"])
+    def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
+                                                                   capsys):
+        # each of these once passed validation and crashed the run with a traceback
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, text))
+        out = tmp_path / "out"
+        assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_cli_runs_scenario_end_to_end(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_TRANSFER)
         out = tmp_path / "from-cli"

@@ -13,6 +13,7 @@ from conftest import (
     refilled_states,
     rk4_columns,
     run_choi_probe,
+    sampled_trajectory,
 )
 from qlinksim.dynamics import (
     CollapseChannel,
@@ -24,7 +25,6 @@ from qlinksim.dynamics import (
     evolve,
     hamiltonian_terms,
     receiver_frame,
-    sampled_trajectory,
     standard_collapse,
 )
 from qlinksim.metrics import (

@@ -1,19 +1,20 @@
 """The one-excitation amplitude engine against its references.
 
-evolve steps the amplitudes of the one-excitation states when a run provably
-stays in vacuum (+) one excitation. Its reference here is the same RK4 on the
-run's full-space column vectors plus the vacuum refill (conftest's
-sector_reference), which agrees to roundoff; evolve_dense (RK4 on the whole
-density matrix) and propagator_oracle agree to the RK4 error.
+evolve steps the amplitudes of the one-excitation states of a run that
+provably stays in vacuum (+) one excitation, and rejects every other run. Its
+reference here is the same RK4 on the run's full-space column vectors plus
+the vacuum refill (conftest's sector_reference), which agrees to roundoff;
+conftest's evolve_dense (RK4 on the whole density matrix) and
+propagator_oracle agree to the RK4 error.
 """
 
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (
+    evolve_dense,
     evolved_hop,
     hamiltonian_at,
     rk4_columns,
@@ -29,13 +30,11 @@ from qlinksim.dynamics import (
     IntegrationError,
     LinkParams,
     evolve,
-    evolve_dense,
     propagator_oracle,
-    sampled_trajectory,
     standard_collapse,
 )
 from qlinksim.protocols import StirapSchedule, default_stirap_window
-from qlinksim.qspace import PureQubitSpec, Qubit, SystemLayout, link_layout, product_state
+from qlinksim.qspace import PureQubitSpec, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 EQUIVALENCE_TOL = 1e-12
@@ -49,15 +48,6 @@ LOW_LOSS_STIRAP = StirapSchedule(g0_a=LOW_LOSS.g_a, g0_b=LOW_LOSS.g_b,
 # RK4 on the amplitudes is not RK4 on rho: the two differ by the method's
 # error, about 1e-7 at fig4's default step
 RK4_ERROR_TOL = 1e-6
-
-
-def _dense_forbidden(*args, **kwargs):
-    raise AssertionError("evolve took the dense path")
-
-
-def sector_only():
-    """Context in which evolve fails unless it takes the sector path."""
-    return mock.patch.object(dynamics, "evolve_dense", _dense_forbidden)
 
 
 # --- property: the amplitude engine is RK4 on the run's full-space columns ----
@@ -114,8 +104,7 @@ def sector_runs(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(sector_runs())
 def test_sector_path_matches_dense_rk4(run):
-    with sector_only():
-        sector = evolve(**run)
+    sector = evolve(**run)
     reference = sector_reference(**run)
     np.testing.assert_array_equal(sector.times, reference.times)
     np.testing.assert_allclose(sector.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
@@ -157,7 +146,7 @@ def test_unstable_step_fails_at_the_dense_paths_time():
     run = fig5_red_run(0.2e-6, 4e-9)
     step, h = first_refill_failure(run)
     for sample_every in (1, 10):
-        with sector_only(), pytest.raises(IntegrationError) as sector:
+        with pytest.raises(IntegrationError) as sector:
             evolve(**run, sample_every=sample_every)
         with pytest.raises(IntegrationError) as dense:
             evolve_dense(**run, sample_every=sample_every)
@@ -182,8 +171,7 @@ def test_constant_drive_powers_match_the_step_by_step_product():
     # step matrix against one RK4 step at a time
     run = dict(link_run(LOW_LOSS, LOW_LOSS.constant_schedule(), 20e-6,
                         dynamics.default_dt(LOW_LOSS)), sample_every=1000)
-    with sector_only():
-        traj = evolve(**run)
+    traj = evolve(**run)
     reference = sector_reference(**run)
     np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
 
@@ -201,8 +189,7 @@ def link_run(params, schedule, t_final, dt):
     link_run(LOW_LOSS, LOW_LOSS_STIRAP, default_stirap_window(LOW_LOSS_STIRAP)[1], 2e-9),
 ], ids=["fig4", "low-loss-stirap"])
 def test_engine_matches_the_dense_stepper_to_the_rk4_error(run):
-    with sector_only():
-        sector = evolve(**run)
+    sector = evolve(**run)
     dense = evolve_dense(**run)
     np.testing.assert_allclose(sector.states, dense.states, rtol=0, atol=RK4_ERROR_TOL)
     for column in ("populations", "trace", "purity", "fidelity"):
@@ -213,15 +200,14 @@ def test_engine_matches_the_dense_stepper_to_the_rk4_error(run):
 def test_engine_matches_the_exponential_oracle_to_the_rk4_error():
     run = link_run(FIG4, FIG4.constant_schedule(), 2e-6, dynamics.default_dt(FIG4))
     h = hamiltonian_at(0.0, FIG4, run["schedule"], run["layout"])
-    with sector_only():
-        traj = evolve(**run)
+    traj = evolve(**run)
     for t, state in zip(traj.times[::10], traj.states[::10]):
         np.testing.assert_allclose(
             state, propagator_oracle(run["rho0"], h, run["collapse"], t),
             rtol=0, atol=RK4_ERROR_TOL)
 
 
-# --- dispatch --------------------------------------------------------------
+# --- admission ---------------------------------------------------------------
 
 WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
 SHORT_PULSE = {"pulse_width_us": 0.25, "t_delay_us": 0.3, "dt_ns": 1.0}
@@ -240,49 +226,42 @@ SECTOR_SCENARIOS = {
 }
 
 
+def _stack_built(self):
+    raise AssertionError("dense state stack built")
+
+
 @pytest.mark.parametrize("name", sorted(SECTOR_SCENARIOS))
-def test_single_excitation_scenarios_never_step_densely(name, tmp_path):
-    with sector_only():
-        assert run_scenario(build_config(SECTOR_SCENARIOS[name]), tmp_path / "out") == 0
+def test_single_excitation_scenarios_never_step_densely(name, tmp_path, monkeypatch):
+    # evolve has no dense stepper; what is left to keep out of a scenario is
+    # the whole (n_samples, d, d) stack of dense states
+    monkeypatch.setattr(dynamics.Trajectory, "states", property(_stack_built))
+    assert run_scenario(build_config(SECTOR_SCENARIOS[name]), tmp_path / "out") == 0
 
 
 class TestDensePathStays:
-    def count_dense_calls(self, monkeypatch):
-        calls = []
+    """Runs that once took the dense path: evolve rejects them and names why."""
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])  # the layout
-            return evolve_dense(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "evolve_dense", counted)
-        return calls
-
-    def test_two_excitations(self, monkeypatch):
-        calls = self.count_dense_calls(monkeypatch)
+    def test_two_excitations(self):
         layout = link_layout()
         params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=1e6)
         excited = PureQubitSpec(theta=math.pi)
         rho0 = product_state([excited, None, excited], layout)
-        traj = evolve(rho0, layout, params, params.constant_schedule(),
-                      standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
-        assert calls == [layout]
-        # the doubly excited state is outside the sector's blocks
-        assert traj.populations[0].sum() == pytest.approx(2.0)
+        with pytest.raises(ValueError, match=r"initial state lies outside vacuum \(\+\) one"):
+            evolve(rho0, layout, params, params.constant_schedule(),
+                   standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
 
-    def test_coherence_with_two_excitations(self, monkeypatch):
-        calls = self.count_dense_calls(monkeypatch)
+    def test_coherence_with_two_excitations(self):
         layout = link_layout()
         params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=1e6)
         plus, excited = PureQubitSpec(theta=math.pi / 2), PureQubitSpec(theta=math.pi)
         # (|0> + |1>) on A with B excited: one excitation coherent with two
         rho0 = product_state([plus, None, excited], layout)
-        evolve(rho0, layout, params, params.constant_schedule(),
-               standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
-        assert calls == [layout]
+        with pytest.raises(ValueError, match=r"initial state lies outside vacuum \(\+\) one"):
+            evolve(rho0, layout, params, params.constant_schedule(),
+                   standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
 
-    def test_leaking_hamiltonian_term(self, monkeypatch):
+    def test_leaking_hamiltonian_term(self):
         # a static term coupling a one-excitation state to a two-excitation one
-        calls = self.count_dense_calls(monkeypatch)
         layout = link_layout()
         params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ)
         terms = dynamics.hamiltonian_terms(params, layout)
@@ -290,34 +269,29 @@ class TestDensePathStays:
         leak[0b110, 0b100] = leak[0b100, 0b110] = 1e7  # |1 0 0> <-> |1 1 0>
         terms = dynamics.HamiltonianTerms(terms.h_static + leak, terms.h_a, terms.h_b)
         rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
-        evolve(rho0, layout, params, params.constant_schedule(), [], (0.0, 1e-8), 1e-9,
-               terms=terms)
-        assert calls == [layout]
+        with pytest.raises(ValueError, match=r"static drift term leaves vacuum \(\+\) one"):
+            evolve(rho0, layout, params, params.constant_schedule(), [], (0.0, 1e-8), 1e-9,
+                   terms=terms)
 
-    def test_leaking_collapse_operator(self, monkeypatch):
+    def test_leaking_collapse_operator(self):
         # a jump that maps a one-excitation state outside the vacuum
-        calls = self.count_dense_calls(monkeypatch)
         layout = link_layout()
         params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ)
         leak = np.zeros((8, 8), dtype=complex)
         leak[0b010, 0b100] = 1.0  # |1 0 0> -> |0 1 0>
         rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
-        evolve(rho0, layout, params, params.constant_schedule(),
-               [dynamics.CollapseChannel(leak, 1e6)], (0.0, 1e-8), 1e-9)
-        assert calls == [layout]
+        with pytest.raises(ValueError, match=r"collapse operator 0 leaves vacuum \(\+\) one"):
+            evolve(rho0, layout, params, params.constant_schedule(),
+                   [dynamics.CollapseChannel(leak, 1e6)], (0.0, 1e-8), 1e-9)
 
 
 def test_transfer_never_builds_a_dense_state_stack(tmp_path, monkeypatch):
-    def stack_built(self):
-        raise AssertionError("dense state stack built")
-
-    monkeypatch.setattr(dynamics.Trajectory, "states", property(stack_built))
+    monkeypatch.setattr(dynamics.Trajectory, "states", property(_stack_built))
     cfg = build_config(dict(SECTOR_SCENARIOS["transfer"], t_final_us=2.0, dt_ns=0.2,
                             sample_every=1))
     tracemalloc.start()
     try:
-        with sector_only():
-            assert run_scenario(cfg, tmp_path / "out") == 0
+        assert run_scenario(cfg, tmp_path / "out") == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,51 +299,30 @@ def test_transfer_never_builds_a_dense_state_stack(tmp_path, monkeypatch):
     assert peak < 10_001 * 8 * 8 * 16
 
 
-# --- sample checks ----------------------------------------------------------
+# --- the initial state's check ----------------------------------------------
 
 
-def per_sample_check(times, states):
-    """The check one sample at a time, in time order: the reference."""
-    for t, rho in zip(times, states):
-        t = float(t)
-        if not np.isfinite(rho).all():
-            raise IntegrationError(f"state diverged (non-finite entries) at t = {t:.6e} s", t=t)
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > dynamics.TRACE_DRIFT_MAX:
-            raise IntegrationError(f"trace drifted to {tr:.9f} at t = {t:.6e} s", t=t)
-        lam_min = float(np.linalg.eigvalsh(rho).min())
-        if lam_min < dynamics.MIN_EIGENVALUE_MIN:
-            raise IntegrationError(
-                f"eigenvalue {lam_min:.3e} below {dynamics.MIN_EIGENVALUE_MIN:g} "
-                f"at t = {t:.6e} s", t=t)
+def sector_state(vacuum, excited, coherence=0.0):
+    """rho0 on the link with vacuum weight, |1 0 0> weight and their coherence."""
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[0, 0], rho[0b100, 0b100] = vacuum, excited
+    rho[0b100, 0] = rho[0, 0b100] = coherence
+    return rho
 
 
-def two_qubit_states(*first_qubit_diagonals):
-    """Diagonal states with the given first-qubit populations, the second qubit in |0>."""
-    return np.array([np.diag([p0, 0.0, p1, 0.0]).astype(complex)
-                     for p0, p1 in first_qubit_diagonals])
-
-
-TWO_QUBITS = SystemLayout((Qubit(), Qubit()))
-
-
-@pytest.mark.parametrize("states", [
-    two_qubit_states([1.0, 0.0], [1.0 + 2e-5, -2e-5], [np.nan, 1.0]),  # eigenvalue first
-    two_qubit_states([1.0, 0.0], [np.inf, 0.0], [1.0 + 2e-5, -2e-5]),  # divergence first
-    two_qubit_states([1.0, 0.0], [0.5, 0.4], [1.0 + 2e-5, -2e-5]),  # trace drift first
-    two_qubit_states([0.5, 0.5], [1.0, 0.0], [0.3, 0.7]),  # all valid
-])
-def test_batched_checks_raise_like_the_per_sample_loop(states):
-    times = np.array([0.0, 1e-9, 2e-9])
-    try:
-        per_sample_check(times, states)
-    except IntegrationError as err:
-        with pytest.raises(IntegrationError) as batched:
-            sampled_trajectory(TWO_QUBITS, times, states)
-        assert str(batched.value) == str(err)
-        assert batched.value.t == err.t
-    else:
-        sampled_trajectory(TWO_QUBITS, times, states)
+@pytest.mark.parametrize("rho0, message", [
+    (sector_state(0.5, 0.5, coherence=np.nan), "state diverged (non-finite entries)"),
+    (sector_state(0.6, 0.5), "trace drifted to 1.100000000"),
+    (sector_state(1.0 + 1e-4, -1e-4), "eigenvalue -1.000e-04 below -1e-05"),
+], ids=["nan-entry", "trace-1.1", "eigenvalue-minus-1e-4"])
+def test_initial_state_is_checked_at_step_0(rho0, message):
+    layout = link_layout()
+    with pytest.raises(IntegrationError) as err:
+        evolve(rho0, layout, FIG4, FIG4.constant_schedule(), standard_collapse(FIG4, layout),
+               (1e-7, 2e-7), 1e-9, sample_every=10)
+    assert err.value.t == 1e-7
+    assert str(err.value) == (f"{message} at t = 1.000000e-07 s (step 0 of 100, "
+                              "dt = 1.000000e-09 s, sample_every = 10)")
 
 
 # --- CSV output -------------------------------------------------------------
