@@ -281,8 +281,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     for key in _LIST_FLOAT_KEYS | _LIST_STR_KEYS:
         if not getattr(cfg, key):
             raise ConfigError(f"{key} must list at least one value")
-    if any(length < 0 for length in cfg.lengths_km):
-        raise ConfigError("lengths_km entries must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in cfg.lengths_km):
+        raise ConfigError(f"lengths_km entries must be finite and >= 0, got {cfg.lengths_km!r}")
     for key in ("tune_widths_us", "tune_delays_us"):
         if not all(math.isfinite(v) and v > 0 for v in getattr(cfg, key)):
             raise ConfigError(f"{key} entries must be finite and > 0, got {getattr(cfg, key)!r}")

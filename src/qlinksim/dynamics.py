@@ -21,8 +21,9 @@ factor of the initial one-excitation block plus its coherence with the
 vacuum, and puts the population they lose back on the vacuum. Such states
 are positive by construction as long as that refill is, which is checked at
 every step. The trajectory columns follow from the amplitudes in closed
-form, and dense states are built only when read. The independent cross-check
-`propagator_oracle` exponentiates the column-stacked Liouvillian.
+form, and dense states are built only when read. The module needs only
+numpy; its independent references, the dense RK4 integrator and the oracle
+that exponentiates the column-stacked Liouvillian, live in tests/conftest.py.
 
 `link_channel` runs a link once, from |1> on A, on generators built site by
 site (`link_generators`); the LinkChannel it returns gives the received
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .protocols import ConstantSchedule, CouplingSchedule
 from .qspace import (
@@ -68,8 +68,6 @@ __all__ = [
     "link_channel",
     "default_dt",
     "evolve",
-    "liouvillian",
-    "propagator_oracle",
     "receiver_frame",
 ]
 
@@ -85,10 +83,6 @@ RECEIVER_FRAME = np.diag([1.0, -1.0]).astype(complex)
 def receiver_frame(rho_b: np.ndarray) -> np.ndarray:
     """Received qubit state expressed in the phase-calibrated receiver frame."""
     return RECEIVER_FRAME @ rho_b @ RECEIVER_FRAME
-
-
-# Largest Liouvillian dimension the exponential oracle will accept.
-ORACLE_MAX_SUPERDIM = 4096
 
 
 class IntegrationError(RuntimeError):
@@ -739,46 +733,3 @@ def _rk4_amplitudes(
             c = out
         record(start, blocks[:n])
     return samples
-
-
-def liouvillian(h: np.ndarray, collapse: Sequence[CollapseChannel]) -> np.ndarray:
-    """Column-stacking superoperator matrix of the master equation."""
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    sup = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for ch in collapse:
-        op = ch.operator
-        odo = dagger(op) @ op
-        sup += ch.rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, odo)
-            - 0.5 * np.kron(odo.T, eye)
-        )
-    return sup
-
-
-def propagator_oracle(
-    rho0: np.ndarray,
-    h: np.ndarray,
-    collapse: Sequence[CollapseChannel],
-    t: float,
-) -> np.ndarray:
-    """Evolve under a time-independent H by exponentiating the Liouvillian.
-
-    Test oracle for small systems; refuses superoperator dimensions above
-    ORACLE_MAX_SUPERDIM.
-    """
-    d = h.shape[0]
-    if d * d > ORACLE_MAX_SUPERDIM:
-        raise ValueError(
-            f"oracle limited to dim^2 <= {ORACLE_MAX_SUPERDIM}, got {d * d}"
-        )
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if t == 0:
-        return rho0.copy()
-    sup = liouvillian(h, collapse)
-    vec = rho0.reshape(-1, order="F")
-    out = scipy.linalg.expm(sup * t) @ vec
-    return out.reshape(d, d, order="F")

@@ -12,8 +12,9 @@ where eta = |f|^2. So the entanglement fidelity is F_e = |1 + f|^2 / 4 and
 the coherent information I = S(B') - S(R'B') = h(eta/2) - h((1 - eta)/2),
 with h the binary entropy. The same channel gives the received state of any
 input (LinkChannel.link_run, for the Haar-average fidelity) and its
-trajectory (LinkChannel.link_trajectory) without evolving again;
-make_link_run keeps one evolve run per input as the cross-check.
+trajectory (LinkChannel.link_trajectory) without evolving again; the
+cross-check that evolves each input on its own (make_link_run) is a test
+reference in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 
 from . import dynamics
 from .protocols import CouplingSchedule
-from .qspace import (
-    PureQubitSpec,
-    link_layout,
-    partial_trace,
-    product_state,
-    spectrum_entropies,
-)
+from .qspace import PureQubitSpec, spectrum_entropies
 
 __all__ = [
     "transfer_fidelity",
@@ -136,29 +131,3 @@ def average_fidelity(
     for spec in haar_qubit_specs(n_samples, seed):
         total += transfer_fidelity(link_run(spec), spec)
     return total / n_samples
-
-
-def make_link_run(
-    params: dynamics.LinkParams,
-    schedule: CouplingSchedule,
-    t_final: float,
-    dt: Optional[float] = None,
-) -> Callable[[PureQubitSpec], np.ndarray]:
-    """End-to-end single-link channel: place the input on A, evolve, read B."""
-    layout = link_layout()
-    collapse = dynamics.standard_collapse(params, layout)
-    terms = dynamics.hamiltonian_terms(params, layout)
-    step = dt if dt is not None else dynamics.default_dt(params, schedule)
-    n_steps = max(1, int(round(t_final / step)))
-
-    def run(spec: PureQubitSpec) -> np.ndarray:
-        rho0 = product_state([spec] + [None] * (layout.n_sites - 1), layout)
-        traj = dynamics.evolve(
-            rho0, layout, params, schedule, collapse, (0.0, t_final), step,
-            sample_every=n_steps, terms=terms,
-        )
-        return dynamics.receiver_frame(
-            partial_trace(traj.final_state, layout.n_sites - 1, layout)
-        )
-
-    return run

@@ -1,12 +1,14 @@
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qlinksim import dynamics
 from qlinksim.dynamics import (
+    CollapseChannel,
     IntegrationError,
     Trajectory,
     default_dt,
@@ -65,6 +67,25 @@ def lindblad_rhs(rho, h, collapse):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+# --- small configs of the six CLI scenarios, each well under a second -----------
+
+_WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
+_SHORT_PULSE = {"pulse_width_us": 0.25, "t_delay_us": 0.3, "dt_ns": 1.0}
+SMALL_SCENARIOS = {
+    "transfer": {"scenario": "transfer", "t_final_us": 0.5, "dt_ns": 1.0,
+                 "sample_every": 50, **_WEAK_LOSS},
+    "stirap-compare": {"scenario": "stirap-compare", **_SHORT_PULSE, **_WEAK_LOSS},
+    "chain": {"scenario": "chain", "hops": 2, "hop_time_us": 2.0, **_SHORT_PULSE,
+              **_WEAK_LOSS},
+    "sweep-distance": {"scenario": "sweep-distance", "lengths_km": (0.001, 0.1),
+                       "dt_ns": 0.05, "sample_every": 500},
+    "tune-stirap": {"scenario": "tune-stirap", "tune_widths_us": (0.25,),
+                    "tune_delays_us": (0.3,), "dt_ns": 1.0, **_WEAK_LOSS},
+    "coherent-info": {"scenario": "coherent-info", "preset": "fig4", "dt_ns": 1.0,
+                      "sample_every": 10, "n_samples": 5},
+}
 
 
 # --- reference: RK4 on the whole density matrix, with every sample checked ----
@@ -151,6 +172,55 @@ def evolve_dense(rho0, layout, params, schedule, collapse, t_span, dt, sample_ev
 
     return sampled_trajectory(layout, np.array(sample_times), np.array(sample_states),
                               target=target)
+
+
+# --- reference: the matrix exponential of the Liouvillian --------------------
+
+# Largest Liouvillian dimension the exponential oracle will accept.
+ORACLE_MAX_SUPERDIM = 4096
+
+
+def liouvillian(h: np.ndarray, collapse: Sequence[CollapseChannel]) -> np.ndarray:
+    """Column-stacking superoperator matrix of the master equation."""
+    d = h.shape[0]
+    eye = np.eye(d, dtype=complex)
+    sup = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for ch in collapse:
+        op = ch.operator
+        odo = dagger(op) @ op
+        sup += ch.rate * (
+            np.kron(op.conj(), op)
+            - 0.5 * np.kron(eye, odo)
+            - 0.5 * np.kron(odo.T, eye)
+        )
+    return sup
+
+
+def propagator_oracle(
+    rho0: np.ndarray,
+    h: np.ndarray,
+    collapse: Sequence[CollapseChannel],
+    t: float,
+) -> np.ndarray:
+    """Evolve under a time-independent H by exponentiating the Liouvillian.
+
+    Test oracle for small systems; refuses superoperator dimensions above
+    ORACLE_MAX_SUPERDIM.
+    """
+    d = h.shape[0]
+    if d * d > ORACLE_MAX_SUPERDIM:
+        raise ValueError(
+            f"oracle limited to dim^2 <= {ORACLE_MAX_SUPERDIM}, got {d * d}"
+        )
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    rho0 = np.asarray(rho0, dtype=complex)
+    if t == 0:
+        return rho0.copy()
+    sup = liouvillian(h, collapse)
+    vec = rho0.reshape(-1, order="F")
+    out = scipy.linalg.expm(sup * t) @ vec
+    return out.reshape(d, d, order="F")
 
 
 # --- reference for the one-excitation amplitude engine -----------------------
@@ -413,3 +483,27 @@ def evolved_hop(input_qubit, link, target, channel=None):
     )
     out = receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
     return 0.5 * (out + out.conj().T), traj
+
+
+# --- reference for the Haar average: one evolve run per input ------------------
+
+
+def make_link_run(params, schedule, t_final, dt) -> Callable[[PureQubitSpec], np.ndarray]:
+    """The link's channel by one dynamics.evolve run per input: the reference.
+
+    Places the input on A, evolves to t_final and reads B in the receiver frame.
+    """
+    layout = link_layout()
+    collapse = standard_collapse(params, layout)
+    terms = hamiltonian_terms(params, layout)
+    n_steps = max(1, int(round(t_final / dt)))
+
+    def run(spec: PureQubitSpec) -> np.ndarray:
+        rho0 = product_state([spec] + [None] * (layout.n_sites - 1), layout)
+        traj = dynamics.evolve(
+            rho0, layout, params, schedule, collapse, (0.0, t_final), dt,
+            sample_every=n_steps, terms=terms,
+        )
+        return receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
+
+    return run

@@ -10,20 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import hamiltonian_at
+from conftest import hamiltonian_at, make_link_run, propagator_oracle
 from qlinksim.cli import PRESETS, build_config, run_scenario
 from qlinksim.dynamics import (
     LinkParams,
     default_dt,
     evolve,
-    propagator_oracle,
     standard_collapse,
 )
 from qlinksim.metrics import (
     average_fidelity,
     coherent_information,
     entanglement_fidelity,
-    make_link_run,
     run_channel_probe,
 )
 from qlinksim.network import (

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import choi_coherent_information, choi_entanglement_fidelity, run_choi_probe
+from conftest import (
+    choi_coherent_information,
+    choi_entanglement_fidelity,
+    make_link_run,
+    run_choi_probe,
+)
 
 from qlinksim import metrics
 from qlinksim.cli import (
@@ -303,7 +308,7 @@ class TestScenarioRuns:
         assert info == pytest.approx(choi_coherent_information(probe), abs=1e-12)
         assert f_e == pytest.approx(choi_entanglement_fidelity(probe), abs=1e-12)
         dense_avg = metrics.average_fidelity(
-            metrics.make_link_run(params, schedule, t_final, dt), cfg.n_samples, cfg.seed)
+            make_link_run(params, schedule, t_final, dt), cfg.n_samples, cfg.seed)
         assert avg == pytest.approx(dense_avg, abs=1e-12)
         assert stab_us == dense.stabilization_time() / 1e-6
 
@@ -459,6 +464,17 @@ class TestConfigDataclass:
     def test_empty_lengths_rejected(self):
         with pytest.raises(ConfigError, match="lengths_km must list at least one value"):
             build_config({"scenario": "sweep-distance", "lengths_km": ()})
+
+    @pytest.mark.parametrize("value", [(math.inf,), (0.1, math.nan), (-1.0,)])
+    def test_lengths_rejected_unless_finite_and_non_negative(self, value):
+        # inf once ran to status = ok with every fidelity nan
+        with pytest.raises(ConfigError, match="lengths_km"):
+            build_config({"scenario": "sweep-distance", "lengths_km": value})
+
+    @pytest.mark.parametrize("value", [(0.0,), ScenarioConfig.lengths_km])
+    def test_lengths_accepted_when_finite_and_non_negative(self, value):
+        cfg = build_config({"scenario": "sweep-distance", "lengths_km": value})
+        assert cfg.lengths_km == value
 
     def test_empty_media_rejected(self, tmp_path):
         # "media =" once ran and wrote a summary with only its header

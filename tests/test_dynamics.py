@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hamiltonian_at, lindblad_rhs, make_density_matrix, make_hermitian
+from conftest import (
+    hamiltonian_at,
+    lindblad_rhs,
+    liouvillian,
+    make_density_matrix,
+    make_hermitian,
+    propagator_oracle,
+)
 from qlinksim.dynamics import (
     CollapseChannel,
     IntegrationError,
     LinkParams,
     default_dt,
     evolve,
-    liouvillian,
-    propagator_oracle,
     standard_collapse,
 )
 from qlinksim.protocols import ConstantSchedule, default_stirap, default_stirap_window

@@ -10,6 +10,7 @@ from conftest import (
     choi_entanglement_fidelity,
     choi_probe_curve,
     make_density_matrix,
+    make_link_run,
     refilled_states,
     rk4_columns,
     run_choi_probe,
@@ -32,7 +33,6 @@ from qlinksim.metrics import (
     coherent_information,
     entanglement_fidelity,
     haar_qubit_specs,
-    make_link_run,
     probe_curve,
     run_channel_probe,
     transfer_fidelity,

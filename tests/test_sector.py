@@ -14,9 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    SMALL_SCENARIOS,
     evolve_dense,
     evolved_hop,
     hamiltonian_at,
+    propagator_oracle,
     rk4_columns,
     sector_columns,
     sector_reference,
@@ -30,7 +32,6 @@ from qlinksim.dynamics import (
     IntegrationError,
     LinkParams,
     evolve,
-    propagator_oracle,
     standard_collapse,
 )
 from qlinksim.protocols import StirapSchedule, default_stirap_window
@@ -209,33 +210,16 @@ def test_engine_matches_the_exponential_oracle_to_the_rk4_error():
 
 # --- admission ---------------------------------------------------------------
 
-WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
-SHORT_PULSE = {"pulse_width_us": 0.25, "t_delay_us": 0.3, "dt_ns": 1.0}
-SECTOR_SCENARIOS = {
-    "transfer": {"scenario": "transfer", "t_final_us": 0.5, "dt_ns": 1.0,
-                 "sample_every": 50, **WEAK_LOSS},
-    "stirap-compare": {"scenario": "stirap-compare", **SHORT_PULSE, **WEAK_LOSS},
-    "chain": {"scenario": "chain", "hops": 2, "hop_time_us": 2.0, **SHORT_PULSE,
-              **WEAK_LOSS},
-    "sweep-distance": {"scenario": "sweep-distance", "lengths_km": (0.001, 0.1),
-                       "dt_ns": 0.05, "sample_every": 500},
-    "tune-stirap": {"scenario": "tune-stirap", "tune_widths_us": (0.25,),
-                    "tune_delays_us": (0.3,), "dt_ns": 1.0, **WEAK_LOSS},
-    "coherent-info": {"scenario": "coherent-info", "preset": "fig4", "dt_ns": 1.0,
-                      "sample_every": 10, "n_samples": 5},
-}
-
-
 def _stack_built(self):
     raise AssertionError("dense state stack built")
 
 
-@pytest.mark.parametrize("name", sorted(SECTOR_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
 def test_single_excitation_scenarios_never_step_densely(name, tmp_path, monkeypatch):
     # evolve has no dense stepper; what is left to keep out of a scenario is
     # the whole (n_samples, d, d) stack of dense states
     monkeypatch.setattr(dynamics.Trajectory, "states", property(_stack_built))
-    assert run_scenario(build_config(SECTOR_SCENARIOS[name]), tmp_path / "out") == 0
+    assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
 
 
 class TestDensePathStays:
@@ -287,7 +271,7 @@ class TestDensePathStays:
 
 def test_transfer_never_builds_a_dense_state_stack(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics.Trajectory, "states", property(_stack_built))
-    cfg = build_config(dict(SECTOR_SCENARIOS["transfer"], t_final_us=2.0, dt_ns=0.2,
+    cfg = build_config(dict(SMALL_SCENARIOS["transfer"], t_final_us=2.0, dt_ns=0.2,
                             sample_every=1))
     tracemalloc.start()
     try:
@@ -352,7 +336,7 @@ def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch
     # error; at 1 ns steps the two RK4 schemes differ by 3e-6 on transfer. A
     # chain's references evolve every hop from its input, so they also check
     # that hops read off the link's one run compose like evolved ones
-    cfg = build_config({**SECTOR_SCENARIOS[name], "dt_ns": 0.5})
+    cfg = build_config({**SMALL_SCENARIOS[name], "dt_ns": 0.5})
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_trajectory_rows", per_cell_rows)
