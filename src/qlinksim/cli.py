@@ -424,9 +424,8 @@ def _standard_run(cfg: ScenarioConfig, schedule: CouplingSchedule) -> dynamics.T
     layout = link_layout()
     target = cfg.target()
     rho0 = product_state([target] + [None] * (layout.n_sites - 1), layout)
-    collapse = dynamics.standard_collapse(params, layout)
     return dynamics.evolve(
-        rho0, layout, params, schedule, collapse, (0.0, cfg.t_final_us * US),
+        rho0, layout, params, schedule, (0.0, cfg.t_final_us * US),
         cfg.dt_ns * NS, sample_every=cfg.sample_every, target=target,
     )
 

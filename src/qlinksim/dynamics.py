@@ -11,23 +11,26 @@ conserved by the coherent part. Dissipation enters through collapse channels
 L = sigma_minus and mediator photon loss L = a, both unit-normalized, so an
 isolated excited qubit decays as exp(-gamma t).
 
-Integration is fixed-step classical RK4, with the Hamiltonian re-evaluated
-at the substage times. A link carries at most one excitation, and `evolve`
-runs only what provably stays in the vacuum (+) one-excitation subspace: the
-initial state, the Hamiltonian terms and the collapse operators are checked
-for it, and a run that leaves it raises ValueError naming the condition. It
-steps only the amplitudes of the one-excitation states, one column per
-factor of the initial one-excitation block plus its coherence with the
-vacuum, and puts the population they lose back on the vacuum. Such states
-are positive by construction as long as that refill is, which is checked at
-every step. The trajectory columns follow from the amplitudes in closed
-form, and dense states are built only when read. The module needs only
-numpy; its independent references, the dense RK4 integrator and the oracle
-that exponentiates the column-stacked Liouvillian, live in tests/conftest.py.
+Integration is fixed-step classical RK4, with the couplings re-evaluated at
+the substage times. A link carries at most one excitation: the exchange
+Hamiltonian conserves it and every loss channel removes it, so the
+vacuum (+) one-excitation subspace is closed under the master equation. Both
+`evolve` and `link_channel` step only the amplitudes of the one-excitation
+states, one per site, under generators built site by site from the rates
+(`link_generators`), and put the population they lose back on the vacuum.
+`evolve` admits a run when its layout is (qubit, modes..., qubit) and its
+initial state lies in that subspace, and raises ValueError otherwise. Such
+states are positive by construction as long as the vacuum refill is, which
+is checked at every step. The trajectory columns follow from the amplitudes
+in closed form, and dense states are built only when read. The module needs
+only numpy. `hamiltonian_terms` and `standard_collapse` build the same model
+as full-space operators by kron embedding. No run uses them; the independent
+references in tests/conftest.py, the dense RK4 integrator and the oracle
+that exponentiates the column-stacked Liouvillian, are built on them.
 
-`link_channel` runs a link once, from |1> on A, on generators built site by
-site (`link_generators`); the LinkChannel it returns gives the received
-state and the trajectory of any qubit input in closed form.
+`link_channel` runs a link once, from |1> on A; the LinkChannel it returns
+gives the received state and the trajectory of any qubit input in closed
+form.
 
 Receiver frame: completing the resonant transfer (driven or adiabatic) lands
 the excitation on B with a deterministic minus sign, since the passage goes
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -113,8 +116,8 @@ class LinkParams:
 
     def __post_init__(self) -> None:
         for name in ("g_a", "g_b", "kappa", "gamma_a", "gamma_b", "omega_q", "omega_w"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if (self.omega_q > 0) != (self.omega_w > 0):
             raise ValueError(
                 "omega_q and omega_w must both be positive (lab frame) "
@@ -179,13 +182,8 @@ def hamiltonian_terms(
     first mediator and qubit B to the last, and for multi-mediator layouts
     neighbouring mediators exchange photons with amplitude g_hop.
     """
-    sites = layout.sites
+    _check_link_layout(layout)
     modes = layout.mode_indices
-    if not (isinstance(sites[0], Qubit) and isinstance(sites[-1], Qubit)):
-        raise ValueError("link layout must start and end with a qubit")
-    if len(modes) < 1 or modes != tuple(range(1, layout.n_sites - 1)):
-        raise ValueError("link layout needs contiguous mediator modes between the qubits")
-
     d = layout.total_dim
     sp = local_operator("sigma_plus", 2)
     num_qubit = local_operator("number", 2)
@@ -216,6 +214,20 @@ def hamiltonian_terms(
     h_a = _coupling(0, modes[0])
     h_b = _coupling(layout.n_sites - 1, modes[-1])
     return HamiltonianTerms(h_static=h_static, h_a=h_a, h_b=h_b)
+
+
+def _check_link_layout(layout: SystemLayout) -> None:
+    """Raise ValueError unless the layout is (qubit, mode(s)..., qubit)."""
+    sites, modes = layout.sites, layout.mode_indices
+    if not (isinstance(sites[0], Qubit) and isinstance(sites[-1], Qubit)):
+        raise ValueError("link layout must start and end with a qubit")
+    if len(modes) < 1 or modes != tuple(range(1, layout.n_sites - 1)):
+        raise ValueError("link layout needs contiguous mediator modes between the qubits")
+
+
+def _site_states(layout: SystemLayout) -> np.ndarray:
+    """Basis index of the state with one excitation on site i and none elsewhere, by site."""
+    return np.ravel_multi_index(tuple(np.eye(layout.n_sites, dtype=int)), layout.dims)
 
 
 def link_generators(params: LinkParams, n_mediators: int = 1, g_hop: float = 0.0) -> np.ndarray:
@@ -313,14 +325,6 @@ class Trajectory:
         return float(self.times[outside[-1] + 1])
 
 
-def _population_vectors(layout: SystemLayout) -> np.ndarray:
-    """Diagonals of the per-site number operators in the product basis.
-
-    Row i holds site i's occupation number in every basis state.
-    """
-    return np.indices(layout.dims).reshape(layout.n_sites, -1).astype(float)
-
-
 @dataclass(frozen=True)
 class _Grid:
     """A run's uniform step grid and its output cadence."""
@@ -344,8 +348,10 @@ class _Grid:
 def _checked_grid(t_span: tuple[float, float], dt: float, sample_every: int) -> _Grid:
     """Validate a run's grid; the number of steps is rounded so it lands exactly on t1."""
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite")
     if t1 <= t0:
         raise ValueError("t_span must satisfy t1 > t0")
     if sample_every < 1:
@@ -365,32 +371,16 @@ def _checked_run(rho0: np.ndarray, layout: SystemLayout, t_span: tuple[float, fl
     return rho, grid
 
 
-def _drift_terms(
-    terms: HamiltonianTerms, collapse: Sequence[CollapseChannel]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drift M(t) = m_static + g_A(t) m_a + g_B(t) m_b of the master equation.
-
-    M = -i H - sum_j rate_j L_j^dag L_j / 2, so that
-    rhs(rho) = M rho + rho M^dag + sum_j rate_j L_j rho L_j^dag.
-    """
-    decay = np.zeros_like(terms.h_static, dtype=complex)
-    for ch in collapse:
-        decay += 0.5 * ch.rate * (dagger(ch.operator) @ ch.operator)
-    return -1j * terms.h_static - decay, -1j * terms.h_a, -1j * terms.h_b
-
-
 def evolve(
     rho0: np.ndarray,
     layout: SystemLayout,
     params: LinkParams,
     schedule: CouplingSchedule,
-    collapse: Sequence[CollapseChannel],
     t_span: tuple[float, float],
     dt: float,
     sample_every: int = 1,
     target: Optional[PureQubitSpec] = None,
     g_hop: float = 0.0,
-    terms: Optional[HamiltonianTerms] = None,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the master equation.
 
@@ -398,19 +388,16 @@ def evolve(
     Samples include the initial and final states. A failed check raises
     IntegrationError naming the quantity, its value, the step and the grid.
 
-    The run must provably stay in the vacuum (+) one-excitation subspace (see
-    _one_excitation_sector), else ValueError names the condition that fails.
-    rho0 is checked once for trace drift and negative eigenvalues; after that
-    the states are positive whenever the vacuum refill is, which is checked
-    at every step.
+    The layout must be (qubit, mode(s)..., qubit) and rho0 must lie in
+    vacuum (+) one excitation, else ValueError names which fails. rho0 is
+    checked once for trace drift and negative eigenvalues; after that the
+    states are positive whenever the vacuum refill is, which is checked at
+    every step.
     """
     rho, grid = _checked_run(rho0, layout, t_span, dt, sample_every)
     _check_initial_state(0.5 * (rho + dagger(rho)), grid)
-    if terms is None:
-        terms = hamiltonian_terms(params, layout, g_hop=g_hop)
-    drift = _drift_terms(terms, collapse)
-    one = _one_excitation_sector(layout, rho, drift, collapse)
-    return _sector_trajectory(rho, one, drift, schedule, grid, layout, target)
+    one = _one_excitation_sector(layout, rho)
+    return _sector_trajectory(rho, one, params, schedule, grid, layout, target, g_hop)
 
 
 def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
@@ -434,70 +421,57 @@ def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
 # --- the vacuum (+) one-excitation sector ------------------------------------
 #
 # In the basis of the sector, rho = [[rho_vv, u^dag], [u, R]], with R the
-# m x m one-excitation block (m = number of sites) and u the coherence with
-# the vacuum. When the drift maps the vacuum to 0 and the one-excitation
-# states into themselves, and every jump maps those onto the vacuum, the
-# master equation splits into
+# m x m one-excitation block (m = number of sites, one state per site) and u
+# the coherence with the vacuum. The exchange Hamiltonian maps the vacuum to 0
+# and the one-excitation states into themselves, and every jump (qubit decay,
+# photon loss) maps those onto the vacuum, so the master equation splits into
 #     R' = A R + R A^dag,   u' = A u,   rho_vv' = -Tr R',
-# with A the drift restricted to the one-excitation states. So with K(t) the
-# evolution of c' = A c and K~ = 1 (+) K,
+# with A = link_generators the drift -i H - sum_j rate_j L_j^dag L_j / 2 on
+# the one-excitation states. So with K(t) the evolution of c' = A c and
+# K~ = 1 (+) K,
 #     rho(t) = K~ rho0 K~^dag + delta |vac><vac|,   delta = Tr R0 - Tr R(t):
 # the run is the m x q amplitude block C(t) = K(t) C0, whose first columns
 # factor R0 = sum_i c_i c_i^dag and whose last is u0. The first term is a
 # congruence of rho0, so the state is positive whenever rho0 is and
-# delta >= 0; its smallest eigenvalue is at least min(delta, 0).
+# delta >= 0; its smallest eigenvalue is at least min(delta, 0). What is left
+# to admit is the layout, which fixes the sites, and rho0.
 
 
-def _one_excitation_sector(
-    layout: SystemLayout,
-    rho0: np.ndarray,
-    drift: Sequence[np.ndarray],
-    collapse: Sequence[CollapseChannel],
-) -> np.ndarray:
-    """Basis indices of the one-excitation states, once the run provably stays in the sector.
+def _one_excitation_sector(layout: SystemLayout, rho0: np.ndarray) -> np.ndarray:
+    """Basis indices of the one-excitation states by site, once the run is admitted.
 
-    The proof is on the actual matrices: rho0 vanishes outside vacuum (+)
-    one excitation; every drift term (Hamiltonian terms and the decay
-    sum_j rate_j L_j^dag L_j / 2) maps the vacuum to 0 and the one-excitation
-    states into themselves; and every collapse operator annihilates the
-    vacuum and maps the one-excitation states onto the vacuum. Raises
-    ValueError naming the first of these that fails. Index 0 is the vacuum.
+    A run is admitted when the layout is (qubit, mode(s)..., qubit) and rho0
+    vanishes outside vacuum (+) one excitation; else ValueError names which
+    fails. Index 0 is the vacuum.
     """
-    excitations = _population_vectors(layout).sum(axis=0)
-    one = np.flatnonzero(excitations == 1)
-    outside = excitations > 1
+    _check_link_layout(layout)
+    one = _site_states(layout)
+    outside = np.ones(layout.total_dim, dtype=bool)
+    outside[0] = outside[one] = False
     if rho0[outside].any() or rho0[:, outside].any():
         raise ValueError("the initial state lies outside vacuum (+) one excitation")
-    off_one = np.ones(layout.total_dim, dtype=bool)
-    off_one[one] = False
-    for name, m in zip(("static", "g_A", "g_B"), drift):
-        if m[:, 0].any() or m[np.ix_(off_one, one)].any():
-            raise ValueError(f"the {name} drift term leaves vacuum (+) one excitation")
-    for i, ch in enumerate(collapse):
-        if ch.operator[:, 0].any() or ch.operator[1:, one].any():
-            raise ValueError(f"collapse operator {i} leaves vacuum (+) one excitation")
     return one
 
 
 def _sector_trajectory(
     rho: np.ndarray,
     one: np.ndarray,
-    drift: Sequence[np.ndarray],
+    params: LinkParams,
     schedule: CouplingSchedule,
     grid: _Grid,
     layout: SystemLayout,
     target: Optional[PureQubitSpec],
+    g_hop: float,
 ) -> Trajectory:
-    """evolve on a sector run: RK4 on C, then the columns in closed form.
+    """evolve on an admitted run: RK4 on C, then the columns in closed form.
 
     R0 is factored by pivoted Cholesky, not eigh, whose LAPACK code alone adds
     0.4 MB of resident memory; u0 is the Hermitian part, as in dense samples.
     """
-    m = len(one)
     r = rho[np.ix_(one, one)]
     r = 0.5 * (r + dagger(r))
     floor, columns = 1e-15 * r.trace().real, []
-    for _ in range(m):  # pivoted Cholesky: R0 = sum_i c_i c_i^dag
+    for _ in range(len(one)):  # pivoted Cholesky: R0 = sum_i c_i c_i^dag
         k = int(np.argmax(r.diagonal().real))
         if r[k, k].real <= floor:
             break
@@ -505,40 +479,31 @@ def _sector_trajectory(
         r = r - np.outer(columns[-1], columns[-1].conj())
     rank = len(columns)
     c0 = np.column_stack(columns + [0.5 * (rho[one, 0] + rho[0, one].conj())])
-    generators = _realified(np.stack([a[np.ix_(one, one)] for a in drift]))
-    steps = grid.sample_steps()
-    # divergence surfaces as an IntegrationError from the per-step check, so
-    # transient overflow warnings from an unstable step are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _rk4_amplitudes(np.concatenate([c0.real, c0.imag]), rank, generators,
-                                 schedule, grid, steps)
+    times, c = _amplitude_run(c0, rank, params, schedule, grid, g_hop)
     trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
-    return _amplitude_trajectory(grid.t0 + steps * grid.h, blocks[:, :m] + 1j * blocks[:, m:],
-                                 rank, trace, one, layout, target)
+    return _amplitude_trajectory(times, c, rank, trace, layout, target)
 
 
 def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: float,
-                          one: np.ndarray, layout: SystemLayout,
+                          layout: SystemLayout,
                           target: Optional[PureQubitSpec]) -> Trajectory:
     """The trajectory of amplitude blocks C = [R's factors, u], columns in closed form.
 
-    one holds the basis index of each one-excitation state. Populations are
-    diag R, the purity is rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R,
-    the fidelity reads rho_B off R_BB and u_B, and dense states are built
-    only when read.
+    C's rows are the sites. Populations are diag R, the purity is
+    rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R, the fidelity reads
+    rho_B off R_BB and u_B, and dense states are built only when read.
     """
-    d = layout.total_dim
+    d, one = layout.total_dim, _site_states(layout)
     r, u = c[..., :rank], c[..., -1]
     r_diag = (r.real**2 + r.imag**2).sum(axis=-1)
     vacuum = trace - r_diag.sum(axis=-1)
     gram = r.conj().swapaxes(-1, -2) @ r
     purity = vacuum**2 + 2.0 * (u.real**2 + u.imag**2).sum(axis=-1)
     purity += (gram.real**2 + gram.imag**2).sum(axis=(-2, -1))
-    sites = _population_vectors(layout)[:, one]  # the site of each one-excitation state
     fidelity = None
     if target is not None:
         proj = receiver_frame(target.density_matrix())
-        pop_b, u_b = r_diag @ sites[-1], u @ sites[-1]
+        pop_b, u_b = r_diag[..., -1], u[..., -1]
         fidelity = np.clip(proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
                            + 2.0 * (proj[0, 1] * u_b).real, 0.0, 1.0)
 
@@ -553,7 +518,7 @@ def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: fl
 
     return Trajectory(
         layout=layout, times=times, state_at=state_at,
-        populations=r_diag @ sites.T, trace=np.full(len(times), trace), purity=purity,
+        populations=r_diag, trace=np.full(len(times), trace), purity=purity,
         fidelity=fidelity, target=target,
     )
 
@@ -596,11 +561,11 @@ class LinkChannel:
                         rho_a: Optional[np.ndarray] = None) -> Trajectory:
         """Trajectory with rho_a (default: target) on A, scored against target, in closed form."""
         rho_a = target.density_matrix() if rho_a is None else rho_a
-        layout = link_layout(n_mediators=self.amplitudes.shape[-1] - 2)
-        one = np.ravel_multi_index(tuple(np.eye(layout.n_sites, dtype=int)), layout.dims)
         factors = np.array([math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]])
         return _amplitude_trajectory(self.times, self.amplitudes[..., None] * factors, 1,
-                                     rho_a.trace().real, one, layout, target)
+                                     rho_a.trace().real,
+                                     link_layout(n_mediators=self.amplitudes.shape[-1] - 2),
+                                     target)
 
 
 def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
@@ -608,18 +573,32 @@ def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
                  g_hop: float = 0.0) -> LinkChannel:
     """Run the link once from |1> on A over (0, t_final): its channel at every sample.
 
-    RK4 steps e_A under link_generators with evolve's grid and per-step
-    checks, delta = 1 - sum_i |c_i|^2 for the refill: an input's is p delta.
-    dt defaults to default_dt(params, schedule).
+    RK4 steps e_A as evolve steps its amplitudes, with the same grid and
+    per-step checks; delta = 1 - sum_i |c_i|^2 is the refill, and an input's
+    is p delta. dt defaults to default_dt(params, schedule).
     """
     if dt is None:
         dt = default_dt(params, schedule)
     grid = _checked_grid((0.0, t_final), dt, sample_every)
-    m, steps = n_mediators + 2, grid.sample_steps()
-    generators = _realified(link_generators(params, n_mediators, g_hop))
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked per step
-        blocks = _rk4_amplitudes(np.eye(2 * m, 1), 1, generators, schedule, grid, steps)
-    return LinkChannel(grid.t0 + steps * grid.h, blocks[:, :m, 0] + 1j * blocks[:, m:, 0])
+    e_a = np.eye(n_mediators + 2, 1, dtype=complex)
+    times, c = _amplitude_run(e_a, 1, params, schedule, grid, g_hop)
+    return LinkChannel(times, c[..., 0])
+
+
+def _amplitude_run(c0: np.ndarray, rank: int, params: LinkParams, schedule: CouplingSchedule,
+                   grid: _Grid, g_hop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and C = K C0 at each, by RK4 under link_generators.
+
+    C0 is m x q, m = n_mediators + 2 sites; its first rank columns factor R0.
+    """
+    m, steps = len(c0), grid.sample_steps()
+    generators = _realified(link_generators(params, m - 2, g_hop))
+    # divergence surfaces as an IntegrationError from the per-step check, so
+    # transient overflow warnings from an unstable step are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _rk4_amplitudes(np.concatenate([c0.real, c0.imag]), rank, generators,
+                                 schedule, grid, steps)
+    return grid.t0 + steps * grid.h, blocks[:, :m] + 1j * blocks[:, m:]
 
 
 def _realified(a: np.ndarray) -> np.ndarray:

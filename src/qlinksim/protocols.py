@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .qspace import PureQubitSpec, link_layout, partial_trace, product_state
+from .qspace import PureQubitSpec, link_layout, product_state
 
 __all__ = [
     "ConstantSchedule",
@@ -32,6 +32,13 @@ DEFAULT_ADIABATICITY = 100.0
 DEFAULT_DELAY_RATIO = 1.2
 
 
+def _check_peaks(schedule: CouplingSchedule) -> None:
+    """Raise ValueError naming a peak coupling that is not finite and >= 0."""
+    for name in ("g0_a", "g0_b"):
+        if not 0 <= getattr(schedule, name) < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ConstantSchedule:
     """Couplings held at g0_a, g0_b for all times."""
@@ -40,8 +47,7 @@ class ConstantSchedule:
     g0_b: float
 
     def __post_init__(self) -> None:
-        if self.g0_a < 0 or self.g0_b < 0:
-            raise ValueError("peak couplings must be >= 0")
+        _check_peaks(self)
 
     def g_a_at(self, t: float) -> float:
         return self.g0_a
@@ -70,12 +76,12 @@ class StirapSchedule:
     t_center: float = -1.0  # sentinel: resolved to 3*pulse_width
 
     def __post_init__(self) -> None:
-        if self.g0_a < 0 or self.g0_b < 0:
-            raise ValueError("peak couplings must be >= 0")
-        if self.pulse_width <= 0:
-            raise ValueError("pulse_width must be > 0")
-        if self.t_delay <= 0:
-            raise ValueError("t_delay must be > 0")
+        _check_peaks(self)
+        for name in ("pulse_width", "t_delay"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not math.isfinite(self.t_center):
+            raise ValueError("t_center must be finite")
         if self.t_center < 0:
             object.__setattr__(self, "t_center", 3.0 * self.pulse_width)
 
@@ -145,7 +151,6 @@ def stirap_grid_search(
     layout = link_layout()
     target = PureQubitSpec(theta=math.pi)
     rho0 = product_state([target, None, None], layout)
-    collapse = dynamics.standard_collapse(params, layout)
     records = []
     for width in width_grid:
         for delay in delay_grid:
@@ -156,15 +161,15 @@ def stirap_grid_search(
             step = dt if dt is not None else dynamics.default_dt(params, schedule)
             try:
                 traj = dynamics.evolve(
-                    rho0, layout, params, schedule, collapse, (0.0, t1), step,
+                    rho0, layout, params, schedule, (0.0, t1), step,
                     sample_every=max(1, int(round(t1 / step)) // 50), target=target,
                 )
             except dynamics.IntegrationError as err:
                 raise dynamics.IntegrationError(
                     f"grid point (T={width:g}, t_delay={delay:g}): {err}", t=err.t
                 ) from err
-            rho_b = partial_trace(traj.final_state, layout.n_sites - 1, layout)
-            fid = float(np.real(rho_b[1, 1]))
+            # B's excited population: the fidelity of its state against |1>
+            fid = float(traj.pop_b[-1])
             records.append(
                 {"pulse_width": width, "t_delay": delay, "window": t1, "fidelity": fid}
             )

@@ -127,20 +127,32 @@ def sampled_trajectory(layout, times, states, target=None) -> Trajectory:
     )
 
 
-def evolve_dense(rho0, layout, params, schedule, collapse, t_span, dt, sample_every=1,
-                 target=None, g_hop=0.0, terms=None) -> Trajectory:
+def drift_terms(terms, collapse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drift M(t) = m_static + g_A(t) m_a + g_B(t) m_b of the master equation.
+
+    M = -i H - sum_j rate_j L_j^dag L_j / 2, so that
+    rhs(rho) = M rho + rho M^dag + sum_j rate_j L_j rho L_j^dag.
+    """
+    decay = np.zeros_like(terms.h_static, dtype=complex)
+    for ch in collapse:
+        decay += 0.5 * ch.rate * (dagger(ch.operator) @ ch.operator)
+    return -1j * terms.h_static - decay, -1j * terms.h_a, -1j * terms.h_b
+
+
+def evolve_dense(rho0, layout, params, schedule, t_span, dt, sample_every=1, target=None,
+                 g_hop=0.0) -> Trajectory:
     """dynamics.evolve by classical RK4 on the whole density matrix: the reference.
 
-    The Hamiltonian is re-evaluated at the substage times, and samples are
+    The Hamiltonian terms and collapse operators are built by kron embedding,
+    the Hamiltonian is re-evaluated at the substage times, and samples are
     re-symmetrized as (rho + rho^dag)/2 before storage. It takes any state,
     in or outside the one-excitation sector.
     """
     rho, grid = dynamics._checked_run(rho0, layout, t_span, dt, sample_every)
     t0, h, n_steps = grid.t0, grid.h, grid.n_steps
-    if terms is None:
-        terms = hamiltonian_terms(params, layout, g_hop=g_hop)
+    collapse = standard_collapse(params, layout)
     h2 = 0.5 * h
-    m_static, m_a, m_b = dynamics._drift_terms(terms, collapse)
+    m_static, m_a, m_b = drift_terms(hamiltonian_terms(params, layout, g_hop=g_hop), collapse)
     if collapse:
         jump = np.stack([ch.rate * ch.operator for ch in collapse])
         jump_dag = np.stack([dagger(ch.operator) for ch in collapse])
@@ -288,18 +300,19 @@ def refilled_states(columns, n_factor, refill, base):
     return states
 
 
-def sector_reference(rho0, layout, params, schedule, collapse, t_span, dt, sample_every=1,
-                     target=None, g_hop=0.0, terms=None):
+def sector_reference(rho0, layout, params, schedule, t_span, dt, sample_every=1, target=None,
+                     g_hop=0.0):
     """evolve on a one-excitation run, by RK4 on its full-space columns plus the vacuum refill.
 
     rho(t) = sum_i x_i x_i^dag + (|vac><u| + |u><vac|) + (rho_vv0 + delta) |vac><vac|,
-    where the x_i and u evolve by x' = M(t) x and delta is the norm the x_i
+    where the x_i and u evolve by x' = M(t) x, with M built from the kron-built
+    Hamiltonian terms and collapse operators, and delta is the norm the x_i
     lose. The columns are derived in sampled_trajectory, like evolve_dense's.
     """
-    if terms is None:
-        terms = hamiltonian_terms(params, layout, g_hop=g_hop)
+    terms = hamiltonian_terms(params, layout, g_hop=g_hop)
     x0 = sector_columns(np.asarray(rho0, dtype=complex), layout)
-    times, columns = rk4_columns(terms, collapse, schedule, x0, t_span, dt, sample_every)
+    times, columns = rk4_columns(terms, standard_collapse(params, layout), schedule, x0,
+                                 t_span, dt, sample_every)
     n_factor = x0.shape[1] - 1
     u = columns[..., -1]
     base = np.zeros(columns.shape[:1] + (len(rho0), len(rho0)), dtype=complex)
@@ -416,10 +429,8 @@ def run_choi_probe(params, schedule, t_final, dt=None, *, sample_every=100, n_me
     if dt is None:
         dt = default_dt(params, schedule)
     rho0 = product_state([np.full((2, 2), 0.5)] + [None] * (layout.n_sites - 1), layout)
-    link = dynamics.evolve(
-        rho0, layout, params, schedule, standard_collapse(params, layout),
-        (0.0, t_final), dt, sample_every=sample_every, g_hop=g_hop,
-    )
+    link = dynamics.evolve(rho0, layout, params, schedule, (0.0, t_final), dt,
+                           sample_every=sample_every, g_hop=g_hop)
     probe_layout = SystemLayout((Qubit(),) + layout.sites)
     joints = _choi_states(link.states)
     traj = sampled_trajectory(probe_layout, link.times, joints)
@@ -477,9 +488,8 @@ def evolved_hop(input_qubit, link, target, channel=None):
     rho0 = product_state([input_qubit] + [None] * (layout.n_sites - 1), layout)
     dt = link.dt if link.dt is not None else default_dt(params, link.schedule)
     traj = dynamics.evolve(
-        rho0, layout, params, link.schedule, standard_collapse(params, layout),
-        (0.0, link.hop_time), dt, sample_every=link.sample_every, target=target,
-        g_hop=link.g_hop,
+        rho0, layout, params, link.schedule, (0.0, link.hop_time), dt,
+        sample_every=link.sample_every, target=target, g_hop=link.g_hop,
     )
     out = receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
     return 0.5 * (out + out.conj().T), traj
@@ -494,16 +504,12 @@ def make_link_run(params, schedule, t_final, dt) -> Callable[[PureQubitSpec], np
     Places the input on A, evolves to t_final and reads B in the receiver frame.
     """
     layout = link_layout()
-    collapse = standard_collapse(params, layout)
-    terms = hamiltonian_terms(params, layout)
     n_steps = max(1, int(round(t_final / dt)))
 
     def run(spec: PureQubitSpec) -> np.ndarray:
         rho0 = product_state([spec] + [None] * (layout.n_sites - 1), layout)
-        traj = dynamics.evolve(
-            rho0, layout, params, schedule, collapse, (0.0, t_final), dt,
-            sample_every=n_steps, terms=terms,
-        )
+        traj = dynamics.evolve(rho0, layout, params, schedule, (0.0, t_final), dt,
+                               sample_every=n_steps)
         return receiver_frame(partial_trace(traj.final_state, layout.n_sites - 1, layout))
 
     return run

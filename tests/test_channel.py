@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     choi_coherent_information,
     choi_entanglement_fidelity,
+    drift_terms,
     evolve_dense,
     evolved_hop,
     run_choi_probe,
@@ -62,18 +63,21 @@ def test_generators_are_the_kron_built_drift_on_the_sector(case, n_mediators):
     params = GENERATOR_CASES[case]
     g_hop = 4e7 if n_mediators > 1 else 0.0
     layout = link_layout(n_mediators=n_mediators)
-    drift = dynamics._drift_terms(dynamics.hamiltonian_terms(params, layout, g_hop=g_hop),
-                                  standard_collapse(params, layout))
+    collapse = standard_collapse(params, layout)
+    drift = drift_terms(dynamics.hamiltonian_terms(params, layout, g_hop=g_hop), collapse)
     one = site_ordered_sector(layout)
     restricted = np.stack([m[np.ix_(one, one)] for m in drift])
     np.testing.assert_allclose(link_generators(params, n_mediators, g_hop), restricted,
                                rtol=0, atol=1e-15)
-    # the drift does not leave the sector, so the restriction is the whole of it
-    vacuum = np.zeros((layout.total_dim, layout.total_dim))
-    vacuum[0, 0] = 1.0
-    sector = dynamics._one_excitation_sector(layout, vacuum, drift,
-                                             standard_collapse(params, layout))
-    np.testing.assert_array_equal(sector, np.sort(one))
+    # the drift maps the vacuum to 0 and the one-excitation states into
+    # themselves, and every jump maps those onto the vacuum, so the
+    # restriction is the whole of a run that starts in vacuum (+) one excitation
+    off_one = np.ones(layout.total_dim, dtype=bool)
+    off_one[one] = False
+    for m in drift:
+        assert not m[:, 0].any() and not m[np.ix_(off_one, one)].any()
+    for ch in collapse:
+        assert not ch.operator[:, 0].any() and not ch.operator[1:, one].any()
 
 
 def test_generators_need_a_mediator():
@@ -103,8 +107,7 @@ def test_received_state_pins_the_conjugation_convention():
 
     layout = link_layout()
     run = dict(rho0=product_state([spec, None, None], layout), layout=layout, params=params,
-               schedule=schedule, collapse=standard_collapse(params, layout),
-               t_span=(0.0, t_final), dt=dt, sample_every=50)
+               schedule=schedule, t_span=(0.0, t_final), dt=dt, sample_every=50)
     for stepper, tol in ((evolve, EQUIVALENCE_TOL), (evolve_dense, RK4_ERROR_TOL)):
         final = stepper(**run).final_state
         np.testing.assert_allclose(received, receiver_frame(partial_trace(final, 2, layout)),

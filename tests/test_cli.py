@@ -176,13 +176,13 @@ class TestScenarioRuns:
     def test_mediator_chain_trajectory_header(self):
         # library-level layouts with several mediators get numbered columns
         from qlinksim.cli import _trajectory_rows
-        from qlinksim.dynamics import LinkParams, evolve, standard_collapse
+        from qlinksim.dynamics import LinkParams, evolve
         from qlinksim.qspace import link_layout, product_state
 
         layout = link_layout(n_mediators=3)
         params = LinkParams(g_a=1e7, g_b=1e7)
         rho0 = product_state([None] * 5, layout)
-        traj = evolve(rho0, layout, params, params.constant_schedule(), [],
+        traj = evolve(rho0, layout, params, params.constant_schedule(),
                       (0.0, 1e-8), 1e-10, sample_every=10, g_hop=1e7)
         header, rows = _trajectory_rows(traj)
         assert header == [

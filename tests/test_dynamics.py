@@ -17,9 +17,15 @@ from qlinksim.dynamics import (
     LinkParams,
     default_dt,
     evolve,
+    link_channel,
     standard_collapse,
 )
-from qlinksim.protocols import ConstantSchedule, default_stirap, default_stirap_window
+from qlinksim.protocols import (
+    ConstantSchedule,
+    StirapSchedule,
+    default_stirap,
+    default_stirap_window,
+)
 from qlinksim.qspace import PureQubitSpec, link_layout, local_operator, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -159,7 +165,7 @@ class TestEvolve:
     def test_null_generator_returns_initial_state_exactly(self):
         params = LinkParams(g_a=0.0, g_b=0.0)
         rho0 = product_state([PureQubitSpec(theta=1.0, phi=0.5), None, None], LAYOUT)
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 1e-6), 1e-9, sample_every=100)
         # every stored sample is bit-identical: the generator contributes
         # exact zeros, so nothing can drift
@@ -180,7 +186,7 @@ class TestEvolve:
 
         rho0 = product_state([EXCITED, None, None], LAYOUT)
         dt = t_star / 2000
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, t_star), dt, sample_every=100, target=EXCITED)
 
         for i, t in enumerate(traj.times):
@@ -197,9 +203,8 @@ class TestEvolve:
         gamma = 6 * TWO_PI_MHZ
         params = LinkParams(g_a=0.0, g_b=0.0, gamma_a=gamma)
         rho0 = product_state([EXCITED, None, None], LAYOUT)
-        collapse = standard_collapse(params, LAYOUT)
         t_end = 3.0 / gamma
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), collapse,
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, t_end), 0.5 * NS, sample_every=10)
         for t, pop in zip(traj.times, traj.pop_a):
             assert pop == pytest.approx(math.exp(-gamma * t), rel=1e-6)
@@ -209,9 +214,8 @@ class TestEvolve:
         params = LinkParams(g_a=0.0, g_b=0.0, kappa=kappa)
         photon = np.diag([0.0, 1.0]).astype(complex)
         rho0 = product_state([None, photon, None], LAYOUT)
-        collapse = standard_collapse(params, LAYOUT)
         t_end = 2.0 / kappa
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), collapse,
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, t_end), 1 * NS, sample_every=100)
         assert traj.pop_w[-1, 0] == pytest.approx(math.exp(-kappa * t_end), rel=1e-6)
 
@@ -219,7 +223,7 @@ class TestEvolve:
         g = 5.8 * TWO_PI_MHZ
         params = LinkParams(g_a=g, g_b=g)
         rho0 = product_state([PureQubitSpec(theta=2.0, phi=1.0), None, None], LAYOUT)
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 1e-6), 0.25 * NS, sample_every=200)
         total = traj.populations.sum(axis=1)
         assert np.abs(total - total[0]).max() < 1e-8
@@ -230,15 +234,14 @@ class TestEvolve:
         rho0 = product_state([PureQubitSpec(theta=1.2), None, None], LAYOUT)
         # undamped phase errors accumulate ~ N (2 sqrt(2) g dt)^5 / 120, so the
         # step must over-resolve the Rabi rate to hold purity at 1e-6
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 1e-6), 0.2 * NS, sample_every=200)
         assert np.abs(traj.purity - 1.0).max() < 1e-6
 
     def test_sampled_states_are_valid_density_matrices(self):
         params = fig4_params()
         rho0 = product_state([PureQubitSpec(theta=math.pi / 2), None, None], LAYOUT)
-        collapse = standard_collapse(params, LAYOUT)
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), collapse,
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 2e-6), 0.5 * NS, sample_every=200,
                       target=PureQubitSpec(theta=math.pi / 2))
         assert np.abs(traj.trace - 1.0).max() < 1e-8
@@ -254,7 +257,7 @@ class TestEvolve:
         collapse = standard_collapse(params, LAYOUT)
         h = hamiltonian_at(0.0, params, sched, LAYOUT)
         for t_end in [0.2 * US, 1.0 * US]:
-            traj = evolve(rho0, LAYOUT, params, sched, collapse,
+            traj = evolve(rho0, LAYOUT, params, sched,
                           (0.0, t_end), 1 * NS, sample_every=10 ** 9)
             expected = propagator_oracle(rho0, h, collapse, t_end)
             assert np.abs(traj.final_state - expected).max() < 1e-6
@@ -263,10 +266,9 @@ class TestEvolve:
         params = fig4_params()
         sched = params.constant_schedule()
         rho0 = product_state([EXCITED, None, None], LAYOUT)
-        collapse = standard_collapse(params, LAYOUT)
         finals = []
         for dt in [0.5 * NS, 0.25 * NS]:
-            traj = evolve(rho0, LAYOUT, params, sched, collapse,
+            traj = evolve(rho0, LAYOUT, params, sched,
                           (0.0, 0.2 * US), dt, sample_every=10 ** 9)
             finals.append(traj.final_state)
         assert np.abs(finals[0] - finals[1]).max() < 1e-7
@@ -274,7 +276,7 @@ class TestEvolve:
     def test_uniform_grid_lands_on_final_time(self):
         params = LinkParams(g_a=0.0, g_b=0.0)
         rho0 = product_state([None, None, None], LAYOUT)
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 1e-6), 0.3e-9, sample_every=1000)
         assert traj.times[-1] == pytest.approx(1e-6, rel=1e-12)
 
@@ -283,7 +285,7 @@ class TestEvolve:
         params = LinkParams(g_a=g, g_b=g)
         rho0 = product_state([EXCITED, None, None], LAYOUT)
         with pytest.raises(IntegrationError) as err:
-            evolve(rho0, LAYOUT, params, params.constant_schedule(), [],
+            evolve(rho0, LAYOUT, params, params.constant_schedule(),
                    (0.0, 1e-6), 4 * NS, sample_every=10)
         assert err.value.t is not None
 
@@ -292,13 +294,53 @@ class TestEvolve:
         rho0 = product_state([None, None, None], LAYOUT)
         sched = params.constant_schedule()
         with pytest.raises(ValueError):
-            evolve(rho0, LAYOUT, params, sched, [], (0.0, 1e-6), -1e-9)
+            evolve(rho0, LAYOUT, params, sched, (0.0, 1e-6), -1e-9)
         with pytest.raises(ValueError):
-            evolve(rho0, LAYOUT, params, sched, [], (1e-6, 0.0), 1e-9)
+            evolve(rho0, LAYOUT, params, sched, (1e-6, 0.0), 1e-9)
         with pytest.raises(ValueError):
-            evolve(rho0, LAYOUT, params, sched, [], (0.0, 1e-6), 1e-9, sample_every=0)
+            evolve(rho0, LAYOUT, params, sched, (0.0, 1e-6), 1e-9, sample_every=0)
         with pytest.raises(ValueError):
-            evolve(np.eye(4) / 4, LAYOUT, params, sched, [], (0.0, 1e-6), 1e-9)
+            evolve(np.eye(4) / 4, LAYOUT, params, sched, (0.0, 1e-6), 1e-9)
+
+
+def _run_link(t_span=(0.0, 1e-6), dt=1e-9):
+    params = LinkParams(g_a=1e7, g_b=1e7)
+    rho0 = product_state([EXCITED, None, None], LAYOUT)
+    return evolve(rho0, LAYOUT, params, params.constant_schedule(), t_span, dt)
+
+
+def _stirap(**kwargs):
+    return StirapSchedule(**{"g0_a": 1e7, "g0_b": 1e7, "pulse_width": 1e-7, "t_delay": 1e-7,
+                             **kwargs})
+
+
+@pytest.mark.parametrize("field, build", [
+    pytest.param("dt", lambda: _run_link(dt=math.inf), id="evolve-dt-inf"),
+    pytest.param("dt", lambda: _run_link(dt=math.nan), id="evolve-dt-nan"),
+    pytest.param("t_span", lambda: _run_link(t_span=(0.0, math.inf)), id="evolve-t1-inf"),
+    pytest.param("t_span", lambda: _run_link(t_span=(math.nan, 1e-6)), id="evolve-t0-nan"),
+    pytest.param("dt", lambda: link_channel(LinkParams(g_a=1e7, g_b=1e7),
+                                            ConstantSchedule(g0_a=1e7, g0_b=1e7), 1e-6,
+                                            math.nan), id="link-channel-dt-nan"),
+    pytest.param("g_a", lambda: LinkParams(g_a=math.nan, g_b=1e7), id="params-g_a-nan"),
+    pytest.param("kappa", lambda: LinkParams(g_a=1e7, g_b=1e7, kappa=math.inf),
+                 id="params-kappa-inf"),
+    pytest.param("gamma_b", lambda: LinkParams(g_a=1e7, g_b=1e7, gamma_b=math.nan),
+                 id="params-gamma_b-nan"),
+    pytest.param("omega_q", lambda: LinkParams(g_a=1e7, g_b=1e7, omega_q=math.inf,
+                                               omega_w=1e8), id="params-omega_q-inf"),
+    pytest.param("g0_b", lambda: ConstantSchedule(g0_a=1e7, g0_b=math.nan),
+                 id="constant-g0_b-nan"),
+    pytest.param("g0_a", lambda: _stirap(g0_a=math.inf), id="stirap-g0_a-inf"),
+    pytest.param("pulse_width", lambda: _stirap(pulse_width=math.nan),
+                 id="stirap-pulse_width-nan"),
+    pytest.param("t_delay", lambda: _stirap(t_delay=math.inf), id="stirap-t_delay-inf"),
+    pytest.param("t_center", lambda: _stirap(t_center=math.inf), id="stirap-t_center-inf"),
+    pytest.param("t_center", lambda: _stirap(t_center=math.nan), id="stirap-t_center-nan"),
+])
+def test_non_finite_input_is_rejected_naming_the_field(field, build):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        build()
 
 
 class TestPropagatorOracle:
@@ -353,8 +395,7 @@ class TestDefaults:
     def test_stabilization_time(self):
         params = fig4_params()
         rho0 = product_state([EXCITED, None, None], LAYOUT)
-        collapse = standard_collapse(params, LAYOUT)
-        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(), collapse,
+        traj = evolve(rho0, LAYOUT, params, params.constant_schedule(),
                       (0.0, 1e-6), 1 * NS, sample_every=10, target=EXCITED)
         t_stab = traj.stabilization_time(tol=0.01)
         assert 0.0 < t_stab < 1e-6

@@ -353,7 +353,7 @@ class TestProbeChannelMap:
         target = PureQubitSpec(theta=1.1, phi=0.7)
         layout = link_layout()
         rho0 = product_state([target, None, None], layout)
-        dense = evolve(rho0, layout, params, schedule, standard_collapse(params, layout),
+        dense = evolve(rho0, layout, params, schedule,
                        (0.0, t_final), dt, sample_every=sample_every, target=target)
         derived = channel.link_trajectory(target)
         np.testing.assert_array_equal(derived.times, dense.times)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlinksim.dynamics import LinkParams, default_dt, evolve, standard_collapse
+from qlinksim.dynamics import LinkParams, default_dt, evolve
 from qlinksim.protocols import (
     ConstantSchedule,
     StirapSchedule,
@@ -114,12 +114,12 @@ class TestDarkState:
         sched = default_stirap(g0, adiabaticity=50.0)
         t0, t1 = default_stirap_window(sched)
         dt = default_dt(params, sched)
-        traj = evolve(rho0, layout, params, sched, [], (t0, t1), dt, sample_every=20)
+        traj = evolve(rho0, layout, params, sched, (t0, t1), dt, sample_every=20)
         assert traj.pop_w.max() < 0.1
 
         const = params.constant_schedule()
         t_rabi = math.pi / (math.sqrt(2.0) * g0)
-        traj_const = evolve(rho0, layout, params, const, [], (0.0, 2 * t_rabi), dt,
+        traj_const = evolve(rho0, layout, params, const, (0.0, 2 * t_rabi), dt,
                             sample_every=5)
         assert traj_const.pop_w.max() > 0.4
 

@@ -1,7 +1,7 @@
 """The one-excitation amplitude engine against its references.
 
-evolve steps the amplitudes of the one-excitation states of a run that
-provably stays in vacuum (+) one excitation, and rejects every other run. Its
+evolve steps the amplitudes of the one-excitation states of a link run that
+starts in vacuum (+) one excitation, and rejects every other run. Its
 reference here is the same RK4 on the run's full-space column vectors plus
 the vacuum refill (conftest's sector_reference), which agrees to roundoff;
 conftest's evolve_dense (RK4 on the whole density matrix) and
@@ -9,6 +9,7 @@ propagator_oracle agree to the RK4 error.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import cli, dynamics, network
+from qlinksim import cli, dynamics, network, qspace
 from qlinksim.cli import build_config, run_scenario
 from qlinksim.dynamics import (
     IntegrationError,
@@ -35,7 +36,7 @@ from qlinksim.dynamics import (
     standard_collapse,
 )
 from qlinksim.protocols import StirapSchedule, default_stirap_window
-from qlinksim.qspace import PureQubitSpec, link_layout, product_state
+from qlinksim.qspace import Mode, PureQubitSpec, Qubit, SystemLayout, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 EQUIVALENCE_TOL = 1e-12
@@ -95,9 +96,8 @@ def sector_runs(draw):
     layout = link_layout(n_mediators=n_mediators, mode_dim=mode_dim)
     rho0 = product_state([input_a] + [None] * (layout.n_sites - 1), layout)
     return dict(
-        rho0=rho0, layout=layout, params=params, schedule=schedule,
-        collapse=standard_collapse(params, layout), t_span=(0.0, t_final), dt=dt,
-        sample_every=draw(st.integers(1, 50)), target=PureQubitSpec(theta=1.1, phi=0.7),
+        rho0=rho0, layout=layout, params=params, schedule=schedule, t_span=(0.0, t_final),
+        dt=dt, sample_every=draw(st.integers(1, 50)), target=PureQubitSpec(theta=1.1, phi=0.7),
         g_hop=g_hop,
     )
 
@@ -122,18 +122,18 @@ def fig5_red_run(t_final, dt):
     return dict(
         rho0=product_state([PureQubitSpec(theta=math.pi / 2), None, None], layout),
         layout=layout, params=params, schedule=params.constant_schedule(),
-        collapse=standard_collapse(params, layout), t_span=(0.0, t_final), dt=dt,
+        t_span=(0.0, t_final), dt=dt,
     )
 
 
 def first_refill_failure(run):
     """Step at which the reference's vacuum refill first breaks the bound, and dt."""
-    rho0, layout = run["rho0"], run["layout"]
-    terms = dynamics.hamiltonian_terms(run["params"], layout)
+    rho0, layout, params = run["rho0"], run["layout"], run["params"]
+    terms = dynamics.hamiltonian_terms(params, layout)
     x0 = sector_columns(rho0, layout)[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        times, columns = rk4_columns(terms, run["collapse"], run["schedule"], x0,
-                                     run["t_span"], run["dt"])
+        times, columns = rk4_columns(terms, standard_collapse(params, layout), run["schedule"],
+                                     x0, run["t_span"], run["dt"])
         delta = (np.abs(x0) ** 2).sum() - (np.abs(columns) ** 2).sum(axis=(1, 2))
         failed = ~np.isfinite(delta) | (delta < dynamics.MIN_EIGENVALUE_MIN)
     assert failed.any()
@@ -181,8 +181,8 @@ def link_run(params, schedule, t_final, dt):
     layout = link_layout()
     target = PureQubitSpec(theta=1.1, phi=0.7)
     return dict(rho0=product_state([target, None, None], layout), layout=layout,
-                params=params, schedule=schedule, collapse=standard_collapse(params, layout),
-                t_span=(0.0, t_final), dt=dt, sample_every=25, target=target)
+                params=params, schedule=schedule, t_span=(0.0, t_final), dt=dt, sample_every=25,
+                target=target)
 
 
 @pytest.mark.parametrize("run", [
@@ -204,7 +204,7 @@ def test_engine_matches_the_exponential_oracle_to_the_rk4_error():
     traj = evolve(**run)
     for t, state in zip(traj.times[::10], traj.states[::10]):
         np.testing.assert_allclose(
-            state, propagator_oracle(run["rho0"], h, run["collapse"], t),
+            state, propagator_oracle(run["rho0"], h, standard_collapse(FIG4, run["layout"]), t),
             rtol=0, atol=RK4_ERROR_TOL)
 
 
@@ -222,8 +222,34 @@ def test_single_excitation_scenarios_never_step_densely(name, tmp_path, monkeypa
     assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
 
 
+def _kron_built(*args, **kwargs):
+    raise AssertionError("kron-built operator used")
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
+def test_scenarios_build_no_kron_operators(name, tmp_path, monkeypatch):
+    # every link run steps link_generators; the kron-built Hamiltonian and
+    # collapse operators are the references' and the public API's only
+    kron = (dynamics.hamiltonian_terms, dynamics.standard_collapse, qspace.embed)
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qlinksim"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in kron):
+                monkeypatch.setattr(module, attr, _kron_built)
+    assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
+
+
 class TestDensePathStays:
-    """Runs that once took the dense path: evolve rejects them and names why."""
+    """Runs outside a link's vacuum (+) one excitation: evolve rejects them and names why."""
+
+    @pytest.mark.parametrize("sites", [(Qubit(), Qubit()), (Qubit(), Qubit(), Qubit()),
+                                       (Qubit(), Mode(), Qubit(), Mode())],
+                             ids=["two-qubits", "three-qubits", "mode-last"])
+    def test_layout_that_is_not_a_link(self, sites):
+        layout = SystemLayout(sites)
+        params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ)
+        rho0 = product_state([None] * layout.n_sites, layout)
+        with pytest.raises(ValueError, match="link layout"):
+            evolve(rho0, layout, params, params.constant_schedule(), (0.0, 1e-8), 1e-9)
 
     def test_two_excitations(self):
         layout = link_layout()
@@ -231,8 +257,8 @@ class TestDensePathStays:
         excited = PureQubitSpec(theta=math.pi)
         rho0 = product_state([excited, None, excited], layout)
         with pytest.raises(ValueError, match=r"initial state lies outside vacuum \(\+\) one"):
-            evolve(rho0, layout, params, params.constant_schedule(),
-                   standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
+            evolve(rho0, layout, params, params.constant_schedule(), (0.0, 1e-7), 1e-9,
+                   sample_every=10)
 
     def test_coherence_with_two_excitations(self):
         layout = link_layout()
@@ -241,32 +267,8 @@ class TestDensePathStays:
         # (|0> + |1>) on A with B excited: one excitation coherent with two
         rho0 = product_state([plus, None, excited], layout)
         with pytest.raises(ValueError, match=r"initial state lies outside vacuum \(\+\) one"):
-            evolve(rho0, layout, params, params.constant_schedule(),
-                   standard_collapse(params, layout), (0.0, 1e-7), 1e-9, sample_every=10)
-
-    def test_leaking_hamiltonian_term(self):
-        # a static term coupling a one-excitation state to a two-excitation one
-        layout = link_layout()
-        params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ)
-        terms = dynamics.hamiltonian_terms(params, layout)
-        leak = np.zeros((8, 8), dtype=complex)
-        leak[0b110, 0b100] = leak[0b100, 0b110] = 1e7  # |1 0 0> <-> |1 1 0>
-        terms = dynamics.HamiltonianTerms(terms.h_static + leak, terms.h_a, terms.h_b)
-        rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
-        with pytest.raises(ValueError, match=r"static drift term leaves vacuum \(\+\) one"):
-            evolve(rho0, layout, params, params.constant_schedule(), [], (0.0, 1e-8), 1e-9,
-                   terms=terms)
-
-    def test_leaking_collapse_operator(self):
-        # a jump that maps a one-excitation state outside the vacuum
-        layout = link_layout()
-        params = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ)
-        leak = np.zeros((8, 8), dtype=complex)
-        leak[0b010, 0b100] = 1.0  # |1 0 0> -> |0 1 0>
-        rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
-        with pytest.raises(ValueError, match=r"collapse operator 0 leaves vacuum \(\+\) one"):
-            evolve(rho0, layout, params, params.constant_schedule(),
-                   [dynamics.CollapseChannel(leak, 1e6)], (0.0, 1e-8), 1e-9)
+            evolve(rho0, layout, params, params.constant_schedule(), (0.0, 1e-7), 1e-9,
+                   sample_every=10)
 
 
 def test_transfer_never_builds_a_dense_state_stack(tmp_path, monkeypatch):
@@ -302,7 +304,7 @@ def sector_state(vacuum, excited, coherence=0.0):
 def test_initial_state_is_checked_at_step_0(rho0, message):
     layout = link_layout()
     with pytest.raises(IntegrationError) as err:
-        evolve(rho0, layout, FIG4, FIG4.constant_schedule(), standard_collapse(FIG4, layout),
+        evolve(rho0, layout, FIG4, FIG4.constant_schedule(),
                (1e-7, 2e-7), 1e-9, sample_every=10)
     assert err.value.t == 1e-7
     assert str(err.value) == (f"{message} at t = 1.000000e-07 s (step 0 of 100, "

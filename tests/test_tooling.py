@@ -6,6 +6,9 @@ benchmark pass without failing any other test. The tracer is loaded from its
 file and only read. Likewise every name a module exports in __all__ must
 resolve, so that a deletion leaves no dangling export.
 
+Every ```python block in README.md runs, so that an API change cannot leave
+the library example stale.
+
 The package imports only the standard library and its declared runtime
 dependencies, at module level or inside a function; scipy is a test
 dependency, so a scenario run must not load it.
@@ -114,3 +117,11 @@ def test_scenarios_run_without_loading_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == dict.fromkeys(SCENARIOS, 0)
     assert result["scipy"] == []
+
+
+def test_readme_python_blocks_run():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
