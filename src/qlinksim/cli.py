@@ -65,6 +65,8 @@ class ConfigError(ValueError):
 
 def _fmt(value) -> str:
     """Shortest round-trip text for a config/CSV value."""
+    if isinstance(value, np.generic):  # repr(np.float64(x)) is "np.float64(x)"
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -298,7 +300,23 @@ def _validate(cfg: ScenarioConfig) -> None:
         )
     if not math.isfinite(cfg.phi_deg):
         raise ConfigError(f"phi_deg must be finite, got {cfg.phi_deg!r}")
+    if cfg.scenario == "sweep-distance":
+        _check_point_names(cfg)
     _check_schedules(cfg)
+
+
+def _check_point_names(cfg: ScenarioConfig) -> None:
+    """Reject sweep points whose trajectory files would overwrite each other."""
+    seen: dict[str, tuple] = {}
+    for kind in cfg.media:
+        for length_km in cfg.lengths_km:
+            name = _point_name(kind, length_km * 1000.0)
+            if name in seen:
+                raise ConfigError(
+                    f"sweep points {seen[name]!r} and {(kind, length_km)!r} would both "
+                    f"write {name}; give media and lengths_km distinct entries"
+                )
+            seen[name] = (kind, length_km)
 
 
 def _check_schedules(cfg: ScenarioConfig) -> None:
@@ -350,36 +368,60 @@ def _manifest_text(cfg: ScenarioConfig) -> str:
 # --- output helpers ---------------------------------------------------------
 
 
+# Rows per block of a column-wise CSV. A block holds the text of all its
+# cells at once, so this bounds the memory a long trajectory's file costs.
+_CSV_BLOCK_ROWS = 256
+
+
 class _Outputs:
-    """A run's output directory, recording each file the run writes to it."""
+    """A run's output directory, recording each file the run writes to it.
+
+    write_csv formats mixed-type rows one cell at a time through _fmt, for the
+    small summary tables. write_columns writes equal-length float columns,
+    such as trajectories and curves, in blocks of _CSV_BLOCK_ROWS rows: each
+    block formats every column with one repr per cell, so the file is byte
+    identical to the same rows written through write_csv, and memory does not
+    grow with the run length.
+    """
 
     def __init__(self, path: Path):
         self.path = path
         self.written: list[Path] = []
 
-    def write_csv(self, name: str, header: Sequence[str], rows) -> None:
+    def _open(self, name: str):
         path = self.path / name
         # recorded before opening, so a partly written file is removed too
         self.written.append(path)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return open(path, "w", encoding="utf-8", newline="\n")
+
+    def write_csv(self, name: str, header: Sequence[str], rows) -> None:
+        with self._open(name) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(map(_fmt, row)) + "\n")
 
+    def write_columns(self, name: str, header: Sequence[str], columns) -> None:
+        columns = [np.asarray(column, dtype=float) for column in columns]
+        n_rows = len(columns[0])
+        if len(columns) != len(header) or any(c.shape != (n_rows,) for c in columns):
+            raise ValueError(f"{name}: expected {len(header)} 1-D columns of {n_rows} rows, "
+                             f"got shapes {[c.shape for c in columns]}")
+        with self._open(name) as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+                # .tolist() first: repr of a numpy scalar is not its float's
+                texts = [map(repr, c[start:start + _CSV_BLOCK_ROWS].tolist()) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
     def write_trajectory(self, name: str, traj: dynamics.Trajectory) -> None:
-        self.write_csv(name, *_trajectory_rows(traj))
-
-
-def _trajectory_rows(traj: dynamics.Trajectory):
-    n_mediators = traj.populations.shape[1] - 2
-    header = ["t_us", "pop_A"]
-    header += ["pop_W" if i == 0 else f"pop_W{i + 1}" for i in range(n_mediators)]
-    header += ["pop_B", "fidelity", "trace", "purity"]
-    fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
-    columns = np.column_stack(
-        [traj.times / US, traj.populations, fid, traj.trace, traj.purity]
-    )
-    return header, columns.tolist()
+        n_mediators = traj.populations.shape[1] - 2
+        header = ["t_us", "pop_A"]
+        header += ["pop_W" if i == 0 else f"pop_W{i + 1}" for i in range(n_mediators)]
+        header += ["pop_B", "fidelity", "trace", "purity"]
+        fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
+        self.write_columns(
+            name, header, [traj.times / US, *traj.populations.T, fid, traj.trace, traj.purity]
+        )
 
 
 # --- scenarios --------------------------------------------------------------
@@ -505,10 +547,10 @@ def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
         sample_every=cfg.sample_every,
     )
     info, f_e = metrics.probe_curve(channel)
-    out.write_csv(
+    out.write_columns(
         "curve.csv",
         ["t_us", "coherent_info_bits", "entanglement_fidelity"],
-        zip((channel.times / US).tolist(), info.tolist(), f_e.tolist()),
+        [channel.times / US, info, f_e],
     )
 
     traj = channel.link_trajectory(cfg.target())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from qlinksim.cli import (
     PRESETS,
     ConfigError,
     ScenarioConfig,
+    _fmt,
+    _Outputs,
     _standard_run,
     build_config,
     load_config,
@@ -173,9 +176,8 @@ class TestScenarioRuns:
         with pytest.raises(ConfigError, match="unknown key 'mode_dim'"):
             load_config(write_config(tmp_path, FAST_TRANSFER + "mode_dim = 3\n"))
 
-    def test_mediator_chain_trajectory_header(self):
+    def test_mediator_chain_trajectory_header(self, tmp_path):
         # library-level layouts with several mediators get numbered columns
-        from qlinksim.cli import _trajectory_rows
         from qlinksim.dynamics import LinkParams, evolve
         from qlinksim.qspace import link_layout, product_state
 
@@ -184,7 +186,8 @@ class TestScenarioRuns:
         rho0 = product_state([None] * 5, layout)
         traj = evolve(rho0, layout, params, params.constant_schedule(),
                       (0.0, 1e-8), 1e-10, sample_every=10, g_hop=1e7)
-        header, rows = _trajectory_rows(traj)
+        _Outputs(tmp_path).write_trajectory("trajectory.csv", traj)
+        header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header == [
             "t_us", "pop_A", "pop_W", "pop_W2", "pop_W3", "pop_B",
             "fidelity", "trace", "purity",
@@ -263,6 +266,30 @@ class TestScenarioRuns:
         info = float(summary_rows[0][0])
         assert -2.0 <= info <= 1.0
 
+    def test_coherent_info_curve_matches_per_cell_rows(self, tmp_path, monkeypatch):
+        curves = []
+
+        def recorded_curve(channel):
+            info, f_e = probe_curve(channel)
+            curves.append((channel.times, info, f_e))
+            return info, f_e
+
+        probe_curve = metrics.probe_curve
+        monkeypatch.setattr(metrics, "probe_curve", recorded_curve)
+        cfg = build_config({
+            "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
+            "dt_ns": 0.02, "n_samples": 5,
+        })
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        [(times, info, f_e)] = curves
+        assert len(times) > 2 * 256 + 1  # several blocks
+        rows = [[float(t / 1e-6), float(i), float(f)] for t, i, f in zip(times, info, f_e)]
+        reference = _Outputs(tmp_path)
+        reference.write_csv("curve.csv", ["t_us", "coherent_info_bits", "entanglement_fidelity"],
+                            rows)
+        assert (tmp_path / "out" / "curve.csv").read_bytes() == (
+            tmp_path / "curve.csv").read_bytes()
+
     @pytest.mark.parametrize("rates", [
         {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006},
         {"preset": "fig5-red"},
@@ -324,6 +351,44 @@ class TestScenarioRuns:
         assert sum(int(r[3]) for r in rows) == 1
         best_row = next(r for r in rows if int(r[3]) == 1)
         assert float(best_row[2]) >= 0.99
+
+
+# shortest reprs, the sign of zero, subnormals, exponent switches, non-finite
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 2 * 256 + 1])
+    def test_blocks_match_per_cell_rows(self, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        pool = np.concatenate([EDGE_VALUES, rng.standard_normal(13) * 10.0 ** rng.integers(
+            -30, 30, 13)])
+        header = ["t_us", "a", "b", "c"]
+        # each column starts the pool at another value, so edge values fall in every block
+        columns = [np.resize(np.roll(pool, k), n_rows) for k in range(len(header))]
+        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
+        rows = [[_fmt(float(c[i])) for c in columns] for i in range(n_rows)]
+        expected = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+        assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == expected
+
+    def test_mismatched_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="expected 2 1-D columns of 3 rows"):
+            _Outputs(tmp_path).write_columns("bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_memory_stays_flat_in_the_run_length(self, tmp_path):
+        # the whole-table .tolist() this replaced grew 4x with the run length
+        def peak(n_rows):
+            columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
+            outputs = _Outputs(tmp_path)
+            tracemalloc.start()
+            try:
+                outputs.write_columns(f"{n_rows}.csv", list("abcdefg"), columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1024), peak(4 * 1024)
+        assert long - short < 16 * 1024, (short, long)
 
 
 class TestFailureHandling:
@@ -481,6 +546,29 @@ class TestConfigDataclass:
         path = write_config(tmp_path, "scenario = sweep-distance\nmedia =\n")
         with pytest.raises(ConfigError, match="media must list at least one value"):
             load_config(path)
+
+    def test_numpy_scalars_round_trip_through_the_manifest(self, tmp_path):
+        # np.float64 subclasses float, and its repr once went into the manifest
+        cfg = build_config({
+            "scenario": "transfer", "t_final_us": 0.05, "g0_2pi_mhz": np.float64(5.8),
+            "lengths_km": (np.float64(0.5), 1.0), "hops": np.int64(3),
+        })
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        loaded = load_config(tmp_path / "out" / "manifest.txt")
+        assert loaded.g0_2pi_mhz == 5.8
+        assert loaded.lengths_km == (0.5, 1.0)
+        assert loaded.hops == 3
+
+    @pytest.mark.parametrize("values", [
+        {"lengths_km": (0.001, 0.0010000001)},
+        {"lengths_km": (0.1, 0.3, 0.1)},
+        {"media": ("cavity", "cavity+fiber", "cavity")},
+    ], ids=["same-name", "duplicate-length", "duplicate-medium"])
+    def test_sweep_points_that_share_a_file_rejected(self, values):
+        # they once overwrote each other's trajectory and ended status = ok
+        with pytest.raises(ConfigError, match=r"sweep points .* would both write "
+                                              r"trajectory_cavity_0\.(001|1)km\.csv"):
+            build_config({"scenario": "sweep-distance", **values})
 
     def test_zero_pulse_center_is_kept(self):
         cfg = build_config({"scenario": "transfer", "protocol": "stirap", "t_center_us": 0.0})

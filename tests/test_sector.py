@@ -341,7 +341,8 @@ def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch
     cfg = build_config({**SMALL_SCENARIOS[name], "dt_ns": 0.5})
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_trajectory_rows", per_cell_rows)
+        patch.setattr(cli._Outputs, "write_trajectory",
+                      lambda out, csv, traj: out.write_csv(csv, *per_cell_rows(traj)))
         assert run_scenario(cfg, tmp_path / "per-cell") == 0
         # a chain's hops go through the evolve patched in below, one run per hop
         patch.setattr(network, "run_hop", evolved_hop)
