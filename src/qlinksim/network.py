@@ -80,14 +80,13 @@ class MediumModel:
     def __post_init__(self) -> None:
         if self.kind not in _MEDIUM_KINDS:
             raise ValueError(f"kind must be one of {_MEDIUM_KINDS}, got {self.kind!r}")
-        if self.length < 0:
-            raise ValueError("length must be >= 0")
         for name in (
-            "base_kappa", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
-            "fiber_coupling_kappa",
+            "base_kappa", "length", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
+            "fiber_refractive_index", "fiber_coupling_kappa",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def propagation_delay(self) -> float:
         """One-way light travel time over the medium length."""
@@ -141,8 +140,12 @@ class LinkSpec:
     sample_every: int = 100
 
     def __post_init__(self) -> None:
-        if self.hop_time <= 0:
-            raise ValueError("hop_time must be > 0")
+        if not (math.isfinite(self.hop_time) and self.hop_time > 0):
+            raise ValueError(f"hop_time must be finite and > 0, got {self.hop_time!r}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not math.isfinite(self.g_hop):
+            raise ValueError(f"g_hop must be finite, got {self.g_hop!r}")
         if isinstance(self.schedule, StirapSchedule):
             _, t1 = default_stirap_window(self.schedule)
             if self.hop_time < t1:

@@ -1,5 +1,11 @@
+import errno
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +16,9 @@ from conftest import (
     run_choi_probe,
 )
 
-from qlinksim import metrics
+from qlinksim import cli, metrics
 from qlinksim.cli import (
+    _MIN_SLICE_ROWS,
     PRESETS,
     ConfigError,
     ScenarioConfig,
@@ -28,6 +35,7 @@ from qlinksim.cli import (
 from qlinksim.qspace import InvalidStateError
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -357,25 +365,68 @@ class TestScenarioRuns:
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
 
 
+def use_cpus(monkeypatch, n_cpus):
+    """Make write_columns see n_cpus usable CPUs, and count the processes it forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+# (rows, slices on 3 CPUs): within one block, around two and three slices of
+# _MIN_SLICE_ROWS, and a table whose thirds fall inside a block, so that its
+# slice edges are rounded down to block edges
+ROW_COUNTS = [
+    (1, 1), (255, 1), (256, 1), (257, 1), (2 * 256 + 1, 1),
+    (2 * _MIN_SLICE_ROWS - 1, 1), (2 * _MIN_SLICE_ROWS, 2), (2 * _MIN_SLICE_ROWS + 1, 2),
+    (3 * _MIN_SLICE_ROWS - 1, 2), (3 * _MIN_SLICE_ROWS, 3), (3 * _MIN_SLICE_ROWS + 1, 3),
+    (3 * _MIN_SLICE_ROWS + 257, 3),
+]
+
+
 class TestColumnWriter:
-    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 2 * 256 + 1])
-    def test_blocks_match_per_cell_rows(self, n_rows, tmp_path):
+    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
+    @needs_fork
+    def test_blocks_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
         rng = np.random.default_rng(n_rows)
         pool = np.concatenate([EDGE_VALUES, rng.standard_normal(13) * 10.0 ** rng.integers(
             -30, 30, 13)])
         header = ["t_us", "a", "b", "c"]
         # each column starts the pool at another value, so edge values fall in every block
         columns = [np.resize(np.roll(pool, k), n_rows) for k in range(len(header))]
-        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
         rows = [[_fmt(float(c[i])) for c in columns] for i in range(n_rows)]
-        expected = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
-        assert (tmp_path / "columns.csv").read_text(encoding="utf-8") == expected
+        # compared as lists of lines: pytest's diff of two long strings takes minutes
+        expected = [",".join(header)] + [",".join(r) for r in rows] + [""]
+        # three slices where the table is long enough, and the serial fallback
+        for n_cpus, n_forks in ((3, slices - 1), (1, 0)):
+            forks = use_cpus(monkeypatch, n_cpus)
+            _Outputs(tmp_path).write_columns(f"{n_cpus}.csv", header, columns)
+            text = (tmp_path / f"{n_cpus}.csv").read_text(encoding="utf-8")
+            assert text.split("\n") == expected
+            assert len(forks) == n_forks
+        assert sorted(os.listdir(tmp_path)) == ["1.csv", "3.csv"]
+        assert_no_child_left()
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="expected 2 1-D columns of 3 rows"):
             _Outputs(tmp_path).write_columns("bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
-    def test_memory_stays_flat_in_the_run_length(self, tmp_path):
+    @needs_fork
+    def test_memory_stays_flat_in_the_run_length(self, tmp_path, monkeypatch):
         # the whole-table .tolist() this replaced grew 4x with the run length
         def peak(n_rows):
             columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
@@ -387,8 +438,80 @@ class TestColumnWriter:
             finally:
                 tracemalloc.stop()
 
-        short, long = peak(1024), peak(4 * 1024)
-        assert long - short < 16 * 1024, (short, long)
+        # a serial pair, and a pair written in two slices
+        for lengths, n_cpus in (((1024, 4 * 1024), 1),
+                                ((2 * _MIN_SLICE_ROWS, 8 * _MIN_SLICE_ROWS), 2)):
+            forks = use_cpus(monkeypatch, n_cpus)
+            short, long = map(peak, lengths)
+            assert long - short < 16 * 1024, (n_cpus, short, long)
+            assert len(forks) == 2 * (n_cpus - 1)
+
+    @needs_fork
+    def test_forked_children_stream_their_slices(self, tmp_path):
+        # A child's peak RSS shows only in RUSAGE_CHILDREN, so a fresh interpreter
+        # reads it against its own resident size before the write, at two lengths.
+        # RUSAGE_SELF would not do: the parent's peak can be set at import (66 MB
+        # with OpenBLAS threads), not by the columns. A child that held its
+        # slice's text in memory grew 12.8 MB more from 32k to 128k rows; a
+        # streaming child does not grow.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", CHILD_RSS, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        short, long = json.loads(proc.stdout)
+        assert long - short < 2048, (short, long)  # kB
+
+
+CHILD_RSS = """
+import json, os, resource, sys
+from pathlib import Path
+import numpy as np
+from qlinksim.cli import _MIN_SLICE_ROWS, _Outputs
+os.sched_getaffinity = lambda pid: {0, 1}  # two slices, however many CPUs there are
+
+def child_growth_kb(n_rows):
+    columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
+    with open("/proc/self/statm") as fh:
+        resident_kb = int(fh.read().split()[1]) * resource.getpagesize() // 1024
+    _Outputs(Path(sys.argv[1])).write_columns(f"{n_rows}.csv", list("abcdefg"), columns)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss - resident_kb
+
+print(json.dumps([child_growth_kb(n) for n in (8 * _MIN_SLICE_ROWS, 32 * _MIN_SLICE_ROWS)]))
+"""
+
+
+@needs_fork
+class TestForkedWriteFailures:
+    N_ROWS = 3 * _MIN_SLICE_ROWS
+
+    def write(self, tmp_path, monkeypatch, fail_slice):
+        """Write three slices where formatting the slice starting at fail_slice fails."""
+        use_cpus(monkeypatch, 3)
+        blocks = cli._csv_blocks
+
+        def failing_blocks(columns, start, stop):
+            if start == fail_slice:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return blocks(columns, start, stop)
+
+        monkeypatch.setattr(cli, "_csv_blocks", failing_blocks)
+        columns = [np.arange(self.N_ROWS, dtype=float)] * 3
+        _Outputs(tmp_path).write_columns("columns.csv", ["a", "b", "c"], columns)
+
+    def test_child_that_raises(self, tmp_path, monkeypatch, capfd):
+        with pytest.raises(OSError, match=r"cannot write .*columns\.csv: process \d+ "
+                                          r"formatting rows 4096-8192 exited with status 1"):
+            self.write(tmp_path, monkeypatch, fail_slice=_MIN_SLICE_ROWS)
+        assert "No space left on device" in capfd.readouterr().err  # the child's traceback
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == ["columns.csv"]
+
+    def test_parent_that_raises_mid_write(self, tmp_path, monkeypatch):
+        with pytest.raises(OSError, match=r"cannot write .*columns\.csv: .*No space left"):
+            self.write(tmp_path, monkeypatch, fail_slice=0)
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == ["columns.csv"]
 
 
 class TestFailureHandling:
@@ -558,6 +681,27 @@ class TestConfigDataclass:
         assert loaded.g0_2pi_mhz == 5.8
         assert loaded.lengths_km == (0.5, 1.0)
         assert loaded.hops == 3
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("hops", 2.5, "an integer"),
+        ("lengths_km", np.array([0.1, 0.2]), "a tuple or list of numbers"),
+        ("g0_2pi_mhz", "5.8", "a number"),
+        ("sample_every", 10.0, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("theta_deg", True, "a number"),
+        ("media", "cavity", "a tuple or list of strings"),
+        ("out_path", 5, "a string"),
+    ])
+    def test_values_of_the_wrong_type_rejected(self, key, value, kind):
+        # the library path takes a dict; these once escaped as TypeError,
+        # ValueError or IndexError from a scenario, or (True) were accepted
+        with pytest.raises(ConfigError, match=rf"^{key} must be {kind}, got "):
+            build_config({"scenario": "chain", "hops": 2, "hop_time_us": 2.0,
+                          "pulse_width_us": 0.25, "t_delay_us": 0.3, key: value})
+
+    def test_unknown_dict_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'mode_dim'"):
+            build_config({"scenario": "transfer", "mode_dim": 3})
 
     @pytest.mark.parametrize("values", [
         {"lengths_km": (0.001, 0.0010000001)},

@@ -88,6 +88,21 @@ class TestEffectiveKappa:
         with pytest.raises(ValueError):
             MediumModel(length=-1.0)
 
+    @pytest.mark.parametrize("name", [
+        "base_kappa", "length", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
+        "fiber_refractive_index", "fiber_coupling_kappa",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_fields_must_be_finite_and_non_negative(self, name, value):
+        # a nan length or base_kappa once failed later as "kappa must be finite",
+        # and a nan refractive index was accepted
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0"):
+            MediumModel(kind=FIBER, **{name: value})
+
+    def test_zero_refractive_index_accepted(self):
+        # the CLI accepts 0, as it does every non-negative medium key
+        assert MediumModel(fiber_refractive_index=0.0).fiber_refractive_index == 0.0
+
 
 class TestRunHop:
     def test_ideal_transfer_of_excited_state(self):
@@ -122,6 +137,17 @@ class TestRunHop:
         params = LinkParams(g_a=1.0, g_b=1.0)
         with pytest.raises(ValueError):
             LinkSpec(params=params, schedule=params.constant_schedule(), hop_time=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("hop_time", math.nan), ("hop_time", math.inf), ("dt", math.nan), ("dt", 0.0),
+        ("g_hop", math.nan), ("g_hop", -math.inf),
+    ])
+    def test_non_finite_fields_rejected(self, name, value):
+        # a nan hop_time once failed later as "t_span must be finite"
+        params = LinkParams(g_a=1.0, g_b=1.0)
+        fields = {"hop_time": 1e-6, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            LinkSpec(params=params, schedule=params.constant_schedule(), **fields)
 
     def test_stirap_hop_must_cover_the_pulse_window(self):
         params = LinkParams(g_a=1e8, g_b=1e8)

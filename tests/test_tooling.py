@@ -12,6 +12,10 @@ the library example stale.
 The package imports only the standard library and its declared runtime
 dependencies, at module level or inside a function; scipy is a test
 dependency, so a scenario run must not load it.
+
+A long trajectory is formatted by forked processes; a fresh interpreter under
+-X dev -W error shows that doing so leaves no warning behind and writes the
+same bytes as a run held to one CPU.
 """
 
 import ast
@@ -125,3 +129,42 @@ def test_readme_python_blocks_run():
     assert blocks
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
+
+
+FORKING_TRANSFER = """
+import json, os, resource, sys
+from qlinksim.cli import main
+config, out, cpus = sys.argv[1:]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+status = main(["transfer", "--config", config, "--out", out])
+forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+print(json.dumps({"status": status, "forked": forked}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
+    # 10 us at the default step is 11601 rows: two slices on two CPUs
+    config = tmp_path / "transfer.cfg"
+    config.write_text("protocol = constant\nt_final_us = 10\nsample_every = 1\n"
+                      "g0_2pi_mhz = 5.8\nkappa_2pi_mhz = 0.34\ngamma_2pi_mhz = 0.006\n",
+                      encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    runs = {}
+    for cpus in ("all", "one"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_TRANSFER,
+             str(config), str(tmp_path / cpus), cpus],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""  # no ResourceWarning or other warning
+        runs[cpus] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs == {"all": {"status": 0, "forked": True}, "one": {"status": 0, "forked": False}}
+    trajectory = (tmp_path / "all" / "trajectory.csv").read_bytes()
+    assert trajectory.count(b"\n") == 11602
+    assert trajectory == (tmp_path / "one" / "trajectory.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path / "all")) == ["manifest.txt", "summary.csv",
+                                                     "trajectory.csv"]
