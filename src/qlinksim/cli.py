@@ -19,7 +19,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -410,8 +409,6 @@ _CSV_BLOCK_ROWS = 256
 # back about 0.7 ms: a sixth of the 25 ms that formatting them takes (8
 # columns, 2-vCPU x86-64 VM, Python 3.11).
 _MIN_SLICE_ROWS = 4096
-# Characters per read when a child's rows are appended to the CSV.
-_COPY_CHARS = 1 << 16
 
 
 def _csv_blocks(columns: Sequence[np.ndarray], start: int, stop: int):
@@ -423,17 +420,32 @@ def _csv_blocks(columns: Sequence[np.ndarray], start: int, stop: int):
         yield "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread, so that forking it is safe.
+
+    It counts the threads the kernel sees, not only Python's: numpy's
+    OpenBLAS starts worker threads at import unless OPENBLAS_NUM_THREADS=1,
+    and from Python 3.12 os.fork warns in any multi-threaded process.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc: the threads cannot be counted
+        return False
+
+
 def _row_slices(n_rows: int) -> list[tuple[int, int]]:
     """Contiguous row slices of a table, one per process that formats it.
 
     There is more than one only where forking is safe and pays for itself:
-    os.fork and os.sched_getaffinity exist, more than one CPU is usable, no
-    other Python thread is alive, and every slice has _MIN_SLICE_ROWS rows.
+    os.fork and os.sched_getaffinity exist, more than one CPU is usable, the
+    process runs one OS thread, and every slice has _MIN_SLICE_ROWS rows.
     Slices start on block boundaries.
     """
-    k = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        k = min(len(os.sched_getaffinity(0)), n_rows // _MIN_SLICE_ROWS)
+    k = n_rows // _MIN_SLICE_ROWS
+    if k < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                     and _single_threaded()):
+        return [(0, n_rows)]
+    k = min(k, len(os.sched_getaffinity(0)))
     if k < 2:
         return [(0, n_rows)]
     edges = [i * n_rows // k // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS for i in range(k)]
@@ -465,20 +477,27 @@ def _write_slices(fh, columns: Sequence[np.ndarray], slices, directory: Path) ->
 
     Each child streams its slice into an unlinked temporary file in
     directory; the parent then reaps the children in row order and appends
-    their files. Every child is reaped and every temporary file closed, also
-    when a write fails. With one slice nothing is forked.
+    their files. Where a temporary file or a fork cannot be had (a process
+    or memory limit), the parent formats that slice and the rest itself.
+    Every child is reaped and every temporary file closed, also when a
+    write fails. With one slice nothing is forked.
     """
     temps, pids = [], []
     try:
         for start, stop in slices[1:]:
-            temps.append(tempfile.TemporaryFile(
-                "w+", encoding="utf-8", newline="\n", dir=directory))
-            pid = os.fork()
+            try:
+                temps.append(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", newline="\n", dir=directory))
+                pid = os.fork()
+            except OSError:
+                break
             if pid == 0:
                 _format_slice_and_exit(temps[-1], columns, start, stop)
             pids.append(pid)
+        forked = slices[1:len(pids) + 1]
+        rest = slices[len(pids)][1]  # first row no child formats
         fh.writelines(_csv_blocks(columns, *slices[0]))
-        for (start, stop), tmp in zip(slices[1:], temps):
+        for (start, stop), tmp in zip(forked, temps):
             pid = pids[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pids[0]  # reaped
@@ -486,7 +505,8 @@ def _write_slices(fh, columns: Sequence[np.ndarray], slices, directory: Path) ->
                 raise ChildProcessError(f"process {pid} formatting rows {start}-{stop} "
                                         f"exited with status {status}")
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh, _COPY_CHARS)
+            shutil.copyfileobj(tmp, fh)
+        fh.writelines(_csv_blocks(columns, rest, slices[-1][1]))
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
@@ -508,8 +528,9 @@ class _Outputs:
     one per usable CPU, and the parent appends their text in row order; the
     file is byte identical to the serial one. Slicing engages only where
     os.fork and os.sched_getaffinity exist (Linux), more than one CPU is
-    usable, no other Python thread is alive, and the table has at least
-    _MIN_SLICE_ROWS rows per slice; otherwise one process writes every block.
+    usable, the process runs one OS thread (no other Python thread, no BLAS
+    worker threads), and the table has at least _MIN_SLICE_ROWS rows per
+    slice; otherwise one process writes every block.
     """
 
     def __init__(self, path: Path):

@@ -1,4 +1,10 @@
 import math
+import os
+
+# One BLAS thread, as perfbench/run.py pins, set before numpy is imported: a
+# process that holds BLAS worker threads writes long CSVs serially, and the
+# tests of the forked writer need a process that may fork.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -366,16 +368,21 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.in
 
 
 def use_cpus(monkeypatch, n_cpus):
-    """Make write_columns see n_cpus usable CPUs, and count the processes it forks."""
+    """Make write_columns see n_cpus usable CPUs, and count the processes it forks.
+
+    Patched where os lacks either call too, so that the one-CPU case runs on
+    every platform.
+    """
     forks = []
-    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+    if hasattr(os, "fork"):
+        fork = os.fork
 
-    def counting_fork():
-        forks.append(1)
-        return fork()
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "fork", counting_fork)
     return forks
 
 
@@ -384,7 +391,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# The forked path runs only where both calls exist (Linux) and the process
+# runs one OS thread; conftest pins the BLAS libraries to one thread.
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="needs os.fork and os.sched_getaffinity")
 
 
 # (rows, slices on 3 CPUs): within one block, around two and three slices of
@@ -398,36 +409,51 @@ ROW_COUNTS = [
 ]
 
 
+def edge_columns(n_rows, n_columns):
+    rng = np.random.default_rng(n_rows)
+    pool = np.concatenate([EDGE_VALUES, rng.standard_normal(13) * 10.0 ** rng.integers(
+        -30, 30, 13)])
+    # each column starts the pool at another value, so edge values fall in every block
+    return [np.resize(np.roll(pool, k), n_rows) for k in range(n_columns)]
+
+
+def per_cell_lines(header, columns):
+    """The lines of the file write_csv writes, one _fmt call per cell."""
+    rows = [[_fmt(float(c[i])) for c in columns] for i in range(len(columns[0]))]
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    return [",".join(header)] + [",".join(r) for r in rows] + [""]
+
+
 class TestColumnWriter:
-    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
-    @needs_fork
-    def test_blocks_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
-        rng = np.random.default_rng(n_rows)
-        pool = np.concatenate([EDGE_VALUES, rng.standard_normal(13) * 10.0 ** rng.integers(
-            -30, 30, 13)])
+    def write_edge_columns(self, n_rows, n_cpus, tmp_path, monkeypatch):
+        """Write edge-value columns with n_cpus usable; return the number of forks."""
         header = ["t_us", "a", "b", "c"]
-        # each column starts the pool at another value, so edge values fall in every block
-        columns = [np.resize(np.roll(pool, k), n_rows) for k in range(len(header))]
-        rows = [[_fmt(float(c[i])) for c in columns] for i in range(n_rows)]
-        # compared as lists of lines: pytest's diff of two long strings takes minutes
-        expected = [",".join(header)] + [",".join(r) for r in rows] + [""]
-        # three slices where the table is long enough, and the serial fallback
-        for n_cpus, n_forks in ((3, slices - 1), (1, 0)):
-            forks = use_cpus(monkeypatch, n_cpus)
-            _Outputs(tmp_path).write_columns(f"{n_cpus}.csv", header, columns)
-            text = (tmp_path / f"{n_cpus}.csv").read_text(encoding="utf-8")
-            assert text.split("\n") == expected
-            assert len(forks) == n_forks
-        assert sorted(os.listdir(tmp_path)) == ["1.csv", "3.csv"]
+        columns = edge_columns(n_rows, len(header))
+        forks = use_cpus(monkeypatch, n_cpus)
+        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
+        text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == per_cell_lines(header, columns)
+        assert os.listdir(tmp_path) == ["columns.csv"]
+        return len(forks)
+
+    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
+    def test_blocks_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
+        # one usable CPU: the serial path, on every platform
+        assert self.write_edge_columns(n_rows, 1, tmp_path, monkeypatch) == 0
+
+    @needs_fork
+    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
+    def test_slices_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
+        # three usable CPUs: three slices where the table is long enough
+        assert self.write_edge_columns(n_rows, 3, tmp_path, monkeypatch) == slices - 1
         assert_no_child_left()
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="expected 2 1-D columns of 3 rows"):
             _Outputs(tmp_path).write_columns("bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
-    @needs_fork
-    def test_memory_stays_flat_in_the_run_length(self, tmp_path, monkeypatch):
-        # the whole-table .tolist() this replaced grew 4x with the run length
+    def peak_growth(self, lengths, n_cpus, tmp_path, monkeypatch):
+        """Growth of the tracemalloc peak of a write from the shorter length to the longer."""
         def peak(n_rows):
             columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
             outputs = _Outputs(tmp_path)
@@ -438,13 +464,38 @@ class TestColumnWriter:
             finally:
                 tracemalloc.stop()
 
-        # a serial pair, and a pair written in two slices
-        for lengths, n_cpus in (((1024, 4 * 1024), 1),
-                                ((2 * _MIN_SLICE_ROWS, 8 * _MIN_SLICE_ROWS), 2)):
-            forks = use_cpus(monkeypatch, n_cpus)
-            short, long = map(peak, lengths)
-            assert long - short < 16 * 1024, (n_cpus, short, long)
-            assert len(forks) == 2 * (n_cpus - 1)
+        forks = use_cpus(monkeypatch, n_cpus)
+        short, long = map(peak, lengths)
+        assert len(forks) == 2 * (n_cpus - 1)
+        return long - short
+
+    def test_memory_stays_flat_in_the_run_length(self, tmp_path, monkeypatch):
+        # the whole-table .tolist() this replaced grew 4x with the run length
+        assert self.peak_growth((1024, 4 * 1024), 1, tmp_path, monkeypatch) < 16 * 1024
+
+    @needs_fork
+    def test_memory_stays_flat_in_forked_slices(self, tmp_path, monkeypatch):
+        lengths = (2 * _MIN_SLICE_ROWS, 8 * _MIN_SLICE_ROWS)  # two slices each
+        assert self.peak_growth(lengths, 2, tmp_path, monkeypatch) < 16 * 1024
+
+    @needs_fork
+    def test_another_thread_keeps_the_write_serial(self, monkeypatch):
+        # any second OS thread, such as a BLAS worker, rules out forking
+        use_cpus(monkeypatch, 3)
+        assert len(cli._row_slices(3 * _MIN_SLICE_ROWS)) == 3
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._row_slices(3 * _MIN_SLICE_ROWS) == [(0, 3 * _MIN_SLICE_ROWS)]
+        finally:
+            release.set()
+            thread.join()
+        # the kernel drops the thread shortly after join returns
+        deadline = time.monotonic() + 5.0
+        while not cli._single_threaded() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert cli._single_threaded()
 
     @needs_fork
     def test_forked_children_stream_their_slices(self, tmp_path):
@@ -454,7 +505,7 @@ class TestColumnWriter:
         # with OpenBLAS threads), not by the columns. A child that held its
         # slice's text in memory grew 12.8 MB more from 32k to 128k rows; a
         # streaming child does not grow.
-        env = dict(os.environ)
+        env = dict(os.environ, **ONE_BLAS_THREAD)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", CHILD_RSS, str(tmp_path)],
                               capture_output=True, text=True, env=env, timeout=120)
@@ -462,6 +513,9 @@ class TestColumnWriter:
         short, long = json.loads(proc.stdout)
         assert long - short < 2048, (short, long)  # kB
 
+
+# a process with BLAS worker threads writes serially and forks nothing
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD_RSS = """
 import json, os, resource, sys
@@ -475,7 +529,9 @@ def child_growth_kb(n_rows):
     with open("/proc/self/statm") as fh:
         resident_kb = int(fh.read().split()[1]) * resource.getpagesize() // 1024
     _Outputs(Path(sys.argv[1])).write_columns(f"{n_rows}.csv", list("abcdefg"), columns)
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss - resident_kb
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert usage.ru_maxrss > 0, "no child was forked"
+    return usage.ru_maxrss - resident_kb
 
 print(json.dumps([child_growth_kb(n) for n in (8 * _MIN_SLICE_ROWS, 32 * _MIN_SLICE_ROWS)]))
 """
@@ -510,6 +566,32 @@ class TestForkedWriteFailures:
     def test_parent_that_raises_mid_write(self, tmp_path, monkeypatch):
         with pytest.raises(OSError, match=r"cannot write .*columns\.csv: .*No space left"):
             self.write(tmp_path, monkeypatch, fail_slice=0)
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == ["columns.csv"]
+
+    # a process limit hit at the first or the second fork, and no temporary file
+    @pytest.mark.parametrize("call, fails_at", [("fork", 1), ("fork", 2),
+                                                ("TemporaryFile", 1)])
+    def test_parent_formats_the_slices_it_cannot_fork(self, call, fails_at, tmp_path,
+                                                      monkeypatch):
+        forks = use_cpus(monkeypatch, 3)
+        module = os if call == "fork" else cli.tempfile
+        real = getattr(module, call)
+        calls = []
+
+        def limited(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fails_at:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, call, limited)
+        header = ["t_us", "a", "b"]
+        columns = edge_columns(self.N_ROWS + 257, len(header))
+        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
+        text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
+        assert text.split("\n") == per_cell_lines(header, columns)
+        assert len(forks) == (fails_at - 1 if call == "fork" else 0)
         assert_no_child_left()
         assert os.listdir(tmp_path) == ["columns.csv"]
 

@@ -14,8 +14,9 @@ dependencies, at module level or inside a function; scipy is a test
 dependency, so a scenario run must not load it.
 
 A long trajectory is formatted by forked processes; a fresh interpreter under
--X dev -W error shows that doing so leaves no warning behind and writes the
-same bytes as a run held to one CPU.
+-X dev -W error, with its BLAS library held to one thread so that it may
+fork, shows that doing so leaves no warning behind and writes the same bytes
+as a run held to one CPU.
 """
 
 import ast
@@ -151,7 +152,8 @@ def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
     config.write_text("protocol = constant\nt_final_us = 10\nsample_every = 1\n"
                       "g0_2pi_mhz = 5.8\nkappa_2pi_mhz = 0.34\ngamma_2pi_mhz = 0.006\n",
                       encoding="utf-8")
-    env = dict(os.environ)
+    # one BLAS thread, so that the process runs one OS thread and may fork
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     runs = {}
     for cpus in ("all", "one"):
