@@ -263,8 +263,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def _validate(cfg: ScenarioConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    if cfg.preset and cfg.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {cfg.preset!r}; available: {sorted(PRESETS)}")
     for key in _NONNEGATIVE_KEYS:
         value = getattr(cfg, key)
         if not math.isfinite(value) or value < 0:
@@ -329,7 +327,11 @@ def _check_schedules(cfg: ScenarioConfig) -> None:
     cfg = resolve_defaults(cfg)
     schedule = cfg.schedule()
     if cfg.scenario == "stirap-compare":
-        replace(cfg, protocol="stirap").schedule()
+        _, window_end = default_stirap_window(replace(cfg, protocol="stirap").schedule())
+        # in config units, so that the default horizon, window_end / US, passes exactly
+        if cfg.t_final_us < window_end / US:
+            raise ConfigError(f"t_final_us = {cfg.t_final_us!r} is shorter than the stirap "
+                              f"pulse window, which ends at {window_end / US!r} us")
     if cfg.scenario in ("chain", "sweep-distance") and isinstance(schedule, StirapSchedule):
         _, window_end = default_stirap_window(schedule)
         if cfg.hop_time_us * US < window_end:
@@ -638,7 +640,9 @@ def _scenario_stirap_compare(cfg: ScenarioConfig, out: _Outputs) -> None:
 
     rows = []
     for name, schedule in (("constant", constant), ("stirap", stirap)):
-        traj = _standard_run(cfg, schedule)
+        channel = dynamics.link_channel(cfg.link_params(), schedule, cfg.t_final_us * US,
+                                        cfg.dt_ns * NS, sample_every=cfg.sample_every)
+        traj = channel.link_trajectory(cfg.target())
         out.write_trajectory(f"trajectory_{name}.csv", traj)
         # Latency: a pulsed protocol cannot hand off before its window ends;
         # a constant drive is done once its fidelity settles.

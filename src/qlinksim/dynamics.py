@@ -128,9 +128,10 @@ class LinkParams:
         return ConstantSchedule(g0_a=self.g_a, g0_b=self.g_b)
 
     def max_rate(self) -> float:
+        """Fastest rate of the generator: the lab-frame omegas sit on its diagonal."""
         return max(
             self.g_a, self.g_b, self.kappa, self.gamma_a, self.gamma_b,
-            abs(self.omega_q - self.omega_w),
+            self.omega_q, self.omega_w,
         )
 
 
@@ -251,9 +252,14 @@ def link_generators(params: LinkParams, n_mediators: int = 1, g_hop: float = 0.0
     return a
 
 
-def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None) -> float:
-    """Step resolving the fastest rate by at least 200 steps per cycle, capped at 1 ns."""
-    fastest = params.max_rate()
+def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None,
+               g_hop: float = 0.0) -> float:
+    """Step resolving the generator's fastest rate by at least 200 steps per cycle, capped at 1 ns.
+
+    The rates are params.max_rate(), the schedule's peak couplings and the
+    hopping g_hop between mediators.
+    """
+    fastest = max(params.max_rate(), abs(g_hop))
     if schedule is not None:
         fastest = max(fastest, schedule.g0_a, schedule.g0_b)
     if fastest <= 0:
@@ -357,7 +363,8 @@ def _checked_grid(t_span: tuple[float, float], dt: float, sample_every: int) -> 
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n_steps = max(1, int(round((t1 - t0) / dt)))
-    return _Grid(t0, (t1 - t0) / n_steps, n_steps, sample_every)
+    # a cadence past the last step samples the same two ends as one of n_steps
+    return _Grid(t0, (t1 - t0) / n_steps, n_steps, min(sample_every, n_steps))
 
 
 def _checked_run(rho0: np.ndarray, layout: SystemLayout, t_span: tuple[float, float], dt: float,
@@ -575,10 +582,10 @@ def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
 
     RK4 steps e_A as evolve steps its amplitudes, with the same grid and
     per-step checks; delta = 1 - sum_i |c_i|^2 is the refill, and an input's
-    is p delta. dt defaults to default_dt(params, schedule).
+    is p delta. dt defaults to default_dt(params, schedule, g_hop).
     """
     if dt is None:
-        dt = default_dt(params, schedule)
+        dt = default_dt(params, schedule, g_hop)
     grid = _checked_grid((0.0, t_final), dt, sample_every)
     e_a = np.eye(n_mediators + 2, 1, dtype=complex)
     times, c = _amplitude_run(e_a, 1, params, schedule, grid, g_hop)

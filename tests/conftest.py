@@ -433,7 +433,7 @@ def run_choi_probe(params, schedule, t_final, dt=None, *, sample_every=100, n_me
     """Evolve the link once from |+> on A and return the probe of its Choi states."""
     layout = link_layout(n_mediators=n_mediators)
     if dt is None:
-        dt = default_dt(params, schedule)
+        dt = default_dt(params, schedule, g_hop)
     rho0 = product_state([np.full((2, 2), 0.5)] + [None] * (layout.n_sites - 1), layout)
     link = dynamics.evolve(rho0, layout, params, schedule, (0.0, t_final), dt,
                            sample_every=sample_every, g_hop=g_hop)
@@ -492,7 +492,7 @@ def evolved_hop(input_qubit, link, target, channel=None):
     layout = link_layout(n_mediators=link.n_mediators)
     params = link.effective_params()
     rho0 = product_state([input_qubit] + [None] * (layout.n_sites - 1), layout)
-    dt = link.dt if link.dt is not None else default_dt(params, link.schedule)
+    dt = link.dt if link.dt is not None else default_dt(params, link.schedule, link.g_hop)
     traj = dynamics.evolve(
         rho0, layout, params, link.schedule, (0.0, link.hop_time), dt,
         sample_every=link.sample_every, target=target, g_hop=link.g_hop,

@@ -27,6 +27,7 @@ from qlinksim import dynamics, network
 from qlinksim.dynamics import (
     IntegrationError,
     LinkParams,
+    default_dt,
     evolve,
     link_channel,
     link_generators,
@@ -85,6 +86,16 @@ def test_generators_need_a_mediator():
         link_generators(LinkParams(g_a=1.0, g_b=1.0), n_mediators=0)
 
 
+def test_default_step_resolves_the_hopping_between_mediators():
+    params = LinkParams(g_a=3e7, g_b=3e7)
+    g_hop = 3e8
+    dt = default_dt(params, g_hop=g_hop)
+    assert dt < default_dt(params)
+    channel = link_channel(params, params.constant_schedule(), 100 * dt, n_mediators=2,
+                           g_hop=g_hop)
+    assert channel.times[1] == pytest.approx(dt, rel=1e-12)
+
+
 def test_received_state_pins_the_conjugation_convention():
     # a lab-frame pulsed link and an input whose coherence x is complex:
     # B receives [[1 - p |f|^2, x f*], [x* f, p |f|^2]], not x* f above the diagonal
@@ -133,8 +144,7 @@ def channel_runs(draw):
         gamma_b=draw(rates) * TWO_PI_MHZ,
     )
     g_hop = draw(rates) * TWO_PI_MHZ if n_mediators > 1 else 0.0
-    fastest = max(params.max_rate(), params.omega_q, params.omega_w, g_hop)
-    dt = 2 * math.pi / (200 * fastest)
+    dt = 2 * math.pi / (200 * max(params.max_rate(), g_hop))
     t_final = draw(st.integers(20, 300)) * dt
     if draw(st.booleans()):
         width = t_final / 6

@@ -7,6 +7,9 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +37,19 @@ from qlinksim.cli import (
     resolve_defaults,
     run_scenario,
 )
-from qlinksim.qspace import InvalidStateError
+from qlinksim.dynamics import default_dt, evolve
+from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.qspace import InvalidStateError, PureQubitSpec, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 SRC = Path(__file__).resolve().parents[1] / "src"
+WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
+# links the pulsed scenarios are checked against dense runs on: the benchmark's
+# weak-loss link, and a fast, lossy mediator with an input off the poles
+DENSE_RUN_RATES = {
+    "weak-loss": WEAK_LOSS,
+    "fig5-yellow": {"preset": "fig5-yellow", "theta_deg": 60.0, "phi_deg": 40.0},
+}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -161,6 +173,18 @@ class TestScheduleResolution:
         g0 = 5.8 * TWO_PI_MHZ
         assert cfg.hop_time_us == pytest.approx(math.pi / (math.sqrt(2) * g0) / 1e-6)
 
+    @pytest.mark.parametrize("values", [{"preset": name} for name in sorted(PRESETS)]
+                             + [{"g0_2pi_mhz": 12.772}, {"g0_2pi_mhz": 69.577}],
+                             ids=sorted(PRESETS) + ["g0-12.772", "g0-69.577"])
+    def test_stirap_compare_default_horizon_accepted(self, values):
+        # the default horizon is the window's end in config units; at these two
+        # g0, t_final_us * 1e-6 falls below that end in seconds by roundoff
+        cfg = resolve_defaults(build_config({"scenario": "stirap-compare", **values}))
+        _, window_end = default_stirap_window(replace(cfg, protocol="stirap").schedule())
+        assert cfg.t_final_us == window_end / 1e-6
+        if "g0_2pi_mhz" in values:
+            assert cfg.t_final_us * 1e-6 < window_end
+
     def test_resolved_dt_follows_fastest_rate(self):
         cfg = resolve_defaults(build_config({"scenario": "transfer", "preset": "fig5-red"}))
         assert cfg.dt_ns == pytest.approx(2 * math.pi / (200 * 100 * TWO_PI_MHZ) / 1e-9)
@@ -179,6 +203,20 @@ class TestScenarioRuns:
         summary_header, summary_rows = read_csv(tmp_path / "out" / "summary.csv")
         assert summary_header == ["final_fidelity", "stabilization_us"]
         assert len(summary_rows) == 1
+
+    def test_lab_frame_transfer_matches_the_rotating_frame(self, tmp_path):
+        # 100 whole cycles at 500 x 2 pi MHz bring the lab-frame coherence back
+        # to the rotating frame's. default_dt once left omega_q and omega_w out,
+        # and RK4's own damping at 0.862 ns ended this run at the 0.5 floor
+        fidelities = {}
+        for frame, omega in (("rotating", 0.0), ("lab", 500.0)):
+            cfg = build_config({"scenario": "transfer", "t_final_us": 0.2, **WEAK_LOSS,
+                                "omega_q_2pi_mhz": omega, "omega_w_2pi_mhz": omega})
+            assert run_scenario(cfg, tmp_path / frame) == 0
+            _, [[final_fidelity, _]] = read_csv(tmp_path / frame / "summary.csv")
+            fidelities[frame] = float(final_fidelity)
+        assert fidelities["rotating"] > 0.89
+        assert fidelities["lab"] == pytest.approx(fidelities["rotating"], abs=1e-6)
 
     def test_mode_dim_key_rejected(self, tmp_path):
         # one excitation never fills a Fock level above 1, so there is no
@@ -361,6 +399,63 @@ class TestScenarioRuns:
         assert sum(int(r[3]) for r in rows) == 1
         best_row = next(r for r in rows if int(r[3]) == 1)
         assert float(best_row[2]) >= 0.99
+
+    @pytest.mark.parametrize("rates", DENSE_RUN_RATES.values(), ids=DENSE_RUN_RATES)
+    def test_stirap_compare_matches_dense_runs(self, rates, tmp_path):
+        # each schedule's link_channel run against evolve on the target's dense rho0
+        cfg = build_config({"scenario": "stirap-compare", **rates})
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        cfg = resolve_defaults(cfg)
+        _, summary = read_csv(tmp_path / "out" / "summary.csv")
+        assert [row[0] for row in summary] == ["constant", "stirap"]
+        for name, final_fidelity, latency_us in summary:
+            dense = _standard_run(cfg, replace(cfg, protocol=name).schedule())
+            _, rows = read_csv(tmp_path / "out" / f"trajectory_{name}.csv")
+            expected = np.column_stack([dense.times / 1e-6, dense.populations, dense.fidelity,
+                                        dense.trace, dense.purity])
+            np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=0,
+                                       atol=1e-12, err_msg=name)
+            assert float(final_fidelity) == pytest.approx(dense.final_fidelity, abs=1e-12)
+            if name == "constant":
+                assert float(latency_us) == dense.stabilization_time() / 1e-6
+
+    @pytest.mark.parametrize("rates", DENSE_RUN_RATES.values(), ids=DENSE_RUN_RATES)
+    def test_tune_stirap_matches_dense_runs(self, rates, tmp_path):
+        # each grid point's link_channel run against evolve on |1> (x) vacuum
+        cfg = build_config({"scenario": "tune-stirap", "tune_widths_us": (0.25, 0.5),
+                            "tune_delays_us": (0.3,), **rates})
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        params, layout = cfg.link_params(), link_layout()
+        rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        points = list(product(cfg.tune_widths_us, cfg.tune_delays_us))
+        assert len(rows) == len(points)
+        for (width_us, delay_us), row in zip(points, rows):
+            schedule = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b,
+                                      pulse_width=width_us * 1e-6, t_delay=delay_us * 1e-6)
+            _, t1 = default_stirap_window(schedule)
+            dense = evolve(rho0, layout, params, schedule, (0.0, t1),
+                           default_dt(params, schedule), sample_every=1000)
+            assert float(row[2]) == pytest.approx(dense.pop_b[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("values, zeros", [
+        ({"preset": "fig5-red"}, 8),
+        ({"tune_widths_us": (0.5, 1.0), "tune_delays_us": (0.6, 1.2), **WEAK_LOSS}, 0),
+    ], ids=["fig5-red", "weak-loss"])
+    def test_tune_stirap_warns_of_underflowed_fidelities(self, values, zeros, tmp_path):
+        # fig5-red's qubit decay empties the link within every window; the one
+        # grid point above 0.0 is 2.8e-255, and best is picked among the rest
+        # by window length alone
+        cfg = build_config({"scenario": "tune-stirap", **values})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_scenario(cfg, tmp_path / "out") == 0
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert sum(float(row[2]) == 0.0 for row in rows) == zeros
+        messages = [(w.category, str(w.message)) for w in caught]
+        expected = (f"{zeros} of {len(rows)} grid fidelities underflowed to 0.0; the best "
+                    "record ranks those by window length alone")
+        assert messages == ([(RuntimeWarning, expected)] if zeros else [])
 
 
 # shortest reprs, the sign of zero, subnormals, exponent switches, non-finite
@@ -667,13 +762,17 @@ class TestFailureHandling:
         ("scenario = transfer\nphi_deg = nan\n", "phi_deg"),
         ("scenario = chain\nprotocol = stirap\nhop_time_us = 1.0\n", "hop_time_us"),
         ("scenario = sweep-distance\nprotocol = stirap\nhop_time_us = 2.0\n", "hop_time_us"),
+        ("scenario = stirap-compare\npreset = fig4\nt_final_us = 1\n", "t_final_us"),
         ("scenario = transfer\nprotocol = stirap\nadiabaticity = 0\n", "adiabaticity"),
         ("scenario = transfer\nprotocol = stirap\ndelay_ratio = 0\n", "delay_ratio"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
-            "sweep-hop-in-window", "zero-adiabaticity", "zero-delay-ratio"])
+            "sweep-hop-in-window", "compare-horizon-in-window", "zero-adiabaticity",
+            "zero-delay-ratio"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
                                                                    capsys):
-        # each of these once passed validation and crashed the run with a traceback
+        # each of these once passed validation and crashed the run with a
+        # traceback, or (a stirap-compare horizon inside the pulse window) ended
+        # status = ok with a stirap latency past the simulated time
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, text))
         out = tmp_path / "out"

@@ -377,6 +377,18 @@ class TestDefaults:
         dt = default_dt(params)
         assert dt == pytest.approx(2 * math.pi / (200 * 100 * TWO_PI_MHZ))
 
+    @pytest.mark.parametrize("omega_q, omega_w, g_hop, fastest", [
+        (500.0, 500.0, 0.0, 500.0), (300.0, 500.0, 0.0, 500.0), (0.0, 0.0, 300.0, 300.0),
+    ], ids=["lab-frame", "lab-frame-detuned", "g-hop"])
+    def test_default_dt_resolves_every_rate_of_the_generator(self, omega_q, omega_w, g_hop,
+                                                               fastest):
+        # the generator's diagonal carries -i omega_q and -i omega_w themselves,
+        # not their detuning, and g_hop couples neighbouring mediators
+        params = LinkParams(g_a=100 * TWO_PI_MHZ, g_b=100 * TWO_PI_MHZ,
+                            omega_q=omega_q * TWO_PI_MHZ, omega_w=omega_w * TWO_PI_MHZ)
+        assert default_dt(params, g_hop=g_hop * TWO_PI_MHZ) == pytest.approx(
+            2 * math.pi / (200 * fastest * TWO_PI_MHZ))
+
     def test_default_dt_capped_at_one_nanosecond(self):
         params = LinkParams(g_a=100.0, g_b=100.0)
         assert default_dt(params) == 1e-9

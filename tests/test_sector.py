@@ -72,8 +72,7 @@ def sector_runs(draw):
         gamma_b=draw(rates) * TWO_PI_MHZ,
     )
     g_hop = draw(rates) * TWO_PI_MHZ if n_mediators > 1 else 0.0
-    fastest = max(params.max_rate(), params.omega_q, params.omega_w, g_hop)
-    dt = 2 * math.pi / (200 * fastest)
+    dt = 2 * math.pi / (200 * max(params.max_rate(), g_hop))
     n_steps = draw(st.integers(20, 300))
     t_final = n_steps * dt
     if draw(st.booleans()):
@@ -222,19 +221,30 @@ def test_single_excitation_scenarios_never_step_densely(name, tmp_path, monkeypa
     assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
 
 
-def _kron_built(*args, **kwargs):
-    raise AssertionError("kron-built operator used")
+def _forbid(monkeypatch, functions, what):
+    """Make every qlinksim binding of functions raise AssertionError(what)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(what)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qlinksim"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+                monkeypatch.setattr(module, attr, forbidden)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SCENARIOS))
 def test_scenarios_build_no_kron_operators(name, tmp_path, monkeypatch):
     # every link run steps link_generators; the kron-built Hamiltonian and
     # collapse operators are the references' and the public API's only
-    kron = (dynamics.hamiltonian_terms, dynamics.standard_collapse, qspace.embed)
-    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qlinksim"]:
-        for attr, value in list(vars(module).items()):
-            if any(value is f for f in kron):
-                monkeypatch.setattr(module, attr, _kron_built)
+    _forbid(monkeypatch, (dynamics.hamiltonian_terms, dynamics.standard_collapse, qspace.embed),
+            "kron-built operator used")
+    assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("name", sorted(set(SMALL_SCENARIOS) - {"transfer"}))
+def test_only_transfer_builds_a_dense_initial_state(name, tmp_path, monkeypatch):
+    # every other scenario reads its link off one link_channel run from |1> on A
+    _forbid(monkeypatch, (dynamics.evolve, qspace.product_state), "dense rho0 evolved")
     assert run_scenario(build_config(SMALL_SCENARIOS[name]), tmp_path / "out") == 0
 
 
