@@ -2,9 +2,12 @@
 emitting CSV trajectories, per-scenario summary tables and a manifest.
 
 Config values use the units of the literature captions: rates in multiples of
-2*pi MHz, times in microseconds (steps in nanoseconds). Conversion to rad/s
-and seconds happens in exactly one place. Parsing is strict: unknown keys are
-rejected so a mistyped rate cannot silently fall back to a default.
+2*pi MHz, times in microseconds (steps in nanoseconds). They are converted to
+rad/s and seconds where they leave the config: ScenarioConfig's methods build
+the rates, schedule and medium, while resolve_defaults, _links and each
+scenario runner convert the times they read or write at the call. Parsing is
+strict: unknown keys are rejected so a mistyped rate cannot silently fall back
+to a default.
 
 The manifest written next to the outputs is itself a complete config file
 with every value resolved; re-running from it reproduces the summary CSVs
@@ -19,6 +22,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -273,6 +277,11 @@ def _validate(cfg: ScenarioConfig) -> None:
         if value != -1 and not (math.isfinite(value) and (value > 0 or zero_valid and value == 0)):
             bound = ">=" if zero_valid else ">"
             raise ConfigError(f"{key} must be {bound} 0 (or -1 for the default), got {value!r}")
+    for key in ("gamma_a_2pi_mhz", "gamma_b_2pi_mhz"):
+        if cfg.gamma_2pi_mhz >= 0 and getattr(cfg, key) != 0:
+            raise ConfigError(f"{key} = {getattr(cfg, key)!r} would be ignored: gamma_2pi_mhz = "
+                              f"{cfg.gamma_2pi_mhz!r} sets both qubits' decay, and "
+                              "gamma_2pi_mhz = -1 selects per-qubit rates")
     if not 0.0 <= cfg.theta_deg <= 180.0:
         raise ConfigError(f"theta_deg must be in [0, 180], got {cfg.theta_deg!r}")
     if cfg.hops < 1:
@@ -321,22 +330,18 @@ def _check_point_names(cfg: ScenarioConfig) -> None:
 
 
 def _check_schedules(cfg: ScenarioConfig) -> None:
-    """Build the drive schedules a run uses, so that one it cannot take is a ConfigError."""
+    """Build the schedule and links a run uses, so that one it cannot take is a ConfigError."""
     if cfg.scenario == "tune-stirap":  # its schedules come from the tune grids
         return
     cfg = resolve_defaults(cfg)
-    schedule = cfg.schedule()
-    if cfg.scenario == "stirap-compare":
-        _, window_end = default_stirap_window(replace(cfg, protocol="stirap").schedule())
-        # in config units, so that the default horizon, window_end / US, passes exactly
-        if cfg.t_final_us < window_end / US:
-            raise ConfigError(f"t_final_us = {cfg.t_final_us!r} is shorter than the stirap "
-                              f"pulse window, which ends at {window_end / US!r} us")
-    if cfg.scenario in ("chain", "sweep-distance") and isinstance(schedule, StirapSchedule):
-        _, window_end = default_stirap_window(schedule)
-        if cfg.hop_time_us * US < window_end:
-            raise ConfigError(f"hop_time_us = {cfg.hop_time_us!r} is shorter than the stirap "
-                              f"pulse window, which ends at {window_end / US!r} us")
+    cfg.schedule()
+    try:
+        _links(cfg)
+    except ConfigError:
+        raise
+    except ValueError as err:  # a stirap link that ends inside its pulse window
+        key = "t_final_us" if cfg.scenario == "stirap-compare" else "hop_time_us"
+        raise ConfigError(f"{key} = {getattr(cfg, key)!r} us is too short: {err}") from None
 
 
 def _is_int(value) -> bool:
@@ -578,6 +583,14 @@ class _Outputs:
 # --- scenarios --------------------------------------------------------------
 
 
+def _sweep_kappas(cfg: ScenarioConfig) -> list[float]:
+    """Mediator loss rate of every sweep point over the resolved hop time."""
+    with warnings.catch_warnings():  # distance_sweep warns of an underflow itself
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [network.effective_kappa(cfg.medium(kind, length_km * 1000.0), cfg.hop_time_us * US)
+                for kind in cfg.media for length_km in cfg.lengths_km]
+
+
 def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
     """Fill every scenario-dependent default so the manifest echoes real values."""
     if not cfg.protocol:
@@ -602,7 +615,10 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
         elif cfg.scenario in ("chain", "sweep-distance"):
             cfg = replace(cfg, t_final_us=cfg.hop_time_us)
     if cfg.dt_ns <= 0 and cfg.scenario != "tune-stirap":
-        cfg = replace(cfg, dt_ns=dynamics.default_dt(cfg.link_params(), cfg.schedule()) / NS)
+        params = cfg.link_params()
+        if cfg.scenario == "sweep-distance":  # each point runs at its medium's loss rate
+            params = replace(params, kappa=max(params.kappa, *_sweep_kappas(cfg)))
+        cfg = replace(cfg, dt_ns=dynamics.default_dt(params, cfg.schedule()) / NS)
     if cfg.sample_every <= 0:
         if cfg.t_final_us > 0 and cfg.dt_ns > 0:
             n_steps = max(1, int(round(cfg.t_final_us * US / (cfg.dt_ns * NS))))
@@ -610,6 +626,24 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
         else:
             cfg = replace(cfg, sample_every=1)
     return cfg
+
+
+def _links(cfg: ScenarioConfig) -> dict[str, network.LinkSpec]:
+    """The links a resolved config runs, by protocol: stirap-compare's two over
+    t_final_us, chain's or sweep-distance's one over hop_time_us. LinkSpec
+    raises ValueError for a stirap link that ends inside its pulse window."""
+    if cfg.scenario == "stirap-compare":
+        protocols, horizon_us = ("constant", "stirap"), cfg.t_final_us
+    elif cfg.scenario in ("chain", "sweep-distance"):
+        protocols, horizon_us = (cfg.protocol,), cfg.hop_time_us
+    else:
+        return {}
+    medium = cfg.medium() if cfg.scenario == "sweep-distance" else None
+    return {protocol: network.LinkSpec(
+        params=cfg.link_params(), schedule=replace(cfg, protocol=protocol).schedule(),
+        hop_time=horizon_us * US, medium=medium, dt=cfg.dt_ns * NS,
+        sample_every=cfg.sample_every,
+    ) for protocol in protocols}
 
 
 def _standard_run(cfg: ScenarioConfig, schedule: CouplingSchedule) -> dynamics.Trajectory:
@@ -634,32 +668,20 @@ def _scenario_transfer(cfg: ScenarioConfig, out: _Outputs) -> None:
 
 
 def _scenario_stirap_compare(cfg: ScenarioConfig, out: _Outputs) -> None:
-    stirap = replace(cfg, protocol="stirap").schedule()
-    constant = replace(cfg, protocol="constant").schedule()
-    _, window_end = default_stirap_window(stirap)
-
     rows = []
-    for name, schedule in (("constant", constant), ("stirap", stirap)):
-        channel = dynamics.link_channel(cfg.link_params(), schedule, cfg.t_final_us * US,
-                                        cfg.dt_ns * NS, sample_every=cfg.sample_every)
-        traj = channel.link_trajectory(cfg.target())
+    for name, link in _links(cfg).items():
+        traj = network.link_channel(link).link_trajectory(cfg.target())
         out.write_trajectory(f"trajectory_{name}.csv", traj)
         # Latency: a pulsed protocol cannot hand off before its window ends;
         # a constant drive is done once its fidelity settles.
-        latency = window_end if name == "stirap" else traj.stabilization_time()
+        latency = (default_stirap_window(link.schedule)[1] if name == "stirap"
+                   else traj.stabilization_time())
         rows.append([name, traj.final_fidelity, latency / US])
     out.write_csv("summary.csv", ["protocol", "final_fidelity", "latency_us"], rows)
 
 
 def _scenario_chain(cfg: ScenarioConfig, out: _Outputs) -> None:
-    schedule = cfg.schedule()
-    link = network.LinkSpec(
-        params=cfg.link_params(),
-        schedule=schedule,
-        hop_time=cfg.hop_time_us * US,
-        dt=cfg.dt_ns * NS,
-        sample_every=cfg.sample_every,
-    )
+    (link,) = _links(cfg).values()
     result = network.run_chain(cfg.target(), [link] * cfg.hops)
     for rec in result.per_hop:
         out.write_trajectory(f"trajectory_hop{rec.hop_index}.csv", rec.trajectory)
@@ -674,16 +696,14 @@ def _point_name(kind: str, length_m: float) -> str:
 
 
 def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
-    link = network.LinkSpec(
-        params=cfg.link_params(),
-        schedule=cfg.schedule(),
-        hop_time=cfg.hop_time_us * US,
-        medium=cfg.medium(),
-        dt=cfg.dt_ns * NS,
-        sample_every=cfg.sample_every,
-    )
+    (link,) = _links(cfg).values()
     lengths_m = [lk * 1000.0 for lk in cfg.lengths_km]
     points = network.distance_sweep(link, cfg.media, lengths_m, cfg.target())
+    failed = [p for p in points if p.error is not None]
+    if failed:
+        warnings.warn(f"{len(failed)} of {len(points)} sweep points failed and read nan: "
+                      + "; ".join(f"{p.kind} at {p.length / 1000.0:g} km: {p.error}"
+                                  for p in failed), RuntimeWarning, stacklevel=2)
     rows = []
     for p in points:
         rows.append([p.kind, p.length / 1000.0, math.nan if p.fidelity is None else p.fidelity])

@@ -185,6 +185,17 @@ class TestScheduleResolution:
         if "g0_2pi_mhz" in values:
             assert cfg.t_final_us * 1e-6 < window_end
 
+    @pytest.mark.parametrize("scenario", ["chain", "sweep-distance"])
+    def test_hop_at_the_printed_window_end_accepted(self, scenario):
+        # the window end a rejection once printed, in us; in seconds this hop
+        # falls an ulp short of it, and once was rejected again
+        cfg = resolve_defaults(build_config({"scenario": scenario, "protocol": "stirap",
+                                             "g0_2pi_mhz": 23.275,
+                                             "hop_time_us": 4.923375253540908}))
+        _, window_end = default_stirap_window(cfg.schedule())
+        assert cfg.hop_time_us == window_end / 1e-6
+        assert cfg.hop_time_us * 1e-6 < window_end
+
     def test_resolved_dt_follows_fastest_rate(self):
         cfg = resolve_defaults(build_config({"scenario": "transfer", "preset": "fig5-red"}))
         assert cfg.dt_ns == pytest.approx(2 * math.pi / (200 * 100 * TWO_PI_MHZ) / 1e-9)
@@ -456,6 +467,33 @@ class TestScenarioRuns:
         expected = (f"{zeros} of {len(rows)} grid fidelities underflowed to 0.0; the best "
                     "record ranks those by window length alone")
         assert messages == ([(RuntimeWarning, expected)] if zeros else [])
+
+    @pytest.mark.parametrize("values, failed", [
+        ({}, []),
+        ({"lengths_km": (1.0, 1400.0, 10000.0)}, []),
+        ({"lengths_km": (10000.0,), "dt_ns": 0.862}, ["cavity at 10000 km",
+                                                      "cavity+fiber at 10000 km"]),
+    ], ids=["default-lengths", "long-at-default-step", "long-at-coarse-step"])
+    def test_sweep_distance_warns_of_failed_points(self, values, failed, tmp_path):
+        # at long lengths the medium's loss outruns g0; the default step once
+        # followed kappa_2pi_mhz alone, and those points failed (nan) silently
+        cfg = build_config({"scenario": "sweep-distance", **WEAK_LOSS, **values})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_scenario(cfg, tmp_path / "out") == 0
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert [f"{kind} at {float(km):g} km" for kind, km, fid in rows
+                if math.isnan(float(fid))] == failed
+        assert all(0.5 < float(fid) < 1.0 for *_, fid in rows if not math.isnan(float(fid)))
+        messages = [(w.category, str(w.message)) for w in caught]
+        if not failed:
+            assert messages == []
+            return
+        [(category, message)] = messages
+        assert category is RuntimeWarning
+        assert message.startswith(f"{len(failed)} of {len(rows)} sweep points failed and read "
+                                  f"nan: {failed[0]}: vacuum refill")
+        assert all(f"{point}: " in message for point in failed)
 
 
 # shortest reprs, the sign of zero, subnormals, exponent switches, non-finite
@@ -765,14 +803,24 @@ class TestFailureHandling:
         ("scenario = stirap-compare\npreset = fig4\nt_final_us = 1\n", "t_final_us"),
         ("scenario = transfer\nprotocol = stirap\nadiabaticity = 0\n", "adiabaticity"),
         ("scenario = transfer\nprotocol = stirap\ndelay_ratio = 0\n", "delay_ratio"),
+        # the stirap schedule fails while its link is built, and names its own key
+        ("scenario = stirap-compare\nt_final_us = 30\nadiabaticity = 0\n", "adiabaticity"),
+        # 1e-9 (relative) short of the window end at g0 = 23.275, which ends
+        # at 4.923375253540908 us: far outside the tolerance of a unit round trip
+        ("scenario = chain\ng0_2pi_mhz = 23.275\nhop_time_us = 4.923375248617533\n",
+         "hop_time_us"),
+        ("scenario = transfer\npreset = fig4\ngamma_a_2pi_mhz = 1.0\n", "gamma_a_2pi_mhz"),
+        ("scenario = transfer\ngamma_2pi_mhz = 0\ngamma_b_2pi_mhz = 2\n", "gamma_b_2pi_mhz"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
             "sweep-hop-in-window", "compare-horizon-in-window", "zero-adiabaticity",
-            "zero-delay-ratio"])
+            "zero-delay-ratio", "compare-zero-adiabaticity", "chain-hop-just-short-of-window",
+            "gamma-a-under-preset", "gamma-b-under-zero-gamma"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
                                                                    capsys):
         # each of these once passed validation and crashed the run with a
         # traceback, or (a stirap-compare horizon inside the pulse window) ended
-        # status = ok with a stirap latency past the simulated time
+        # status = ok with a stirap latency past the simulated time, or (a
+        # per-qubit gamma next to gamma_2pi_mhz) ran with that gamma ignored
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, text))
         out = tmp_path / "out"
@@ -807,6 +855,12 @@ class TestConfigDataclass:
         cfg = build_config({"scenario": "transfer"})
         assert cfg.g0_a_2pi_mhz == -1.0
         assert cfg.g0_a() == cfg.g0_b() == pytest.approx(5.8 * TWO_PI_MHZ)
+
+    def test_per_qubit_gammas_apply_when_gamma_is_unset(self):
+        cfg = build_config({"scenario": "transfer", "preset": "fig4", "gamma_2pi_mhz": -1.0,
+                            "gamma_a_2pi_mhz": 1.0, "gamma_b_2pi_mhz": 2.5})
+        params = cfg.link_params()
+        assert (params.gamma_a, params.gamma_b) == (1.0 * TWO_PI_MHZ, 2.5 * TWO_PI_MHZ)
 
     def test_negative_non_sentinel_rejected(self):
         with pytest.raises(ConfigError, match="t_final_us"):

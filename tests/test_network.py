@@ -16,7 +16,7 @@ from qlinksim.network import (
     run_chain,
     run_hop,
 )
-from qlinksim.protocols import StirapSchedule
+from qlinksim.protocols import StirapSchedule, default_stirap_window
 from qlinksim.qspace import PureQubitSpec
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -154,6 +154,23 @@ class TestRunHop:
         sched = StirapSchedule(g0_a=1e8, g0_b=1e8, pulse_width=1e-6, t_delay=1e-6)
         with pytest.raises(ValueError):
             LinkSpec(params=params, schedule=sched, hop_time=1e-6)
+
+    @pytest.mark.parametrize("short, accepted", [(0.0, True), (2e-16, True), (5e-13, True),
+                                                 (1e-9, False)])
+    def test_stirap_hop_within_roundoff_of_the_window_end_accepted(self, short, accepted):
+        # a hop an ulp or two short of the window end, as converting it to and
+        # from microseconds leaves it, still reaches the window end
+        params = LinkParams(g_a=1e8, g_b=1e8)
+        sched = StirapSchedule(g0_a=1e8, g0_b=1e8, pulse_width=1e-6, t_delay=1.2e-6)
+        _, t1 = default_stirap_window(sched)
+        hop_time = t1 * (1.0 - short)
+        if accepted:
+            assert LinkSpec(params=params, schedule=sched, hop_time=hop_time).hop_time == hop_time
+        else:
+            with pytest.raises(ValueError) as err:
+                LinkSpec(params=params, schedule=sched, hop_time=hop_time)
+            assert str(err.value) == (f"hop_time = {hop_time!r} s is shorter than the pulse "
+                                      f"window, which ends at {t1!r} s")
 
 
 class TestRunChain:

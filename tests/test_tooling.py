@@ -6,8 +6,8 @@ benchmark pass without failing any other test. The tracer is loaded from its
 file and only read. Likewise every name a module exports in __all__ must
 resolve, so that a deletion leaves no dangling export.
 
-Every ```python block in README.md runs, so that an API change cannot leave
-the library example stale.
+Every ```python block in README.md runs, and every ```ini block builds a
+config, so that an API change cannot leave an example stale.
 
 The package imports only the standard library and its declared runtime
 dependencies, at module level or inside a function; scipy is a test
@@ -35,7 +35,7 @@ import pytest
 from conftest import SMALL_SCENARIOS
 
 import qlinksim
-from qlinksim.cli import SCENARIOS
+from qlinksim.cli import SCENARIOS, build_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -130,6 +130,16 @@ def test_readme_python_blocks_run():
     assert blocks
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_config_blocks_build():
+    # the parser has no inline comments: a trailing "# ..." once made the
+    # example's preset unknown
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks, start=1):
+        build_config(parse_config_text(block, source=f"README.md ini block {i}"))
 
 
 FORKING_TRANSFER = """
