@@ -7,7 +7,12 @@ rad/s and seconds where they leave the config: ScenarioConfig's methods build
 the rates, schedule and medium, while resolve_defaults, _links and each
 scenario runner convert the times they read or write at the call. Parsing is
 strict: unknown keys are rejected so a mistyped rate cannot silently fall back
-to a default.
+to a default, and each key's type is its ScenarioConfig annotation.
+
+A config turns into its runs in one place: resolve_defaults fills every
+horizon, step and cadence, and _links builds every network.LinkSpec a
+scenario runs (tune-stirap's grid builds its own). Validation builds them
+too, so a run that cannot be built is a ConfigError before anything runs.
 
 The manifest written next to the outputs is itself a complete config file
 with every value resolved; re-running from it reproduces the summary CSVs
@@ -31,6 +36,8 @@ import numpy as np
 
 from . import __version__, dynamics, metrics, network
 from .protocols import (
+    DEFAULT_ADIABATICITY,
+    DEFAULT_DELAY_RATIO,
     ConstantSchedule,
     CouplingSchedule,
     StirapSchedule,
@@ -104,22 +111,23 @@ class ScenarioConfig:
     pulse_width_us: float = -1.0  # -1: from adiabaticity
     t_delay_us: float = -1.0  # -1: delay_ratio * pulse_width
     t_center_us: float = -1.0  # -1: 3 * pulse_width
-    adiabaticity: float = 100.0
-    delay_ratio: float = 1.2
+    adiabaticity: float = DEFAULT_ADIABATICITY
+    delay_ratio: float = DEFAULT_DELAY_RATIO
     # transmitted state (doubles as the fidelity target)
     theta_deg: float = 90.0
     phi_deg: float = 0.0
     # integration
-    t_final_us: float = -1.0  # -1: scenario default
+    t_final_us: float = -1.0  # -1: scenario default; hop_time_us for chains and sweeps
     dt_ns: float = -1.0  # -1: resolve-fastest-rate rule
     sample_every: int = -1  # -1: aim for ~1000 stored samples
     # chain / per-hop evolution window (-1: 20 us for chains, the bare
-    # transfer time pi/(sqrt(2) g0) for distance sweeps)
+    # transfer time pi/(sqrt(2) g0) for distance sweeps; a stirap link's at
+    # least until its pulse window ends)
     hops: int = 7
     hop_time_us: float = -1.0
     # media sweep
-    lengths_km: tuple = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)
-    media: tuple = (network.CAVITY, network.CAVITY_PLUS_FIBER)
+    lengths_km: tuple[float, ...] = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)
+    media: tuple[str, ...] = (network.CAVITY, network.CAVITY_PLUS_FIBER)
     base_kappa_2pi_mhz: float = 0.0
     cavity_loss_2pi_mhz_per_km: float = network.DEFAULT_CAVITY_LOSS_PER_M * 1000.0 / TWO_PI_MHZ
     fiber_coupling_2pi_mhz: float = network.DEFAULT_FIBER_COUPLING_KAPPA / TWO_PI_MHZ
@@ -128,8 +136,8 @@ class ScenarioConfig:
     # sampling / tuning
     n_samples: int = 500
     seed: int = 42
-    tune_widths_us: tuple = (0.5, 1.0, 2.0)
-    tune_delays_us: tuple = (0.6, 1.2, 2.4)
+    tune_widths_us: tuple[float, ...] = (0.5, 1.0, 2.0)
+    tune_delays_us: tuple[float, ...] = (0.6, 1.2, 2.4)
     out_path: str = "qlinksim-out"
     # result keys, written to manifests and ignored on load
     status: str = ""
@@ -181,10 +189,9 @@ class ScenarioConfig:
         if delay <= 0:
             raise ConfigError("delay_ratio must be > 0 for the stirap protocol unless "
                               f"t_delay_us is set, got {self.delay_ratio!r}")
-        center = self.t_center_us * US if self.t_center_us >= 0 else 3.0 * width
         return StirapSchedule(
-            g0_a=self.g0_a(), g0_b=self.g0_b(),
-            pulse_width=width, t_delay=delay, t_center=center,
+            g0_a=self.g0_a(), g0_b=self.g0_b(), pulse_width=width, t_delay=delay,
+            t_center=self.t_center_us * US,  # -1 us stays negative: StirapSchedule's 3T
         )
 
     def target(self) -> PureQubitSpec:
@@ -207,11 +214,6 @@ class ScenarioConfig:
 
 # --- config file handling -------------------------------------------------
 
-_INT_KEYS = {"sample_every", "hops", "n_samples", "seed"}
-_STR_KEYS = {"scenario", "preset", "protocol", "out_path", "status", "error", "version"}
-_LIST_FLOAT_KEYS = {"lengths_km", "tune_widths_us", "tune_delays_us"}
-_LIST_STR_KEYS = {"media"}
-
 _NONNEGATIVE_KEYS = {
     "g0_2pi_mhz", "kappa_2pi_mhz", "omega_q_2pi_mhz", "omega_w_2pi_mhz",
     "gamma_a_2pi_mhz", "gamma_b_2pi_mhz", "adiabaticity", "delay_ratio",
@@ -226,22 +228,33 @@ _SENTINEL_KEYS = _ZERO_VALID_SENTINEL_KEYS | {
     "pulse_width_us", "t_delay_us", "t_final_us", "dt_ns", "hop_time_us", "sample_every",
 }
 
-_KNOWN_KEYS = {f.name for f in fields(ScenarioConfig)}
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _parse_value(key: str, text: str, where: str):
-    try:
-        if key in _STR_KEYS:
-            return text
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _LIST_FLOAT_KEYS:
-            return tuple(float(part.strip()) for part in text.split(",") if part.strip())
-        if key in _LIST_STR_KEYS:
-            return tuple(part.strip() for part in text.split(",") if part.strip())
-        return float(text)
-    except ValueError as err:
-        raise ConfigError(f"{where}: cannot parse {key} = {text!r}: {err}") from None
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _listed(parse, check):
+    """The parser and the dict check of a comma-separated list of one type."""
+    return (lambda text: tuple(parse(part.strip()) for part in text.split(",") if part.strip()),
+            lambda value: isinstance(value, (tuple, list)) and all(map(check, value)))
+
+
+# Each annotation of a ScenarioConfig field: the parser of its config text,
+# the check of a value passed in a dict, and what that check asks for.
+_TYPES = {
+    "str": (str, lambda value: isinstance(value, str), "a string"),
+    "int": (int, _is_int, "an integer"),
+    "float": (float, _is_real, "a number"),
+    "tuple[float, ...]": (*_listed(float, _is_real), "a tuple or list of numbers"),
+    "tuple[str, ...]": (*_listed(str, lambda value: isinstance(value, str)),
+                        "a tuple or list of strings"),
+}
+_KEY_TYPES = {f.name: _TYPES[f.type] for f in fields(ScenarioConfig)}
+_LIST_KEYS = [f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple")]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -256,15 +269,20 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, val, f"{source}:{lineno}")
+        try:
+            values[key] = _KEY_TYPES[key][0](val)
+        except ValueError as err:
+            raise ConfigError(f"{source}:{lineno}: cannot parse {key} = {val!r}: {err}") from None
     return values
 
 
 def _validate(cfg: ScenarioConfig) -> None:
+    if not cfg.scenario:
+        raise ConfigError("scenario is required (positional argument or config key)")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
     for key in _NONNEGATIVE_KEYS:
@@ -290,7 +308,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    for key in _LIST_FLOAT_KEYS | _LIST_STR_KEYS:
+    for key in _LIST_KEYS:
         if not getattr(cfg, key):
             raise ConfigError(f"{key} must list at least one value")
     if not all(math.isfinite(v) and v >= 0 for v in cfg.lengths_km):
@@ -330,45 +348,27 @@ def _check_point_names(cfg: ScenarioConfig) -> None:
 
 
 def _check_schedules(cfg: ScenarioConfig) -> None:
-    """Build the schedule and links a run uses, so that one it cannot take is a ConfigError."""
-    if cfg.scenario == "tune-stirap":  # its schedules come from the tune grids
-        return
+    """Resolve the run and build its links, so that one it cannot take is a ConfigError."""
     cfg = resolve_defaults(cfg)
-    cfg.schedule()
+    key = _horizon_key(cfg.scenario)
+    if cfg.t_final_us != getattr(cfg, key):  # only a hop scenario has two keys
+        raise ConfigError(f"t_final_us = {cfg.t_final_us!r} us differs from hop_time_us = "
+                          f"{cfg.hop_time_us!r} us, each hop's run length; set sample_every "
+                          "for the output cadence")
     try:
         _links(cfg)
     except ConfigError:
         raise
     except ValueError as err:  # a stirap link that ends inside its pulse window
-        key = "t_final_us" if cfg.scenario == "stirap-compare" else "hop_time_us"
         raise ConfigError(f"{key} = {getattr(cfg, key)!r} us is too short: {err}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _check_type(key: str, value) -> None:
     """Reject a value of the wrong type, as a dict passed to build_config may hold."""
-    if key not in _KNOWN_KEYS:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    if key in _STR_KEYS:
-        ok, kind = isinstance(value, str), "a string"
-    elif key in _INT_KEYS:
-        ok, kind = _is_int(value), "an integer"
-    elif key in _LIST_FLOAT_KEYS:
-        ok = isinstance(value, (tuple, list)) and all(map(_is_real, value))
-        kind = "a tuple or list of numbers"
-    elif key in _LIST_STR_KEYS:
-        ok = isinstance(value, (tuple, list)) and all(isinstance(v, str) for v in value)
-        kind = "a tuple or list of strings"
-    else:
-        ok, kind = _is_real(value), "a number"
-    if not ok:
+    _, ok, kind = _KEY_TYPES[key]
+    if not ok(value):
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
@@ -591,74 +591,70 @@ def _sweep_kappas(cfg: ScenarioConfig) -> list[float]:
                 for kind in cfg.media for length_km in cfg.lengths_km]
 
 
+def _horizon_key(scenario: str) -> str:
+    """The key holding a scenario's run length: each hop's for chains and sweeps."""
+    return "hop_time_us" if scenario in ("chain", "sweep-distance") else "t_final_us"
+
+
 def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
     """Fill every scenario-dependent default so the manifest echoes real values."""
     if not cfg.protocol:
         cfg = replace(cfg, protocol="stirap" if cfg.scenario == "chain" else "constant")
-    if cfg.hop_time_us <= 0 and cfg.scenario in ("chain", "sweep-distance"):
-        if cfg.scenario == "chain":
-            hop_us = 20.0
-        else:
+    key = _horizon_key(cfg.scenario)
+    if getattr(cfg, key) <= 0 and cfg.scenario != "tune-stirap":  # its grid sets its windows
+        transfers = {"sweep-distance": 1.0, "coherent-info": 8.0}.get(cfg.scenario)
+        if transfers:  # bare transfer times pi/(sqrt(2) g0)
             g0 = max(cfg.g0_a(), cfg.g0_b())
-            hop_us = (math.pi / (math.sqrt(2.0) * g0)) / US if g0 > 0 else 1.0
-        cfg = replace(cfg, hop_time_us=hop_us)
-    if cfg.t_final_us <= 0:
-        if cfg.scenario == "transfer":
-            cfg = replace(cfg, t_final_us=100.0)
-        elif cfg.scenario == "stirap-compare":
+            horizon_us = transfers * math.pi / (math.sqrt(2.0) * g0) / US if g0 > 0 else 1.0
+        else:  # stirap-compare's is its pulse window
+            horizon_us = {"transfer": 100.0, "chain": 20.0}.get(cfg.scenario, 0.0)
+        if cfg.protocol == "stirap" or cfg.scenario == "stirap-compare":  # to the window's end
             stirap = replace(cfg, protocol="stirap").schedule()
-            cfg = replace(cfg, t_final_us=default_stirap_window(stirap)[1] / US)
-        elif cfg.scenario == "coherent-info":
-            g0 = max(cfg.g0_a(), cfg.g0_b())
-            t_us = (8.0 * math.pi / (math.sqrt(2.0) * g0)) / US if g0 > 0 else 1.0
-            cfg = replace(cfg, t_final_us=t_us)
-        elif cfg.scenario in ("chain", "sweep-distance"):
-            cfg = replace(cfg, t_final_us=cfg.hop_time_us)
-    if cfg.dt_ns <= 0 and cfg.scenario != "tune-stirap":
+            horizon_us = max(horizon_us, default_stirap_window(stirap)[1] / US)
+        cfg = replace(cfg, **{key: horizon_us})
+    if key == "hop_time_us" and cfg.t_final_us <= 0:
+        cfg = replace(cfg, t_final_us=cfg.hop_time_us)
+    if cfg.dt_ns <= 0:
         params = cfg.link_params()
         if cfg.scenario == "sweep-distance":  # each point runs at its medium's loss rate
             params = replace(params, kappa=max(params.kappa, *_sweep_kappas(cfg)))
-        cfg = replace(cfg, dt_ns=dynamics.default_dt(params, cfg.schedule()) / NS)
-    if cfg.sample_every <= 0:
-        if cfg.t_final_us > 0 and cfg.dt_ns > 0:
-            n_steps = max(1, int(round(cfg.t_final_us * US / (cfg.dt_ns * NS))))
-            cfg = replace(cfg, sample_every=max(1, n_steps // 1000))
-        else:
-            cfg = replace(cfg, sample_every=1)
+        # a config's schedules peak at the link's couplings, which max_rate() covers
+        cfg = replace(cfg, dt_ns=dynamics.default_dt(params) / NS)
+    if cfg.sample_every <= 0:  # tune-stirap's t_final_us = -1 gives 1
+        n_steps = max(1, int(round(cfg.t_final_us * US / (cfg.dt_ns * NS))))
+        cfg = replace(cfg, sample_every=max(1, n_steps // 1000))
     return cfg
 
 
 def _links(cfg: ScenarioConfig) -> dict[str, network.LinkSpec]:
-    """The links a resolved config runs, by protocol: stirap-compare's two over
-    t_final_us, chain's or sweep-distance's one over hop_time_us. LinkSpec
-    raises ValueError for a stirap link that ends inside its pulse window."""
-    if cfg.scenario == "stirap-compare":
-        protocols, horizon_us = ("constant", "stirap"), cfg.t_final_us
-    elif cfg.scenario in ("chain", "sweep-distance"):
-        protocols, horizon_us = (cfg.protocol,), cfg.hop_time_us
-    else:
+    """The links a resolved config runs over its horizon, by protocol: two for
+    stirap-compare, none for tune-stirap (its grid builds its own schedules),
+    one for every other scenario. LinkSpec raises ValueError for a stirap
+    link that ends inside its pulse window."""
+    if cfg.scenario == "tune-stirap":
         return {}
+    protocols = ("constant", "stirap") if cfg.scenario == "stirap-compare" else (cfg.protocol,)
     medium = cfg.medium() if cfg.scenario == "sweep-distance" else None
     return {protocol: network.LinkSpec(
         params=cfg.link_params(), schedule=replace(cfg, protocol=protocol).schedule(),
-        hop_time=horizon_us * US, medium=medium, dt=cfg.dt_ns * NS,
-        sample_every=cfg.sample_every,
+        hop_time=getattr(cfg, _horizon_key(cfg.scenario)) * US, medium=medium,
+        dt=cfg.dt_ns * NS, sample_every=cfg.sample_every,
     ) for protocol in protocols}
 
 
-def _standard_run(cfg: ScenarioConfig, schedule: CouplingSchedule) -> dynamics.Trajectory:
-    params = cfg.link_params()
+def _standard_run(link: network.LinkSpec, target: PureQubitSpec) -> dynamics.Trajectory:
+    """Evolve the target on A, the rest in vacuum, over the link's hop."""
     layout = link_layout()
-    target = cfg.target()
     rho0 = product_state([target] + [None] * (layout.n_sites - 1), layout)
     return dynamics.evolve(
-        rho0, layout, params, schedule, (0.0, cfg.t_final_us * US),
-        cfg.dt_ns * NS, sample_every=cfg.sample_every, target=target,
+        rho0, layout, link.effective_params(), link.schedule, (0.0, link.hop_time),
+        link.dt, sample_every=link.sample_every, target=target,
     )
 
 
 def _scenario_transfer(cfg: ScenarioConfig, out: _Outputs) -> None:
-    traj = _standard_run(cfg, cfg.schedule())
+    (link,) = _links(cfg).values()
+    traj = _standard_run(link, cfg.target())
     out.write_trajectory("trajectory.csv", traj)
     out.write_csv(
         "summary.csv",
@@ -715,10 +711,8 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
 def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
     # One amplitude run, the link's channel; the curve, the target's
     # trajectory and the Haar average are all read off it in closed form.
-    channel = metrics.run_channel_probe(
-        cfg.link_params(), cfg.schedule(), cfg.t_final_us * US, cfg.dt_ns * NS,
-        sample_every=cfg.sample_every,
-    )
+    (link,) = _links(cfg).values()
+    channel = network.link_channel(link)
     info, f_e = metrics.probe_curve(channel)
     out.write_columns(
         "curve.csv",
@@ -738,13 +732,8 @@ def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:
 
 
 def _scenario_tune_stirap(cfg: ScenarioConfig, out: _Outputs) -> None:
-    params = cfg.link_params()
-    records = stirap_grid_search(
-        params,
-        [w * US for w in cfg.tune_widths_us],
-        [d * US for d in cfg.tune_delays_us],
-        dt=cfg.dt_ns * NS if cfg.dt_ns > 0 else None,
-    )
+    records = stirap_grid_search(cfg.link_params(), [w * US for w in cfg.tune_widths_us],
+                                 [d * US for d in cfg.tune_delays_us], dt=cfg.dt_ns * NS)
     best = best_stirap_record(records)
     rows = [
         [r["pulse_width"] / US, r["t_delay"] / US, r["fidelity"],
@@ -834,8 +823,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = load_config(args.config, overrides)
         else:
             cfg = build_config({}, overrides)
-        if not cfg.scenario:
-            parser.error("scenario is required (positional argument or config key)")
         return run_scenario(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

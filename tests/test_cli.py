@@ -8,7 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -38,12 +38,18 @@ from qlinksim.cli import (
     run_scenario,
 )
 from qlinksim.dynamics import default_dt, evolve
-from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.protocols import (
+    DEFAULT_ADIABATICITY,
+    DEFAULT_DELAY_RATIO,
+    StirapSchedule,
+    default_stirap_window,
+)
 from qlinksim.qspace import InvalidStateError, PureQubitSpec, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
 SRC = Path(__file__).resolve().parents[1] / "src"
 WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
+WEAK_LOSS_TEXT = "".join(f"{key} = {value}\n" for key, value in WEAK_LOSS.items())
 # links the pulsed scenarios are checked against dense runs on: the benchmark's
 # weak-loss link, and a fast, lossy mediator with an input off the poles
 DENSE_RUN_RATES = {
@@ -157,6 +163,7 @@ class TestScheduleResolution:
     def test_stirap_defaults_from_adiabaticity(self):
         cfg = build_config({"scenario": "transfer", "preset": "fig5-red",
                             "protocol": "stirap"})
+        assert (cfg.adiabaticity, cfg.delay_ratio) == (DEFAULT_ADIABATICITY, DEFAULT_DELAY_RATIO)
         sched = cfg.schedule()
         g0 = 100 * TWO_PI_MHZ
         assert sched.pulse_width == pytest.approx(100.0 / g0)
@@ -167,6 +174,27 @@ class TestScheduleResolution:
         cfg = resolve_defaults(build_config({"scenario": "chain", "preset": "fig6a"}))
         assert cfg.protocol == "stirap"
         assert cfg.hop_time_us == pytest.approx(20.0)
+
+    def test_fig4_chain_keeps_its_20us_hops(self):
+        # fig4's pulse window ends at 19.757 us, inside the chain default
+        cfg = resolve_defaults(build_config({"scenario": "chain", "preset": "fig4"}))
+        assert cfg.hop_time_us == cfg.t_final_us == 20.0
+
+    @pytest.mark.parametrize("values, horizon_us", [
+        ({"scenario": "coherent-info", "preset": "fig4", "protocol": "stirap"}, 19.757),
+        ({"scenario": "transfer", "protocol": "stirap", "g0_2pi_mhz": 1.0}, 114.59),
+        ({"scenario": "chain", "g0_2pi_mhz": 5.7}, 20.10),
+        ({"scenario": "sweep-distance", "protocol": "stirap"}, 19.757),
+    ], ids=["coherent-info-fig4", "transfer-g0-1", "chain-g0-5.7", "sweep-distance"])
+    def test_default_horizon_reaches_the_pulse_window_end(self, values, horizon_us):
+        # each default once ended inside the window: coherent-info ran to
+        # status = ok with nothing transferred, transfer cut its pulse pair off
+        # at 100 us, and chain and sweep-distance were refused
+        cfg = resolve_defaults(build_config(values))
+        key = "hop_time_us" if cfg.scenario in ("chain", "sweep-distance") else "t_final_us"
+        _, window_end = default_stirap_window(cfg.schedule())
+        assert getattr(cfg, key) == cfg.t_final_us == window_end / 1e-6
+        assert getattr(cfg, key) == pytest.approx(horizon_us, abs=5e-3)
 
     def test_sweep_defaults_to_transfer_time_hops(self):
         cfg = resolve_defaults(build_config({"scenario": "sweep-distance"}))
@@ -383,7 +411,8 @@ class TestScenarioRuns:
              for t, j in zip(probe.trajectory.times, probe.trajectory.states)],
             rtol=0, atol=1e-12)
 
-        dense = _standard_run(cfg, schedule)
+        (link,) = cli._links(cfg).values()
+        dense = _standard_run(link, cfg.target())
         _, rows = read_csv(tmp_path / "out" / "trajectory.csv")
         expected = np.column_stack([dense.times / 1e-6, dense.populations, dense.fidelity,
                                     dense.trace, dense.purity])
@@ -397,6 +426,21 @@ class TestScenarioRuns:
             make_link_run(params, schedule, t_final, dt), cfg.n_samples, cfg.seed)
         assert avg == pytest.approx(dense_avg, abs=1e-12)
         assert stab_us == dense.stabilization_time() / 1e-6
+
+    def test_tune_stirap_manifest_echoes_its_step(self, tmp_path):
+        # the manifest once read dt_ns = -1; the step is the one each grid
+        # point's run picks, as every point peaks at the link's couplings
+        cfg = build_config({"scenario": "tune-stirap", "tune_widths_us": (0.5,),
+                            "tune_delays_us": (0.6, 1.2), **WEAK_LOSS})
+        assert run_scenario(cfg, tmp_path / "first") == 0
+        manifest = load_config(tmp_path / "first" / "manifest.txt")
+        params = cfg.link_params()
+        grid_point = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b,
+                                    pulse_width=0.5e-6, t_delay=0.6e-6)
+        assert manifest.dt_ns == default_dt(params, grid_point) / 1e-9
+        assert run_scenario(manifest, tmp_path / "again") == 0
+        assert ((tmp_path / "again" / "summary.csv").read_bytes()
+                == (tmp_path / "first" / "summary.csv").read_bytes())
 
     def test_tune_stirap_outputs(self, tmp_path):
         cfg = build_config({
@@ -419,8 +463,9 @@ class TestScenarioRuns:
         cfg = resolve_defaults(cfg)
         _, summary = read_csv(tmp_path / "out" / "summary.csv")
         assert [row[0] for row in summary] == ["constant", "stirap"]
+        links = cli._links(cfg)
         for name, final_fidelity, latency_us in summary:
-            dense = _standard_run(cfg, replace(cfg, protocol=name).schedule())
+            dense = _standard_run(links[name], cfg.target())
             _, rows = read_csv(tmp_path / "out" / f"trajectory_{name}.csv")
             expected = np.column_stack([dense.times / 1e-6, dense.populations, dense.fidelity,
                                         dense.trace, dense.purity])
@@ -793,6 +838,8 @@ class TestFailureHandling:
         assert main(["transfer", "--config", str(bad)]) == 2
         assert "bogus_key" in capsys.readouterr().err
         assert main([]) == 2  # scenario missing
+        assert "scenario is required (positional argument or config key)" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("text, key", [
         ("scenario = transfer\nomega_q_2pi_mhz = 5\n", "omega_q_2pi_mhz"),
@@ -801,6 +848,13 @@ class TestFailureHandling:
         ("scenario = chain\nprotocol = stirap\nhop_time_us = 1.0\n", "hop_time_us"),
         ("scenario = sweep-distance\nprotocol = stirap\nhop_time_us = 2.0\n", "hop_time_us"),
         ("scenario = stirap-compare\npreset = fig4\nt_final_us = 1\n", "t_final_us"),
+        (f"scenario = transfer\nprotocol = stirap\nt_final_us = 5\n{WEAK_LOSS_TEXT}",
+         "t_final_us"),
+        (f"scenario = coherent-info\nprotocol = stirap\nt_final_us = 5\n{WEAK_LOSS_TEXT}",
+         "t_final_us"),
+        # it would only have changed the output cadence of the 20 us hops
+        (f"scenario = chain\nhop_time_us = 20\nt_final_us = 0.5\n{WEAK_LOSS_TEXT}",
+         "t_final_us"),
         ("scenario = transfer\nprotocol = stirap\nadiabaticity = 0\n", "adiabaticity"),
         ("scenario = transfer\nprotocol = stirap\ndelay_ratio = 0\n", "delay_ratio"),
         # the stirap schedule fails while its link is built, and names its own key
@@ -812,7 +866,8 @@ class TestFailureHandling:
         ("scenario = transfer\npreset = fig4\ngamma_a_2pi_mhz = 1.0\n", "gamma_a_2pi_mhz"),
         ("scenario = transfer\ngamma_2pi_mhz = 0\ngamma_b_2pi_mhz = 2\n", "gamma_b_2pi_mhz"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
-            "sweep-hop-in-window", "compare-horizon-in-window", "zero-adiabaticity",
+            "sweep-hop-in-window", "compare-horizon-in-window", "transfer-horizon-in-window",
+            "coherent-info-horizon-in-window", "chain-t-final-off-the-hop", "zero-adiabaticity",
             "zero-delay-ratio", "compare-zero-adiabaticity", "chain-hop-just-short-of-window",
             "gamma-a-under-preset", "gamma-b-under-zero-gamma"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
@@ -820,6 +875,8 @@ class TestFailureHandling:
         # each of these once passed validation and crashed the run with a
         # traceback, or (a stirap-compare horizon inside the pulse window) ended
         # status = ok with a stirap latency past the simulated time, or (a
+        # transfer or coherent-info horizon inside it) with the pulse pair cut
+        # off, or (a chain's t_final_us) only moved the output cadence, or (a
         # per-qubit gamma next to gamma_2pi_mhz) ran with that gamma ignored
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, text))
@@ -827,6 +884,17 @@ class TestFailureHandling:
         assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("scenario", ["chain", "sweep-distance"])
+    def test_hop_scenarios_take_their_horizon_from_hop_time_us(self, scenario, tmp_path):
+        values = {"scenario": scenario, "hops": 2, "lengths_km": (0.1,), **WEAK_LOSS}
+        with pytest.raises(ConfigError, match=r"t_final_us = 0\.5 us differs from "
+                                              r"hop_time_us = 20\.0 us.*sample_every"):
+            build_config({**values, "hop_time_us": 20.0, "t_final_us": 0.5})
+        # a manifest carries t_final_us = hop_time_us, and still loads
+        assert run_scenario(build_config(values), tmp_path / "out") == 0
+        manifest = load_config(tmp_path / "out" / "manifest.txt")
+        assert manifest.t_final_us == manifest.hop_time_us > 0
 
     def test_cli_runs_scenario_end_to_end(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST_TRANSFER)
@@ -952,3 +1020,29 @@ class TestConfigDataclass:
     def test_zero_pulse_center_is_kept(self):
         cfg = build_config({"scenario": "transfer", "protocol": "stirap", "t_center_us": 0.0})
         assert cfg.schedule().t_center == 0.0
+
+    def test_every_key_round_trips_through_the_manifest(self):
+        # a value off the default for every key but gamma_2pi_mhz, whose -1
+        # selects the per-qubit rates set here
+        values = {
+            "scenario": "transfer", "preset": "fig4", "g0_2pi_mhz": 4.5, "g0_a_2pi_mhz": 4.0,
+            "g0_b_2pi_mhz": 3.5, "kappa_2pi_mhz": 0.25, "gamma_2pi_mhz": -1.0,
+            "gamma_a_2pi_mhz": 0.5, "gamma_b_2pi_mhz": 0.75, "omega_q_2pi_mhz": 50.0,
+            "omega_w_2pi_mhz": 51.0, "protocol": "stirap", "pulse_width_us": 0.5,
+            "t_delay_us": 0.6, "t_center_us": 1.5, "adiabaticity": 50.0, "delay_ratio": 1.1,
+            "theta_deg": 60.0, "phi_deg": 40.0, "t_final_us": 4.0, "dt_ns": 0.5,
+            "sample_every": 3, "hops": 3, "hop_time_us": 2.0, "lengths_km": (0.5, 2.0),
+            "media": ("fiber",), "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
+            "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3,
+            "fiber_refractive_index": 1.5, "n_samples": 7, "seed": 3,
+            "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",
+            "status": "ok", "failed_at_us": 1.25, "error": "none", "version": "0.0.1",
+        }
+        assert sorted(values) == sorted(f.name for f in fields(ScenarioConfig))
+        cfg = build_config(values)
+        default = ScenarioConfig()
+        assert [f.name for f in fields(cfg)
+                if getattr(cfg, f.name) == getattr(default, f.name)] == ["gamma_2pi_mhz"]
+        loaded = build_config(parse_config_text(cli._manifest_text(cfg)))
+        assert loaded == cfg
+        assert all(type(getattr(loaded, key)) is type(value) for key, value in values.items())
