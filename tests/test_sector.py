@@ -33,9 +33,11 @@ from qlinksim.dynamics import (
     IntegrationError,
     LinkParams,
     evolve,
+    link_channel,
+    link_generators,
     standard_collapse,
 )
-from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.protocols import StirapSchedule, default_stirap, default_stirap_window
 from qlinksim.qspace import Mode, PureQubitSpec, Qubit, SystemLayout, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -113,20 +115,28 @@ def test_sector_path_matches_dense_rk4(run):
                                    rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
 
 
-def fig5_red_run(t_final, dt):
-    g = 100 * TWO_PI_MHZ
+FIG5_RED_G = 100 * TWO_PI_MHZ
+
+
+def fig5_red_run(t_final, dt, schedule=None, input_a=PureQubitSpec(theta=math.pi / 2)):
+    """fig5-red from input_a on A under schedule, by default the constant drive."""
+    g = FIG5_RED_G
     params = LinkParams(g_a=g, g_b=g, kappa=6 * TWO_PI_MHZ,
                         gamma_a=65 * TWO_PI_MHZ, gamma_b=65 * TWO_PI_MHZ)
     layout = link_layout()
     return dict(
-        rho0=product_state([PureQubitSpec(theta=math.pi / 2), None, None], layout),
-        layout=layout, params=params, schedule=params.constant_schedule(),
+        rho0=product_state([input_a, None, None], layout),
+        layout=layout, params=params,
+        schedule=params.constant_schedule() if schedule is None else schedule,
         t_span=(0.0, t_final), dt=dt,
     )
 
 
 def first_refill_failure(run):
-    """Step at which the reference's vacuum refill first breaks the bound, and dt."""
+    """Step at which the reference's vacuum refill first breaks the bound, dt and that refill.
+
+    The reference steps the run's own schedule one RK4 step at a time.
+    """
     rho0, layout, params = run["rho0"], run["layout"], run["params"]
     terms = dynamics.hamiltonian_terms(params, layout)
     x0 = sector_columns(rho0, layout)[:, :-1]
@@ -136,7 +146,8 @@ def first_refill_failure(run):
         delta = (np.abs(x0) ** 2).sum() - (np.abs(columns) ** 2).sum(axis=(1, 2))
         failed = ~np.isfinite(delta) | (delta < dynamics.MIN_EIGENVALUE_MIN)
     assert failed.any()
-    return int(np.argmax(failed)), times[1] - times[0]
+    step = int(np.argmax(failed))
+    return step, times[1] - times[0], delta[step]
 
 
 def test_unstable_step_fails_at_the_dense_paths_time():
@@ -144,7 +155,7 @@ def test_unstable_step_fails_at_the_dense_paths_time():
     # engine checks every step, the dense path only its samples, so the
     # engine fails first, at the first step whose refill breaks the bound.
     run = fig5_red_run(0.2e-6, 4e-9)
-    step, h = first_refill_failure(run)
+    step, h, _ = first_refill_failure(run)
     for sample_every in (1, 10):
         with pytest.raises(IntegrationError) as sector:
             evolve(**run, sample_every=sample_every)
@@ -154,6 +165,38 @@ def test_unstable_step_fails_at_the_dense_paths_time():
         assert f"(step {step} of 50, dt = 4.000000e-09 s, sample_every = {sample_every})" \
             in str(sector.value)
         assert sector.value.t <= dense.value.t
+
+
+def test_pulsed_failure_is_reported_at_the_references_step():
+    # fig5-red under its default STIRAP with a 6 ns step: RK4 turns unstable
+    # mid-pulse. The pulsed engine reaches its steps through chunked prefix
+    # products, and must still stop at the first step whose refill breaks
+    # the bound, at every cadence; |1> on A makes the refill the link's own
+    schedule = default_stirap(FIG5_RED_G)
+    t_final = default_stirap_window(schedule)[1]
+    run = fig5_red_run(t_final, 6e-9, schedule, input_a=PureQubitSpec(theta=math.pi))
+    step, h, refill = first_refill_failure(run)
+    assert (step, f"{refill:.3e}") == (92, "-4.218e+00")
+    # a complex rank-2 state: the refill sums the real and imaginary parts of both factors
+    mixed = dict(run, rho0=mixed_link_state(run["layout"]))
+    mixed_step, _, mixed_refill = first_refill_failure(mixed)
+    for sample_every in (1, 10):
+        with pytest.raises(IntegrationError) as rank_2:
+            evolve(**mixed, sample_every=sample_every)
+        assert rank_2.value.t == pytest.approx(mixed_step * h, rel=1e-12)
+        assert (f"Tr R0 - Tr R = {mixed_refill:.3e} below -1e-05, a lower bound on the smallest "
+                f"eigenvalue at t = {mixed_step * h:.6e} s (step {mixed_step} of 191, ") \
+            in str(rank_2.value)
+        with pytest.raises(IntegrationError) as sector:
+            evolve(**run, sample_every=sample_every)
+        with pytest.raises(IntegrationError) as channel:
+            link_channel(run["params"], schedule, t_final, 6e-9, sample_every=sample_every)
+        for err in (sector, channel):
+            assert err.value.t == pytest.approx(step * h, rel=1e-12)
+            assert str(err.value) == (
+                "vacuum refill Tr R0 - Tr R = -4.218e+00 below -1e-05, a lower bound on the "
+                "smallest eigenvalue at t = 5.519593e-07 s (step 92 of 191, "
+                f"dt = 5.999558e-09 s, sample_every = {sample_every})")
 
 
 @pytest.mark.parametrize("sample_every", [1, 10, 40, 400, 4000])
@@ -174,6 +217,104 @@ def test_constant_drive_powers_match_the_step_by_step_product():
     traj = evolve(**run)
     reference = sector_reference(**run)
     np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
+
+
+def mixed_link_state(layout):
+    """A state whose excitation is mixed over A and B (R0 of rank 2), coherent with the vacuum."""
+    sites = np.eye(layout.n_sites, dtype=int)
+    a, b = (np.ravel_multi_index(tuple(sites[i]), layout.dims) for i in (0, -1))
+    coherent, mixed = np.zeros((2, layout.total_dim), dtype=complex)
+    coherent[[0, a, b]] = 0.6, 0.64j, 0.48
+    mixed[[a, b]] = 0.8, -0.6j
+    return 0.7 * np.outer(coherent, coherent.conj()) + 0.3 * np.outer(mixed, mixed.conj())
+
+
+# A pulsed run builds its step matrices in batches; two batches and a ragged
+# third, whose last chunk is ragged too
+MULTI_BATCH_STEPS = 2 * dynamics._PULSED_STEPS + 37
+LAB_DETUNED = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, omega_q=24.1 * TWO_PI_MHZ,
+                         omega_w=25.3 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+                         gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ)
+
+
+def multi_batch_run(params, schedule=None, n_mediators=1, g_hop=0.0):
+    """A STIRAP run of MULTI_BATCH_STEPS steps from a rank-2 state.
+
+    It covers the schedule's window, or without one a pulse pair fitted to
+    that many of params' default steps.
+    """
+    if schedule is None:
+        dt = dynamics.default_dt(params, g_hop=g_hop)
+        t_final = MULTI_BATCH_STEPS * dt
+        width = t_final / 6
+        schedule = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b, pulse_width=width,
+                                  t_delay=0.8 * width)
+    else:
+        t_final = default_stirap_window(schedule)[1]
+        dt = t_final / MULTI_BATCH_STEPS
+    layout = link_layout(n_mediators=n_mediators)
+    return dict(rho0=mixed_link_state(layout), layout=layout, params=params, schedule=schedule,
+                t_span=(0.0, t_final), dt=dt, sample_every=7,
+                target=PureQubitSpec(theta=1.1, phi=0.7), g_hop=g_hop)
+
+
+@pytest.mark.parametrize("run", [
+    multi_batch_run(LOW_LOSS, LOW_LOSS_STIRAP),
+    multi_batch_run(LOW_LOSS, n_mediators=2, g_hop=3.1 * TWO_PI_MHZ),
+    multi_batch_run(LAB_DETUNED),
+], ids=["weak-loss-stirap", "two-mediators-g-hop", "lab-frame-detuned"])
+def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
+    # the first two step in the real gauge, the lab-frame link in the realified form
+    traj = evolve(**run)
+    reference = sector_reference(**run)
+    assert len(traj.times) == MULTI_BATCH_STEPS // 7 + 2
+    np.testing.assert_array_equal(traj.times, reference.times)
+    np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
+    for column in ("populations", "trace", "purity", "fidelity"):
+        np.testing.assert_allclose(getattr(traj, column), getattr(reference, column),
+                                   rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+
+
+# --- the real gauge ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_mediators", [1, 2, 3])
+@pytest.mark.parametrize("g_hop", [0.0, 3.1 * TWO_PI_MHZ, 47.0 * TWO_PI_MHZ])
+def test_site_gauge_makes_exactly_the_rotating_frame_generators_real(n_mediators, g_hop):
+    u = np.diag([(-1j) ** k for k in range(n_mediators + 2)])
+    lab_resonant = LinkParams(g_a=FIG4.g_a, g_b=FIG4.g_b, omega_q=24.1 * TWO_PI_MHZ,
+                              omega_w=24.1 * TWO_PI_MHZ, kappa=FIG4.kappa)
+    for params, real in ((FIG4, True), (LOW_LOSS, True), (lab_resonant, False),
+                         (LAB_DETUNED, False)):
+        a = link_generators(params, n_mediators, g_hop)
+        gauged = u.conj() @ a @ u
+        assert (not gauged.imag.any()) == real
+        assert (dynamics._real_gauge(a) is not None) == real
+        if real:
+            np.testing.assert_array_equal(dynamics._real_gauge(a), u.diagonal())
+
+
+@pytest.mark.parametrize("schedule", [LOW_LOSS.constant_schedule(), LOW_LOSS_STIRAP],
+                         ids=["constant", "stirap"])
+def test_real_gauge_matches_the_realified_path(schedule, monkeypatch):
+    t_final = default_stirap_window(LOW_LOSS_STIRAP)[1]
+    dt, g_hop = 2e-9, 3.1 * TWO_PI_MHZ
+    layout = link_layout(n_mediators=2)
+    run = dict(rho0=mixed_link_state(layout), layout=layout, params=LOW_LOSS,
+               schedule=schedule, t_span=(0.0, t_final), dt=dt, sample_every=9,
+               target=PureQubitSpec(theta=1.1, phi=0.7), g_hop=g_hop)
+    assert dynamics._real_gauge(link_generators(LOW_LOSS, 2, g_hop)) is not None
+
+    def runs():
+        channel = link_channel(LOW_LOSS, schedule, t_final, dt, sample_every=9, n_mediators=2,
+                               g_hop=g_hop)
+        return channel.amplitudes, evolve(**run).states
+
+    gauged = runs()
+    monkeypatch.setattr(dynamics, "_real_gauge", lambda a: None)
+    realified = runs()
+    for got, want in zip(gauged, realified):
+        np.testing.assert_allclose(got, want, rtol=0, atol=EQUIVALENCE_TOL)
 
 
 def link_run(params, schedule, t_final, dt):

@@ -11,7 +11,8 @@ config, so that an API change cannot leave an example stale.
 
 The package imports only the standard library and its declared runtime
 dependencies, at module level or inside a function; scipy is a test
-dependency, so a scenario run must not load it.
+dependency, so a scenario run must not load it. No module reads the
+environment, so no shell variable can change what a run computes or how.
 
 A long trajectory is formatted by forked processes; a fresh interpreter under
 -X dev -W error, with its BLAS library held to one thread so that it may
@@ -81,11 +82,17 @@ def test_every_exported_name_resolves(module):
     assert not missing, f"{module}.__all__ names {missing}"
 
 
+def _module_trees(package: Path):
+    """(path, syntax tree) of every module in package."""
+    for path in sorted(package.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _imported_top_level_names(package: Path) -> set[str]:
     """Top-level names of every absolute, non-standard-library import in package."""
     names = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for _, tree in _module_trees(package):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -99,6 +106,26 @@ def test_imports_match_declared_dependencies():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).replace("-", "_") for spec in declared}
     assert _imported_top_level_names(PACKAGE) == names
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # the engine's batch and chunk sizes are module constants: no run's
+    # result or cost may hang on a variable of the calling shell
+    reads = []
+    for path, tree in _module_trees(PACKAGE):
+        os_names = {alias.asname or "os" for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "os"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                    and isinstance(node.value, ast.Name) and node.value.id in os_names):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    assert reads == []
 
 
 COLD_START = """
