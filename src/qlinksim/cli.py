@@ -29,6 +29,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -132,7 +133,6 @@ class ScenarioConfig:
     cavity_loss_2pi_mhz_per_km: float = network.DEFAULT_CAVITY_LOSS_PER_M * 1000.0 / TWO_PI_MHZ
     fiber_coupling_2pi_mhz: float = network.DEFAULT_FIBER_COUPLING_KAPPA / TWO_PI_MHZ
     fiber_attenuation_db_per_km: float = network.DEFAULT_FIBER_ATTENUATION_DB_PER_KM
-    fiber_refractive_index: float = network.DEFAULT_FIBER_REFRACTIVE_INDEX
     # sampling / tuning
     n_samples: int = 500
     seed: int = 42
@@ -182,13 +182,13 @@ class ScenarioConfig:
         if g0 <= 0:
             raise ConfigError("stirap protocol needs a positive coupling amplitude")
         width = self.pulse_width_us * US if self.pulse_width_us > 0 else self.adiabaticity / g0
-        if width <= 0:
-            raise ConfigError("adiabaticity must be > 0 for the stirap protocol unless "
-                              f"pulse_width_us is set, got {self.adiabaticity!r}")
+        if not 0 < width < math.inf:
+            raise ConfigError("adiabaticity must give a finite pulse width > 0 for the stirap "
+                              f"protocol unless pulse_width_us is set, got {self.adiabaticity!r}")
         delay = self.t_delay_us * US if self.t_delay_us > 0 else self.delay_ratio * width
-        if delay <= 0:
-            raise ConfigError("delay_ratio must be > 0 for the stirap protocol unless "
-                              f"t_delay_us is set, got {self.delay_ratio!r}")
+        if not 0 < delay < math.inf:
+            raise ConfigError("delay_ratio must give a finite pulse delay > 0 for the stirap "
+                              f"protocol unless t_delay_us is set, got {self.delay_ratio!r}")
         return StirapSchedule(
             g0_a=self.g0_a(), g0_b=self.g0_b(), pulse_width=width, t_delay=delay,
             t_center=self.t_center_us * US,  # -1 us stays negative: StirapSchedule's 3T
@@ -207,7 +207,6 @@ class ScenarioConfig:
             cavity_loss_per_m=self.cavity_loss_2pi_mhz_per_km * TWO_PI_MHZ / 1000.0,
             fiber_coupling_kappa=self.fiber_coupling_2pi_mhz * TWO_PI_MHZ,
             fiber_attenuation_db_per_km=self.fiber_attenuation_db_per_km,
-            fiber_refractive_index=self.fiber_refractive_index,
         )
 
 
@@ -218,7 +217,7 @@ _NONNEGATIVE_KEYS = {
     "g0_2pi_mhz", "kappa_2pi_mhz", "omega_q_2pi_mhz", "omega_w_2pi_mhz",
     "gamma_a_2pi_mhz", "gamma_b_2pi_mhz", "adiabaticity", "delay_ratio",
     "base_kappa_2pi_mhz", "cavity_loss_2pi_mhz_per_km", "fiber_coupling_2pi_mhz",
-    "fiber_attenuation_db_per_km", "fiber_refractive_index",
+    "fiber_attenuation_db_per_km",
 }
 
 # Keys where -1 means "apply the documented default"; other negatives are
@@ -361,6 +360,14 @@ def _check_schedules(cfg: ScenarioConfig) -> None:
         raise
     except ValueError as err:  # a stirap link that ends inside its pulse window
         raise ConfigError(f"{key} = {getattr(cfg, key)!r} us is too short: {err}") from None
+    if cfg.scenario == "tune-stirap":  # its grid builds its own windows
+        for width, delay in product(cfg.tune_widths_us, cfg.tune_delays_us):
+            point = f"grid point tune_widths_us = {width!r}, tune_delays_us = {delay!r}"
+            try:
+                pulses = StirapSchedule(cfg.g0_a(), cfg.g0_b(), width * US, delay * US)
+            except ValueError as err:  # a width or delay that underflows to 0 s
+                raise ConfigError(f"{point}: {err}") from None
+            _step_count(default_stirap_window(pulses)[1], cfg, f"the window of {point}")
 
 
 def _check_type(key: str, value) -> None:
@@ -620,10 +627,19 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
             params = replace(params, kappa=max(params.kappa, *_sweep_kappas(cfg)))
         # a config's schedules peak at the link's couplings, which max_rate() covers
         cfg = replace(cfg, dt_ns=dynamics.default_dt(params) / NS)
+    n_steps = _step_count(getattr(cfg, key) * US, cfg, f"{key} = {getattr(cfg, key)!r} us")
     if cfg.sample_every <= 0:  # tune-stirap's t_final_us = -1 gives 1
-        n_steps = max(1, int(round(cfg.t_final_us * US / (cfg.dt_ns * NS))))
         cfg = replace(cfg, sample_every=max(1, n_steps // 1000))
     return cfg
+
+
+def _step_count(horizon: float, cfg: ScenarioConfig, what: str) -> int:
+    """Steps of dt_ns in horizon seconds, rounded as evolve does; a ConfigError if not finite."""
+    dt = cfg.dt_ns * NS
+    steps = horizon / dt if dt > 0 else math.inf
+    if not math.isfinite(steps):
+        raise ConfigError(f"{what} is not a finite number of dt_ns = {cfg.dt_ns!r} ns steps")
+    return max(1, int(round(steps)))
 
 
 def _links(cfg: ScenarioConfig) -> dict[str, network.LinkSpec]:

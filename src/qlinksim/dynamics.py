@@ -21,9 +21,9 @@ states, one per site, under generators built site by site from the rates
 In the rotating frame the generators are real in the site gauge
 diag((-i)^k), so the amplitudes step as a real m x m system on their real
 and imaginary parts; a lab-frame link steps the 2m x 2m real form of its
-complex generators. A constant drive reaches its steps by blocked powers of
-its one step matrix, and a pulsed drive by prefix products of its step
-matrices, in chunks.
+complex generators. Every drive reaches its steps by prefix products of its
+step matrices in chunks; a constant drive's one step matrix gives every
+chunk the same ones, its powers.
 `evolve` admits a run when its layout is (qubit, modes..., qubit) and its
 initial state lies in that subspace, and raises ValueError otherwise. Such
 states are positive by construction as long as the vacuum refill is, which
@@ -688,17 +688,10 @@ def _powers(step: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _stepped(steps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C after each of steps applied in turn to c, by prefix products in chunks.
-
-    The steps are split into chunks of _CHUNK_STEPS (the last padded with
-    identities). Each chunk's prefix products come from _CHUNK_STEPS - 1
-    matmuls batched across the chunks, each chunk's start from the end of the
-    one before, and every step's C from one batched matmul: a few numpy calls
-    per chunk in place of one per step.
-    """
-    n, dim = len(steps), steps.shape[-1]
-    pad = -n % _CHUNK_STEPS
+def _chunk_prefixes(steps: np.ndarray) -> np.ndarray:
+    """Prefix products of steps within chunks of _CHUNK_STEPS, the last padded with identities."""
+    dim = steps.shape[-1]
+    pad = -len(steps) % _CHUNK_STEPS
     if pad:
         steps = np.concatenate([steps, np.broadcast_to(np.eye(dim), (pad, dim, dim))])
     steps = steps.reshape(-1, _CHUNK_STEPS, dim, dim)  # (chunk, step in chunk, ...)
@@ -706,20 +699,30 @@ def _stepped(steps: np.ndarray, c: np.ndarray) -> np.ndarray:
     prefix[:, 0] = steps[:, 0]
     for k in range(1, _CHUNK_STEPS):
         np.matmul(steps[:, k], prefix[:, k - 1], out=prefix[:, k])
-    starts = np.empty((len(prefix),) + c.shape)
-    starts[0] = c
-    for j in range(1, len(prefix)):
-        np.matmul(prefix[j - 1, -1], starts[j - 1], out=starts[j])
+    return prefix
+
+
+def _stepped(prefix: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """X after each of n steps from x, given each chunk's prefix products.
+
+    prefix is (chunk, step in chunk, dim, dim); a single chunk serves every
+    chunk. Each chunk's start comes from the end of the one before, and every
+    step's X from one batched matmul: a few numpy calls per chunk in place of
+    one per step.
+    """
+    dim = prefix.shape[-1]
+    starts = np.empty((-(-n // _CHUNK_STEPS),) + x.shape)
+    starts[0] = x
+    for j in range(1, len(starts)):
+        np.matmul(prefix[(j - 1) % len(prefix), -1], starts[j - 1], out=starts[j])
     # stacking each chunk's prefix products into one tall matrix makes this
     # one gemm per chunk, not one per step
-    return np.matmul(prefix.reshape(len(prefix), -1, dim), starts).reshape((-1,) + c.shape)[:n]
+    return np.matmul(prefix.reshape(len(prefix), -1, dim), starts).reshape((-1,) + x.shape)[:n]
 
 
-# Steps computed, checked and sampled at once: a constant drive's powers of
-# its one step matrix, or a pulsed drive's step matrices, stepped in chunks
-# by _stepped. Memory stays flat whatever the run length.
-_POWER_STEPS = 256
-_PULSED_STEPS = 1024
+# Steps computed, checked and sampled at once, in chunks of _CHUNK_STEPS
+# stepped by _stepped. Memory stays flat whatever the run length.
+_BATCH_STEPS = 1024
 _CHUNK_STEPS = 32
 
 
@@ -733,15 +736,16 @@ def _rk4_amplitudes(
 ) -> np.ndarray:
     """RK4 on a real form X0 of C0, whose first refill_columns factor R0; X at sample_steps.
 
-    generators are real forms of A_0, A_A and A_B acting on X. A constant
-    drive reaches every step by blocked powers of its one step matrix. A
-    pulsed drive builds its step matrices _PULSED_STEPS at a time and reaches
-    each step by chunked prefix products (_stepped). On a weak-loss STIRAP
-    run in the real gauge (4176 steps, one BLAS thread, a shared 2-vCPU
-    x86-64 machine) a pulsed step costs 0.9-1.2 us, against 1.7-2.8 us for
-    one realified 6 x 6 product per step. Every step is checked: an entry
-    that is not finite, or a vacuum refill delta = Tr R0 - Tr R below
-    MIN_EIGENVALUE_MIN, raises IntegrationError at the first step that shows it.
+    generators are real forms of A_0, A_A and A_B acting on X. Every drive
+    steps _BATCH_STEPS at a time by chunked prefix products (_stepped). A
+    pulsed drive builds each batch's from its RK4 step matrices; a constant
+    drive has one step matrix, so the powers S, ..., S^_CHUNK_STEPS are every
+    chunk's. On a weak-loss STIRAP run in the real gauge (4176 steps, one
+    BLAS thread, a shared 2-vCPU x86-64 machine) a pulsed step costs
+    0.9-1.2 us, against 1.7-2.8 us for one realified 6 x 6 product per step.
+    Every step is checked: an entry that is not finite, or a vacuum refill
+    delta = Tr R0 - Tr R below MIN_EIGENVALUE_MIN, raises IntegrationError at
+    the first step that shows it.
     """
     excited0 = (x0[:, :refill_columns] ** 2).sum()
     samples = np.empty((len(sample_steps),) + x0.shape)
@@ -751,12 +755,16 @@ def _rk4_amplitudes(
     def record(start: int, blocks: np.ndarray) -> None:
         # blocks hold X after steps start + 1, ..., start + len(blocks)
         nonlocal j
-        delta = excited0 - (blocks[..., :refill_columns] ** 2).sum(axis=(-2, -1))
-        finite = np.isfinite(blocks).all(axis=(-2, -1))
-        failed = ~finite | (delta < MIN_EIGENVALUE_MIN)
+        r = blocks[..., :refill_columns]
+        delta = excited0 - np.einsum("nij,nij->n", r, r)
+        # per-step flags only for a batch that holds a non-finite entry
+        diverged = np.zeros(len(blocks), dtype=bool)
+        if not np.isfinite(blocks).all():
+            diverged = ~np.isfinite(blocks).all(axis=(-2, -1))
+        failed = diverged | (delta < MIN_EIGENVALUE_MIN)
         if failed.any():
             i = int(np.argmax(failed))
-            what = ("state diverged (non-finite entries)" if not finite[i] else
+            what = ("state diverged (non-finite entries)" if diverged[i] else
                     f"vacuum refill Tr R0 - Tr R = {float(delta[i]):.3e} below "
                     f"{MIN_EIGENVALUE_MIN:g}, a lower bound on the smallest eigenvalue")
             step = start + i + 1
@@ -765,22 +773,19 @@ def _rk4_amplitudes(
         samples[j:end] = blocks[sample_steps[j:end] - start - 1]
         j = end
 
-    x, h, n_steps = x0, grid.h, grid.n_steps
+    h, x = grid.h, x0
     if isinstance(schedule, ConstantSchedule):
         drive = schedule.couplings(grid.t0 + h * np.array([[0.0, 0.5, 1.0]]))
-        powers = _powers(_rk4_step_matrices(generators, h, *drive)[0], min(_POWER_STEPS, n_steps))
-        dim = len(x0)
-        for start in range(0, n_steps, len(powers)):
-            # the powers stacked into one tall matrix: one gemm per block
-            blocks = (powers[: n_steps - start].reshape(-1, dim) @ x).reshape((-1,) + x0.shape)
-            record(start, blocks)
-            x = blocks[-1]
-        return samples
-
-    for start in range(0, n_steps, _PULSED_STEPS):
-        t = grid.t0 + np.arange(start, min(start + _PULSED_STEPS, n_steps)) * h
-        drive = schedule.couplings(np.stack([t, t + 0.5 * h, t + h], axis=1))
-        blocks = _stepped(_rk4_step_matrices(generators, h, *drive), x)
+        powers = _powers(_rk4_step_matrices(generators, h, *drive)[0], _CHUNK_STEPS)[None]
+    for start in range(0, grid.n_steps, _BATCH_STEPS):
+        n = min(_BATCH_STEPS, grid.n_steps - start)
+        if isinstance(schedule, ConstantSchedule):
+            prefix = powers
+        else:
+            t = grid.t0 + np.arange(start, start + n) * h
+            drive = schedule.couplings(np.stack([t, t + 0.5 * h, t + h], axis=1))
+            prefix = _chunk_prefixes(_rk4_step_matrices(generators, h, *drive))
+        blocks = _stepped(prefix, x, n)
         record(start, blocks)
         x = blocks[-1]
     return samples

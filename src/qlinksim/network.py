@@ -52,8 +52,6 @@ FIBER = "fiber"
 CAVITY_PLUS_FIBER = "cavity+fiber"
 _MEDIUM_KINDS = (CAVITY, FIBER, CAVITY_PLUS_FIBER)
 
-SPEED_OF_LIGHT = 299792458.0  # m/s
-
 # Survival probabilities below this underflow the log; kappa saturates there.
 _ETA_FLOOR = 1e-300
 
@@ -62,7 +60,6 @@ _ETA_FLOOR = 1e-300
 DEFAULT_CAVITY_LOSS_PER_M = 5.0e3  # 1/s per metre of cavity span
 DEFAULT_FIBER_COUPLING_KAPPA = 3.0e5  # 1/s fixed cavity-fiber insertion cost
 DEFAULT_FIBER_ATTENUATION_DB_PER_KM = 0.2
-DEFAULT_FIBER_REFRACTIVE_INDEX = 1.468
 
 
 @dataclass(frozen=True)
@@ -74,24 +71,16 @@ class MediumModel:
     length: float = 0.0  # metres
     cavity_loss_per_m: float = DEFAULT_CAVITY_LOSS_PER_M
     fiber_attenuation_db_per_km: float = DEFAULT_FIBER_ATTENUATION_DB_PER_KM
-    fiber_refractive_index: float = DEFAULT_FIBER_REFRACTIVE_INDEX
     fiber_coupling_kappa: float = DEFAULT_FIBER_COUPLING_KAPPA
 
     def __post_init__(self) -> None:
         if self.kind not in _MEDIUM_KINDS:
             raise ValueError(f"kind must be one of {_MEDIUM_KINDS}, got {self.kind!r}")
-        for name in (
-            "base_kappa", "length", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
-            "fiber_refractive_index", "fiber_coupling_kappa",
-        ):
+        for name in ("base_kappa", "length", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
+                     "fiber_coupling_kappa"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def propagation_delay(self) -> float:
-        """One-way light travel time over the medium length."""
-        n = self.fiber_refractive_index if self.kind != CAVITY else 1.0
-        return n * self.length / SPEED_OF_LIGHT
 
 
 def _fiber_kappa(medium: MediumModel, protocol_duration: float) -> float:

@@ -23,7 +23,6 @@ __all__ = [
     "CouplingSchedule",
     "default_stirap",
     "default_stirap_window",
-    "tune_stirap",
     "stirap_grid_search",
     "best_stirap_record",
 ]
@@ -187,15 +186,3 @@ def best_stirap_record(records: Sequence[dict]) -> dict:
     Ties are broken by smaller total window duration, then by smaller width.
     """
     return min(records, key=lambda r: (-r["fidelity"], r["window"], r["pulse_width"]))
-
-
-def tune_stirap(
-    params,
-    width_grid: Sequence[float],
-    delay_grid: Sequence[float],
-    *,
-    dt: float | None = None,
-) -> tuple[float, float]:
-    """Best (pulse_width, t_delay) of the grid, ranked by best_stirap_record."""
-    best = best_stirap_record(stirap_grid_search(params, width_grid, delay_grid, dt=dt))
-    return (best["pulse_width"], best["t_delay"])

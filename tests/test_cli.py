@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    SMALL_SCENARIOS,
     choi_coherent_information,
     choi_entanglement_fidelity,
     make_link_run,
@@ -259,9 +260,12 @@ class TestScenarioRuns:
 
     def test_mode_dim_key_rejected(self, tmp_path):
         # one excitation never fills a Fock level above 1, so there is no
-        # truncation to configure
-        with pytest.raises(ConfigError, match="unknown key 'mode_dim'"):
-            load_config(write_config(tmp_path, FAST_TRANSFER + "mode_dim = 3\n"))
+        # truncation to configure; and no run reads a refractive index, so a
+        # manifest that still carries one is refused rather than silently ignored
+        for line in ("mode_dim = 3", "fiber_refractive_index = 1.468"):
+            key = line.partition(" ")[0]
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(write_config(tmp_path, FAST_TRANSFER + line + "\n"))
 
     def test_mediator_chain_trajectory_header(self, tmp_path):
         # library-level layouts with several mediators get numbered columns
@@ -865,11 +869,20 @@ class TestFailureHandling:
          "hop_time_us"),
         ("scenario = transfer\npreset = fig4\ngamma_a_2pi_mhz = 1.0\n", "gamma_a_2pi_mhz"),
         ("scenario = transfer\ngamma_2pi_mhz = 0\ngamma_b_2pi_mhz = 2\n", "gamma_b_2pi_mhz"),
+        # finite values whose step count or pulse pair is not
+        ("scenario = transfer\nt_final_us = 1e308\n", "t_final_us"),
+        ("scenario = chain\nhop_time_us = 1e308\n", "hop_time_us"),
+        ("scenario = transfer\nprotocol = stirap\nadiabaticity = 1e8\ndelay_ratio = 1e308\n",
+         "delay_ratio"),
+        ("scenario = tune-stirap\ntune_widths_us = 1e306\n", "tune_widths_us"),
+        ("scenario = tune-stirap\ntune_widths_us = 1e-320\n", "tune_widths_us"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
             "sweep-hop-in-window", "compare-horizon-in-window", "transfer-horizon-in-window",
             "coherent-info-horizon-in-window", "chain-t-final-off-the-hop", "zero-adiabaticity",
             "zero-delay-ratio", "compare-zero-adiabaticity", "chain-hop-just-short-of-window",
-            "gamma-a-under-preset", "gamma-b-under-zero-gamma"])
+            "gamma-a-under-preset", "gamma-b-under-zero-gamma", "transfer-steps-overflow",
+            "chain-steps-overflow", "stirap-delay-overflow", "tune-window-steps-overflow",
+            "tune-width-underflow"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
                                                                    capsys):
         # each of these once passed validation and crashed the run with a
@@ -1034,7 +1047,7 @@ class TestConfigDataclass:
             "sample_every": 3, "hops": 3, "hop_time_us": 2.0, "lengths_km": (0.5, 2.0),
             "media": ("fiber",), "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
             "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3,
-            "fiber_refractive_index": 1.5, "n_samples": 7, "seed": 3,
+            "n_samples": 7, "seed": 3,
             "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",
             "status": "ok", "failed_at_us": 1.25, "error": "none", "version": "0.0.1",
         }
@@ -1046,3 +1059,50 @@ class TestConfigDataclass:
         loaded = build_config(parse_config_text(cli._manifest_text(cfg)))
         assert loaded == cfg
         assert all(type(getattr(loaded, key)) is type(value) for key, value in values.items())
+
+    def test_every_key_changes_an_output_or_is_refused(self, tmp_path):
+        # a key that every base run accepts and none writes differently
+        # configures nothing, and only reads as if it did
+        unscanned = {"scenario", "preset", "out_path", "status", "failed_at_us", "error",
+                     "version"}
+        assert ({f.name for f in fields(ScenarioConfig)} - unscanned) ^ set(OFF_DEFAULT) == set()
+        outputs = [csv_bytes(base, tmp_path / "base" / str(i))
+                   for i, base in enumerate(KEY_SCAN_BASES)]
+        dead = [key for key, value in OFF_DEFAULT.items()
+                if not any(base.get(key) != value
+                           and csv_bytes({**base, key: value}, tmp_path / key / str(i)) != want
+                           for i, (base, want) in enumerate(zip(KEY_SCAN_BASES, outputs)))]
+        assert dead == []
+
+
+# A value off the default for every key a run reads
+OFF_DEFAULT = {
+    "g0_2pi_mhz": 5.0, "g0_a_2pi_mhz": 5.0, "g0_b_2pi_mhz": 5.0, "kappa_2pi_mhz": 0.5,
+    "gamma_2pi_mhz": 0.01, "gamma_a_2pi_mhz": 0.01, "gamma_b_2pi_mhz": 0.01,
+    "omega_q_2pi_mhz": 30.0, "omega_w_2pi_mhz": 30.0, "protocol": "stirap",
+    "pulse_width_us": 0.4, "t_delay_us": 0.5, "t_center_us": 1.5, "adiabaticity": 50.0,
+    "delay_ratio": 1.0, "theta_deg": 60.0, "phi_deg": 40.0, "t_final_us": 0.4, "dt_ns": 0.5,
+    "sample_every": 7, "hops": 3, "hop_time_us": 2.5, "lengths_km": (0.001, 0.3),
+    "media": ("fiber",), "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
+    "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3, "n_samples": 7,
+    "seed": 3, "tune_widths_us": (0.3,), "tune_delays_us": (0.4,),
+}
+# Runs each key is set on: the small scenarios, and a stirap transfer whose
+# pulse pair comes from adiabaticity and delay_ratio, which every stirap
+# scenario among them overrides
+KEY_SCAN_BASES = [
+    SMALL_SCENARIOS["transfer"],
+    {"scenario": "transfer", "protocol": "stirap", "dt_ns": 1.0, "sample_every": 100,
+     **WEAK_LOSS},
+    *(config for name, config in SMALL_SCENARIOS.items() if name != "transfer"),
+]
+
+
+def csv_bytes(values, out):
+    """The bytes of every CSV the run of values writes, by name; None if it is refused."""
+    try:
+        cfg = build_config(values)
+    except ConfigError:
+        return None
+    run_scenario(cfg, out)
+    return {path.name: path.read_bytes() for path in out.glob("*.csv")}

@@ -78,10 +78,6 @@ class TestEffectiveKappa:
         with pytest.raises(ValueError):
             effective_kappa(MediumModel(), 0.0)
 
-    def test_propagation_delay_uses_refractive_index(self):
-        medium = MediumModel(kind=FIBER, length=299792458.0, fiber_refractive_index=1.5)
-        assert medium.propagation_delay() == pytest.approx(1.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MediumModel(kind="carrier-pigeon")
@@ -90,18 +86,13 @@ class TestEffectiveKappa:
 
     @pytest.mark.parametrize("name", [
         "base_kappa", "length", "cavity_loss_per_m", "fiber_attenuation_db_per_km",
-        "fiber_refractive_index", "fiber_coupling_kappa",
+        "fiber_coupling_kappa",
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_fields_must_be_finite_and_non_negative(self, name, value):
-        # a nan length or base_kappa once failed later as "kappa must be finite",
-        # and a nan refractive index was accepted
+        # a nan length or base_kappa once failed later as "kappa must be finite"
         with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0"):
             MediumModel(kind=FIBER, **{name: value})
-
-    def test_zero_refractive_index_accepted(self):
-        # the CLI accepts 0, as it does every non-negative medium key
-        assert MediumModel(fiber_refractive_index=0.0).fiber_refractive_index == 0.0
 
 
 class TestRunHop:

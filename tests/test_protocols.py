@@ -7,10 +7,10 @@ from qlinksim.dynamics import LinkParams, default_dt, evolve
 from qlinksim.protocols import (
     ConstantSchedule,
     StirapSchedule,
+    best_stirap_record,
     default_stirap,
     default_stirap_window,
     stirap_grid_search,
-    tune_stirap,
 )
 from qlinksim.qspace import PureQubitSpec, link_layout, product_state
 
@@ -128,14 +128,16 @@ class TestTuneStirap:
     def test_single_point_grid_returns_that_point(self):
         g0 = 100 * TWO_PI_MHZ
         params = LinkParams(g_a=g0, g_b=g0)
-        best = tune_stirap(params, [0.25 * US], [0.3 * US], dt=0.1e-9)
-        assert best == (0.25 * US, 0.3 * US)
+        best = best_stirap_record(stirap_grid_search(params, [0.25 * US], [0.3 * US], dt=0.1e-9))
+        assert (best["pulse_width"], best["t_delay"]) == (0.25 * US, 0.3 * US)
 
     def test_adiabatic_grid_reaches_high_fidelity(self):
         g0 = 100 * TWO_PI_MHZ
         params = LinkParams(g_a=g0, g_b=g0)
         records = stirap_grid_search(params, [0.25 * US, 0.5 * US], [0.3 * US], dt=0.1e-9)
-        width, delay = tune_stirap(params, [0.25 * US, 0.5 * US], [0.3 * US], dt=0.1e-9)
+        tuned = best_stirap_record(
+            stirap_grid_search(params, [0.25 * US, 0.5 * US], [0.3 * US], dt=0.1e-9))
+        width, delay = tuned["pulse_width"], tuned["t_delay"]
         assert delay > 0
         best = max(r["fidelity"] for r in records)
         assert best >= 0.99
@@ -151,10 +153,11 @@ class TestTuneStirap:
         records = stirap_grid_search(params, [0.3 * US, 0.4 * US], [0.35 * US], dt=0.1e-9)
         fids = [round(r["fidelity"], 6) for r in records]
         if fids[0] == fids[1]:
-            width, _ = tune_stirap(params, [0.3 * US, 0.4 * US], [0.35 * US], dt=0.1e-9)
-            assert width == 0.3 * US
+            tuned = best_stirap_record(
+                stirap_grid_search(params, [0.3 * US, 0.4 * US], [0.35 * US], dt=0.1e-9))
+            assert tuned["pulse_width"] == 0.3 * US
 
     def test_empty_grid_rejected(self):
         params = LinkParams(g_a=1.0, g_b=1.0)
         with pytest.raises(ValueError):
-            tune_stirap(params, [], [1e-6])
+            best_stirap_record(stirap_grid_search(params, [], [1e-6]))

@@ -167,36 +167,74 @@ def test_unstable_step_fails_at_the_dense_paths_time():
         assert sector.value.t <= dense.value.t
 
 
-def test_pulsed_failure_is_reported_at_the_references_step():
-    # fig5-red under its default STIRAP with a 6 ns step: RK4 turns unstable
-    # mid-pulse. The pulsed engine reaches its steps through chunked prefix
-    # products, and must still stop at the first step whose refill breaks
-    # the bound, at every cadence; |1> on A makes the refill the link's own
+def fig5_red_stirap_run(dt):
+    """fig5-red under its default STIRAP over the pulse window, from |1> on A."""
     schedule = default_stirap(FIG5_RED_G)
-    t_final = default_stirap_window(schedule)[1]
-    run = fig5_red_run(t_final, 6e-9, schedule, input_a=PureQubitSpec(theta=math.pi))
-    step, h, refill = first_refill_failure(run)
-    assert (step, f"{refill:.3e}") == (92, "-4.218e+00")
+    return fig5_red_run(default_stirap_window(schedule)[1], dt, schedule,
+                        input_a=PureQubitSpec(theta=math.pi))
+
+
+@pytest.mark.parametrize("run, refill, where", [
+    (fig5_red_stirap_run(6e-9), "-4.218e+00",
+     "t = 5.519593e-07 s (step 92 of 191, dt = 5.999558e-09 s"),
+    (fig5_red_run(1600 * 3.32198e-9, 3.32198e-9, input_a=PureQubitSpec(theta=math.pi)),
+     "-1.839e-03", "t = 4.262100e-06 s (step 1283 of 1600, dt = 3.321980e-09 s"),
+], ids=["stirap-mid-pulse", "constant-second-batch"])
+def test_pulsed_failure_is_reported_at_the_references_step(run, refill, where):
+    # fig5-red where RK4 turns unstable: under its default STIRAP with a 6 ns
+    # step mid-pulse, and under the constant drive with a step just past the
+    # stability edge, after the first batch. The engine reaches its steps
+    # through chunked prefix products, and must still stop at the first step
+    # whose refill breaks the bound, at every cadence; |1> on A makes the
+    # refill the link's own
+    step, h, reference_refill = first_refill_failure(run)
+    assert f"{reference_refill:.3e}" == refill
+    assert f"(step {step} of " in where
     # a complex rank-2 state: the refill sums the real and imaginary parts of both factors
     mixed = dict(run, rho0=mixed_link_state(run["layout"]))
     mixed_step, _, mixed_refill = first_refill_failure(mixed)
+    n_steps = dynamics._checked_grid(run["t_span"], run["dt"], 1).n_steps
     for sample_every in (1, 10):
         with pytest.raises(IntegrationError) as rank_2:
             evolve(**mixed, sample_every=sample_every)
         assert rank_2.value.t == pytest.approx(mixed_step * h, rel=1e-12)
         assert (f"Tr R0 - Tr R = {mixed_refill:.3e} below -1e-05, a lower bound on the smallest "
-                f"eigenvalue at t = {mixed_step * h:.6e} s (step {mixed_step} of 191, ") \
+                f"eigenvalue at t = {mixed_step * h:.6e} s (step {mixed_step} of {n_steps}, ") \
             in str(rank_2.value)
         with pytest.raises(IntegrationError) as sector:
             evolve(**run, sample_every=sample_every)
         with pytest.raises(IntegrationError) as channel:
-            link_channel(run["params"], schedule, t_final, 6e-9, sample_every=sample_every)
+            link_channel(run["params"], run["schedule"], run["t_span"][1], run["dt"],
+                         sample_every=sample_every)
         for err in (sector, channel):
             assert err.value.t == pytest.approx(step * h, rel=1e-12)
             assert str(err.value) == (
-                "vacuum refill Tr R0 - Tr R = -4.218e+00 below -1e-05, a lower bound on the "
-                "smallest eigenvalue at t = 5.519593e-07 s (step 92 of 191, "
-                f"dt = 5.999558e-09 s, sample_every = {sample_every})")
+                f"vacuum refill Tr R0 - Tr R = {refill} below -1e-05, a lower bound on the "
+                f"smallest eigenvalue at {where}, sample_every = {sample_every})")
+
+
+@pytest.mark.parametrize("sample_every", [1, 10])
+def test_divergence_is_reported_at_its_step(sample_every):
+    # a pulse pair far narrower than the step, at couplings of 1e200 rad/s:
+    # every step before step 1300 sees couplings that underflow to 0, and
+    # step 1300 samples them 13 and 3 widths before the peak, where one RK4
+    # step overflows, so the state turns non-finite (in the second batch)
+    # with no refill failure before it
+    h, width = 1e-9, 0.05e-9
+    params = LinkParams(g_a=1e200, g_b=1e200)
+    schedule = StirapSchedule(g0_a=1e200, g0_b=1e200, pulse_width=width, t_delay=5 * width,
+                              t_center=1300 * h + 3 * width)
+    layout = link_layout()
+    rho0 = product_state([PureQubitSpec(theta=math.pi), None, None], layout)
+    with pytest.raises(IntegrationError) as sector:
+        evolve(rho0, layout, params, schedule, (0.0, 2000 * h), h, sample_every=sample_every)
+    with pytest.raises(IntegrationError) as channel:
+        link_channel(params, schedule, 2000 * h, h, sample_every=sample_every)
+    for err in (sector, channel):
+        assert err.value.t == pytest.approx(1300 * h, rel=1e-12)
+        assert str(err.value) == ("state diverged (non-finite entries) at t = 1.300000e-06 s "
+                                  f"(step 1300 of 2000, dt = 1.000000e-09 s, "
+                                  f"sample_every = {sample_every})")
 
 
 @pytest.mark.parametrize("sample_every", [1, 10, 40, 400, 4000])
@@ -210,8 +248,8 @@ def test_verdict_does_not_depend_on_the_sampling_cadence(sample_every):
 
 
 def test_constant_drive_powers_match_the_step_by_step_product():
-    # the dense-output benchmark's 23,200 steps: blocked powers of the one
-    # step matrix against one RK4 step at a time
+    # the dense-output benchmark's 23,200 steps: powers of the one step
+    # matrix, chunk by chunk, against one RK4 step at a time
     run = dict(link_run(LOW_LOSS, LOW_LOSS.constant_schedule(), 20e-6,
                         dynamics.default_dt(LOW_LOSS)), sample_every=1000)
     traj = evolve(**run)
@@ -229,29 +267,31 @@ def mixed_link_state(layout):
     return 0.7 * np.outer(coherent, coherent.conj()) + 0.3 * np.outer(mixed, mixed.conj())
 
 
-# A pulsed run builds its step matrices in batches; two batches and a ragged
-# third, whose last chunk is ragged too
-MULTI_BATCH_STEPS = 2 * dynamics._PULSED_STEPS + 37
+# Every run steps in batches; two batches and a ragged third, whose last
+# chunk is ragged too
+MULTI_BATCH_STEPS = 2 * dynamics._BATCH_STEPS + 37
 LAB_DETUNED = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, omega_q=24.1 * TWO_PI_MHZ,
                          omega_w=25.3 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
                          gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ)
 
 
 def multi_batch_run(params, schedule=None, n_mediators=1, g_hop=0.0):
-    """A STIRAP run of MULTI_BATCH_STEPS steps from a rank-2 state.
+    """A run of MULTI_BATCH_STEPS steps from a rank-2 state.
 
-    It covers the schedule's window, or without one a pulse pair fitted to
-    that many of params' default steps.
+    A STIRAP schedule's run covers its window. Any other takes that many of
+    params' default steps, under a constant schedule or, without one, a pulse
+    pair fitted to them.
     """
-    if schedule is None:
-        dt = dynamics.default_dt(params, g_hop=g_hop)
-        t_final = MULTI_BATCH_STEPS * dt
-        width = t_final / 6
-        schedule = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b, pulse_width=width,
-                                  t_delay=0.8 * width)
-    else:
+    if isinstance(schedule, StirapSchedule):
         t_final = default_stirap_window(schedule)[1]
         dt = t_final / MULTI_BATCH_STEPS
+    else:
+        dt = dynamics.default_dt(params, g_hop=g_hop)
+        t_final = MULTI_BATCH_STEPS * dt
+        if schedule is None:
+            width = t_final / 6
+            schedule = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b, pulse_width=width,
+                                      t_delay=0.8 * width)
     layout = link_layout(n_mediators=n_mediators)
     return dict(rho0=mixed_link_state(layout), layout=layout, params=params, schedule=schedule,
                 t_span=(0.0, t_final), dt=dt, sample_every=7,
@@ -262,9 +302,13 @@ def multi_batch_run(params, schedule=None, n_mediators=1, g_hop=0.0):
     multi_batch_run(LOW_LOSS, LOW_LOSS_STIRAP),
     multi_batch_run(LOW_LOSS, n_mediators=2, g_hop=3.1 * TWO_PI_MHZ),
     multi_batch_run(LAB_DETUNED),
-], ids=["weak-loss-stirap", "two-mediators-g-hop", "lab-frame-detuned"])
+    multi_batch_run(LOW_LOSS, LOW_LOSS.constant_schedule()),
+    multi_batch_run(LAB_DETUNED, LAB_DETUNED.constant_schedule()),
+], ids=["weak-loss-stirap", "two-mediators-g-hop", "lab-frame-detuned", "constant",
+        "constant-lab-frame-detuned"])
 def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
-    # the first two step in the real gauge, the lab-frame link in the realified form
+    # rotating-frame links step in the real gauge, lab-frame ones in the
+    # realified form; a constant drive's chunks all share one set of powers
     traj = evolve(**run)
     reference = sector_reference(**run)
     assert len(traj.times) == MULTI_BATCH_STEPS // 7 + 2
