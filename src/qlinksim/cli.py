@@ -7,16 +7,17 @@ rad/s and seconds where they leave the config: ScenarioConfig's methods build
 the rates, schedule and medium, while resolve_defaults, _links and each
 scenario runner convert the times they read or write at the call. Parsing is
 strict: unknown keys are rejected so a mistyped rate cannot silently fall back
-to a default, and each key's type is its ScenarioConfig annotation.
+to a default, and each key's type is its ScenarioConfig annotation. A key the
+scenario does not read (_SCENARIO_KEYS) is refused unless it holds its default.
 
 A config turns into its runs in one place: resolve_defaults fills every
 horizon, step and cadence, and _links builds every network.LinkSpec a
 scenario runs (tune-stirap's grid builds its own). Validation builds them
 too, so a run that cannot be built is a ConfigError before anything runs.
 
-The manifest written next to the outputs is itself a complete config file
-with every value resolved; re-running from it reproduces the summary CSVs
-byte for byte.
+The manifest written next to the outputs is itself a complete config file:
+every key the scenario reads, resolved; re-running from it reproduces the
+summary CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ def _fmt(value) -> str:
     """Shortest round-trip text for a config/CSV value."""
     if isinstance(value, np.generic):  # repr(np.float64(x)) is "np.float64(x)"
         value = value.item()
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -116,9 +115,8 @@ class ScenarioConfig:
     delay_ratio: float = DEFAULT_DELAY_RATIO
     # transmitted state (doubles as the fidelity target)
     theta_deg: float = 90.0
-    phi_deg: float = 0.0
     # integration
-    t_final_us: float = -1.0  # -1: scenario default; hop_time_us for chains and sweeps
+    t_final_us: float = -1.0  # -1: scenario default; chains and sweeps read hop_time_us
     dt_ns: float = -1.0  # -1: resolve-fastest-rate rule
     sample_every: int = -1  # -1: aim for ~1000 stored samples
     # chain / per-hop evolution window (-1: 20 us for chains, the bare
@@ -195,9 +193,7 @@ class ScenarioConfig:
         )
 
     def target(self) -> PureQubitSpec:
-        return PureQubitSpec(
-            theta=math.radians(self.theta_deg), phi=math.radians(self.phi_deg) % (2 * math.pi)
-        )
+        return PureQubitSpec(theta=math.radians(self.theta_deg))
 
     def medium(self, kind: str = network.CAVITY, length_m: float = 0.0) -> network.MediumModel:
         return network.MediumModel(
@@ -254,6 +250,38 @@ _TYPES = {
 }
 _KEY_TYPES = {f.name: _TYPES[f.type] for f in fields(ScenarioConfig)}
 _LIST_KEYS = [f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple")]
+
+# The keys each scenario reads. Every scenario reads the link's rates and its
+# step; one that reads protocol reads the pulse keys too when its links are
+# stirap. Any other key is refused unless it holds its default, and the
+# manifest writes only these and _RUN_KEYS.
+_RATE_KEYS = ("g0_2pi_mhz", "g0_a_2pi_mhz", "g0_b_2pi_mhz", "kappa_2pi_mhz", "gamma_2pi_mhz",
+              "gamma_a_2pi_mhz", "gamma_b_2pi_mhz", "omega_q_2pi_mhz", "omega_w_2pi_mhz",
+              "dt_ns")
+_PULSE_KEYS = ("pulse_width_us", "t_delay_us", "t_center_us", "adiabaticity", "delay_ratio")
+_SCENARIO_KEYS = {
+    "transfer": ("protocol", "theta_deg", "sample_every", "t_final_us"),
+    "stirap-compare": ("theta_deg", "sample_every", "t_final_us", *_PULSE_KEYS),
+    "chain": ("protocol", "theta_deg", "sample_every", "hops", "hop_time_us"),
+    "sweep-distance": ("protocol", "theta_deg", "sample_every", "hop_time_us", "lengths_km",
+                       "media", "base_kappa_2pi_mhz", "cavity_loss_2pi_mhz_per_km",
+                       "fiber_coupling_2pi_mhz", "fiber_attenuation_db_per_km"),
+    "coherent-info": ("protocol", "theta_deg", "sample_every", "t_final_us", "n_samples",
+                      "seed"),
+    "tune-stirap": ("tune_widths_us", "tune_delays_us"),
+}
+# What to run, where to write it, and the result keys: in every manifest.
+_RUN_KEYS = ("scenario", "preset", "out_path", "status", "failed_at_us", "error", "version")
+
+
+def _protocol(cfg: ScenarioConfig) -> str:
+    """The drive of cfg's links: "" is stirap for chains, constant for the rest."""
+    return cfg.protocol or ("stirap" if cfg.scenario == "chain" else "constant")
+
+
+def _read_keys(cfg: ScenarioConfig) -> tuple[str, ...]:
+    keys = _RATE_KEYS + _SCENARIO_KEYS[cfg.scenario]
+    return keys + _PULSE_KEYS if "protocol" in keys and _protocol(cfg) == "stirap" else keys
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -325,8 +353,13 @@ def _validate(cfg: ScenarioConfig) -> None:
             "omega_q_2pi_mhz and omega_w_2pi_mhz must both be > 0 (lab frame) or both be 0 "
             f"(rotating frame), got {cfg.omega_q_2pi_mhz!r} and {cfg.omega_w_2pi_mhz!r}"
         )
-    if not math.isfinite(cfg.phi_deg):
-        raise ConfigError(f"phi_deg must be finite, got {cfg.phi_deg!r}")
+    reads = _read_keys(cfg)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in reads and f.name not in _RUN_KEYS and _fmt(value) != _fmt(f.default):
+            drive = f" with protocol = {_protocol(cfg)}" if f.name in _PULSE_KEYS else ""
+            raise ConfigError(f"{f.name} = {_fmt(value)} is not read by the {cfg.scenario} "
+                              f"scenario{drive}; leave it out")
     if cfg.scenario == "sweep-distance":
         _check_point_names(cfg)
     _check_schedules(cfg)
@@ -350,10 +383,6 @@ def _check_schedules(cfg: ScenarioConfig) -> None:
     """Resolve the run and build its links, so that one it cannot take is a ConfigError."""
     cfg = resolve_defaults(cfg)
     key = _horizon_key(cfg.scenario)
-    if cfg.t_final_us != getattr(cfg, key):  # only a hop scenario has two keys
-        raise ConfigError(f"t_final_us = {cfg.t_final_us!r} us differs from hop_time_us = "
-                          f"{cfg.hop_time_us!r} us, each hop's run length; set sample_every "
-                          "for the output cadence")
     try:
         _links(cfg)
     except ConfigError:
@@ -407,8 +436,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
 
 def _manifest_text(cfg: ScenarioConfig) -> str:
     lines = ["# qlinksim run manifest (loadable as a config file)"]
-    for f in fields(ScenarioConfig):
-        lines.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
+    written = _RUN_KEYS + _read_keys(cfg)
+    lines += [f"{f.name} = {_fmt(getattr(cfg, f.name))}" for f in fields(cfg) if f.name in written]
     return "\n".join(lines) + "\n"
 
 
@@ -605,8 +634,7 @@ def _horizon_key(scenario: str) -> str:
 
 def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
     """Fill every scenario-dependent default so the manifest echoes real values."""
-    if not cfg.protocol:
-        cfg = replace(cfg, protocol="stirap" if cfg.scenario == "chain" else "constant")
+    cfg = replace(cfg, protocol=_protocol(cfg))
     key = _horizon_key(cfg.scenario)
     if getattr(cfg, key) <= 0 and cfg.scenario != "tune-stirap":  # its grid sets its windows
         transfers = {"sweep-distance": 1.0, "coherent-info": 8.0}.get(cfg.scenario)
@@ -619,7 +647,7 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
             stirap = replace(cfg, protocol="stirap").schedule()
             horizon_us = max(horizon_us, default_stirap_window(stirap)[1] / US)
         cfg = replace(cfg, **{key: horizon_us})
-    if key == "hop_time_us" and cfg.t_final_us <= 0:
+    if key == "hop_time_us":  # a hop scenario does not read t_final_us
         cfg = replace(cfg, t_final_us=cfg.hop_time_us)
     if cfg.dt_ns <= 0:
         params = cfg.link_params()
@@ -820,7 +848,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", help="path to a key-value config file")
     parser.add_argument("--out", help="output directory (default: out_path from config)")
     parser.add_argument("--preset", help="named parameter preset, see --list-presets")
-    parser.add_argument("--seed", type=int, help="seed for the sampling generator")
+    parser.add_argument("--seed", type=int,
+                        help="seed of coherent-info's Haar samples (no other scenario reads it)")
     parser.add_argument("--list-presets", action="store_true", help="print preset table and exit")
     args = parser.parse_args(argv)
 

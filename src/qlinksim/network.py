@@ -9,10 +9,15 @@ residual entanglement carried along) is the next hop's input. A chain runs
 each distinct link once, however many hops use it.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
-distance loses photons linearly in length; a fiber's end-to-end dB
-attenuation is spread over the protocol duration so the integrated loss
-matches the fiber budget; the cavity+fiber combination pays the cavity base
-loss plus a fixed fiber-coupling overhead plus the fiber term. The coupling
+distance loses photons linearly in length; a fiber's end-to-end survival
+eta = 10^(-dB/10) becomes the rate -ln(eta) / hop_time on the mediator; the
+cavity+fiber combination pays the cavity base loss plus a fixed
+fiber-coupling overhead plus the fiber term. That rate charges the photon
+only while it sits in the mediator, for part of the hop, so a fiber point is
+charged well under its dB budget: on a lossless 5.8 x 2pi MHz link under a
+constant drive the fiber scales the received survival by about eta^0.25, not
+eta (ROADMAP direction 7, which would treat the fiber as the pure-loss
+channel f -> sqrt(eta) f instead). The coupling
 overhead is what makes the bare cavity win at short distance before the
 fiber's flat per-km cost takes over.
 """

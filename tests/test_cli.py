@@ -52,11 +52,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
 WEAK_LOSS_TEXT = "".join(f"{key} = {value}\n" for key, value in WEAK_LOSS.items())
 # links the pulsed scenarios are checked against dense runs on: the benchmark's
-# weak-loss link, and a fast, lossy mediator with an input off the poles
-DENSE_RUN_RATES = {
-    "weak-loss": WEAK_LOSS,
-    "fig5-yellow": {"preset": "fig5-yellow", "theta_deg": 60.0, "phi_deg": 40.0},
-}
+# weak-loss link, and a fast, lossy mediator; stirap-compare sends the latter an
+# input off the poles, while tune-stirap's grid always sends |1>
+DENSE_RUN_RATES = {"weak-loss": WEAK_LOSS, "fig5-yellow": {"preset": "fig5-yellow"}}
+DENSE_RUN_INPUTS = {"weak-loss": {}, "fig5-yellow": {"theta_deg": 60.0}}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -80,6 +79,14 @@ gamma_2pi_mhz = 1.0
 t_final_us = 0.5
 dt_ns = 1.0
 sample_every = 50
+"""
+
+FAST_COHERENT_INFO = """
+scenario = coherent-info
+g0_2pi_mhz = 100.0
+kappa_2pi_mhz = 1.0
+dt_ns = 0.02
+n_samples = 5
 """
 
 
@@ -260,9 +267,10 @@ class TestScenarioRuns:
 
     def test_mode_dim_key_rejected(self, tmp_path):
         # one excitation never fills a Fock level above 1, so there is no
-        # truncation to configure; and no run reads a refractive index, so a
-        # manifest that still carries one is refused rather than silently ignored
-        for line in ("mode_dim = 3", "fiber_refractive_index = 1.468"):
+        # truncation to configure; and no run reads a refractive index, nor does
+        # a phase of the input move an output (the link is phase covariant), so
+        # a manifest that still carries one is refused rather than silently ignored
+        for line in ("mode_dim = 3", "fiber_refractive_index = 1.468", "phi_deg = 0.0"):
             key = line.partition(" ")[0]
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(write_config(tmp_path, FAST_TRANSFER + line + "\n"))
@@ -399,7 +407,7 @@ class TestScenarioRuns:
         # metrics, evolve and one evolution of its own per Haar sample
         cfg = build_config({
             "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
-            "gamma_2pi_mhz": 2.0, "theta_deg": 60.0, "phi_deg": 40.0,
+            "gamma_2pi_mhz": 2.0, "theta_deg": 60.0,
             "dt_ns": 0.02, "n_samples": 5, "seed": 3,
         })
         assert run_scenario(cfg, tmp_path / "out") == 0
@@ -459,10 +467,11 @@ class TestScenarioRuns:
         best_row = next(r for r in rows if int(r[3]) == 1)
         assert float(best_row[2]) >= 0.99
 
-    @pytest.mark.parametrize("rates", DENSE_RUN_RATES.values(), ids=DENSE_RUN_RATES)
-    def test_stirap_compare_matches_dense_runs(self, rates, tmp_path):
+    @pytest.mark.parametrize("link", DENSE_RUN_RATES)
+    def test_stirap_compare_matches_dense_runs(self, link, tmp_path):
         # each schedule's link_channel run against evolve on the target's dense rho0
-        cfg = build_config({"scenario": "stirap-compare", **rates})
+        cfg = build_config({"scenario": "stirap-compare", **DENSE_RUN_RATES[link],
+                            **DENSE_RUN_INPUTS[link]})
         assert run_scenario(cfg, tmp_path / "out") == 0
         cfg = resolve_defaults(cfg)
         _, summary = read_csv(tmp_path / "out" / "summary.csv")
@@ -847,8 +856,8 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize("text, key", [
         ("scenario = transfer\nomega_q_2pi_mhz = 5\n", "omega_q_2pi_mhz"),
-        ("scenario = transfer\nphi_deg = inf\n", "phi_deg"),
-        ("scenario = transfer\nphi_deg = nan\n", "phi_deg"),
+        ("scenario = transfer\nphi_deg = inf\n", "unknown key 'phi_deg'"),
+        ("scenario = transfer\nphi_deg = nan\n", "unknown key 'phi_deg'"),
         ("scenario = chain\nprotocol = stirap\nhop_time_us = 1.0\n", "hop_time_us"),
         ("scenario = sweep-distance\nprotocol = stirap\nhop_time_us = 2.0\n", "hop_time_us"),
         ("scenario = stirap-compare\npreset = fig4\nt_final_us = 1\n", "t_final_us"),
@@ -856,9 +865,9 @@ class TestFailureHandling:
          "t_final_us"),
         (f"scenario = coherent-info\nprotocol = stirap\nt_final_us = 5\n{WEAK_LOSS_TEXT}",
          "t_final_us"),
-        # it would only have changed the output cadence of the 20 us hops
+        # every hop runs for hop_time_us: a chain does not read t_final_us
         (f"scenario = chain\nhop_time_us = 20\nt_final_us = 0.5\n{WEAK_LOSS_TEXT}",
-         "t_final_us"),
+         "t_final_us = 0.5 is not read by the chain scenario"),
         ("scenario = transfer\nprotocol = stirap\nadiabaticity = 0\n", "adiabaticity"),
         ("scenario = transfer\nprotocol = stirap\ndelay_ratio = 0\n", "delay_ratio"),
         # the stirap schedule fails while its link is built, and names its own key
@@ -876,13 +885,26 @@ class TestFailureHandling:
          "delay_ratio"),
         ("scenario = tune-stirap\ntune_widths_us = 1e306\n", "tune_widths_us"),
         ("scenario = tune-stirap\ntune_widths_us = 1e-320\n", "tune_widths_us"),
+        # keys the scenario, or its protocol, does not read
+        ("scenario = transfer\nhops = 3\n", "hops = 3 is not read by the transfer scenario"),
+        ("scenario = transfer\npulse_width_us = 0.5\n",
+         "pulse_width_us = 0.5 is not read by the transfer scenario with protocol = constant"),
+        ("scenario = tune-stirap\ntheta_deg = 60\n",
+         "theta_deg = 60.0 is not read by the tune-stirap scenario"),
+        ("scenario = tune-stirap\nsample_every = 5\n",
+         "sample_every = 5 is not read by the tune-stirap scenario"),
+        ("scenario = stirap-compare\nprotocol = stirap\n",
+         "protocol = stirap is not read by the stirap-compare scenario"),
+        ("scenario = coherent-info\nlengths_km = 0.1, 1\n",
+         "lengths_km = 0.1, 1.0 is not read by the coherent-info scenario"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
             "sweep-hop-in-window", "compare-horizon-in-window", "transfer-horizon-in-window",
             "coherent-info-horizon-in-window", "chain-t-final-off-the-hop", "zero-adiabaticity",
             "zero-delay-ratio", "compare-zero-adiabaticity", "chain-hop-just-short-of-window",
             "gamma-a-under-preset", "gamma-b-under-zero-gamma", "transfer-steps-overflow",
             "chain-steps-overflow", "stirap-delay-overflow", "tune-window-steps-overflow",
-            "tune-width-underflow"])
+            "tune-width-underflow", "transfer-hops", "constant-transfer-pulse-width",
+            "tune-theta", "tune-sample-every", "compare-protocol", "coherent-info-lengths"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
                                                                    capsys):
         # each of these once passed validation and crashed the run with a
@@ -890,7 +912,8 @@ class TestFailureHandling:
         # status = ok with a stirap latency past the simulated time, or (a
         # transfer or coherent-info horizon inside it) with the pulse pair cut
         # off, or (a chain's t_final_us) only moved the output cadence, or (a
-        # per-qubit gamma next to gamma_2pi_mhz) ran with that gamma ignored
+        # per-qubit gamma next to gamma_2pi_mhz) ran with that gamma ignored, or
+        # (a key the scenario does not read) changed nothing but the manifest
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, text))
         out = tmp_path / "out"
@@ -900,30 +923,39 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize("scenario", ["chain", "sweep-distance"])
     def test_hop_scenarios_take_their_horizon_from_hop_time_us(self, scenario, tmp_path):
-        values = {"scenario": scenario, "hops": 2, "lengths_km": (0.1,), **WEAK_LOSS}
-        with pytest.raises(ConfigError, match=r"t_final_us = 0\.5 us differs from "
-                                              r"hop_time_us = 20\.0 us.*sample_every"):
+        # every hop runs for hop_time_us, so a second horizon is not read
+        own = {"chain": {"hops": 2}, "sweep-distance": {"lengths_km": (0.1,)}}[scenario]
+        values = {"scenario": scenario, **own, **WEAK_LOSS}
+        with pytest.raises(ConfigError, match=rf"^t_final_us = 0\.5 is not read by the "
+                                              rf"{scenario} scenario"):
             build_config({**values, "hop_time_us": 20.0, "t_final_us": 0.5})
-        # a manifest carries t_final_us = hop_time_us, and still loads
+        # the manifest leaves t_final_us out, and resolving it copies hop_time_us there
         assert run_scenario(build_config(values), tmp_path / "out") == 0
-        manifest = load_config(tmp_path / "out" / "manifest.txt")
+        assert "t_final_us" not in (tmp_path / "out" / "manifest.txt").read_text(encoding="utf-8")
+        manifest = resolve_defaults(load_config(tmp_path / "out" / "manifest.txt"))
         assert manifest.t_final_us == manifest.hop_time_us > 0
 
     def test_cli_runs_scenario_end_to_end(self, tmp_path):
-        cfg_path = write_config(tmp_path, FAST_TRANSFER)
+        cfg_path = write_config(tmp_path, FAST_COHERENT_INFO)
         out = tmp_path / "from-cli"
-        assert main(["transfer", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["coherent-info", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "summary.csv").exists()
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         assert "status = ok" in manifest
         assert "seed = 42" in manifest
 
-    def test_cli_seed_override(self, tmp_path):
-        cfg_path = write_config(tmp_path, FAST_TRANSFER)
+    def test_cli_seed_override(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FAST_COHERENT_INFO)
         out = tmp_path / "seeded"
-        assert main(["transfer", "--config", str(cfg_path), "--out", str(out),
+        assert main(["coherent-info", "--config", str(cfg_path), "--out", str(out),
                      "--seed", "7"]) == 0
         assert "seed = 7" in (out / "manifest.txt").read_text(encoding="utf-8")
+        # only coherent-info samples anything
+        transfer = write_config(tmp_path, FAST_TRANSFER, name="transfer.cfg")
+        capsys.readouterr()
+        assert main(["transfer", "--config", str(transfer), "--out", str(tmp_path / "t"),
+                     "--seed", "7"]) == 2
+        assert "seed = 7 is not read by the transfer scenario" in capsys.readouterr().err
 
 
 class TestConfigDataclass:
@@ -988,15 +1020,17 @@ class TestConfigDataclass:
 
     def test_numpy_scalars_round_trip_through_the_manifest(self, tmp_path):
         # np.float64 subclasses float, and its repr once went into the manifest
-        cfg = build_config({
-            "scenario": "transfer", "t_final_us": 0.05, "g0_2pi_mhz": np.float64(5.8),
-            "lengths_km": (np.float64(0.5), 1.0), "hops": np.int64(3),
+        chain = build_config({
+            "scenario": "chain", "protocol": "constant", "hop_time_us": 0.05,
+            "g0_2pi_mhz": np.float64(5.8), "hops": np.int64(3),
         })
-        assert run_scenario(cfg, tmp_path / "out") == 0
-        loaded = load_config(tmp_path / "out" / "manifest.txt")
+        sweep = build_config({"scenario": "sweep-distance", "lengths_km": (np.float64(0.5), 1.0)})
+        for name, cfg in (("chain", chain), ("sweep", sweep)):
+            assert run_scenario(cfg, tmp_path / name) == 0
+        loaded = load_config(tmp_path / "chain" / "manifest.txt")
         assert loaded.g0_2pi_mhz == 5.8
-        assert loaded.lengths_km == (0.5, 1.0)
         assert loaded.hops == 3
+        assert load_config(tmp_path / "sweep" / "manifest.txt").lengths_km == (0.5, 1.0)
 
     @pytest.mark.parametrize("key, value, kind", [
         ("hops", 2.5, "an integer"),
@@ -1030,79 +1064,142 @@ class TestConfigDataclass:
                                               r"trajectory_cavity_0\.(001|1)km\.csv"):
             build_config({"scenario": "sweep-distance", **values})
 
+    def test_unread_key_at_its_default_accepted(self):
+        # a list or a numpy scalar equal to the default still holds the default
+        cfg = build_config({"scenario": "transfer", "tune_widths_us": [0.5, 1.0, 2.0],
+                            "hops": np.int64(7)})
+        assert "tune_widths_us" not in cli._manifest_text(cfg)
+
     def test_zero_pulse_center_is_kept(self):
         cfg = build_config({"scenario": "transfer", "protocol": "stirap", "t_center_us": 0.0})
         assert cfg.schedule().t_center == 0.0
 
-    def test_every_key_round_trips_through_the_manifest(self):
-        # a value off the default for every key but gamma_2pi_mhz, whose -1
-        # selects the per-qubit rates set here
-        values = {
-            "scenario": "transfer", "preset": "fig4", "g0_2pi_mhz": 4.5, "g0_a_2pi_mhz": 4.0,
-            "g0_b_2pi_mhz": 3.5, "kappa_2pi_mhz": 0.25, "gamma_2pi_mhz": -1.0,
-            "gamma_a_2pi_mhz": 0.5, "gamma_b_2pi_mhz": 0.75, "omega_q_2pi_mhz": 50.0,
-            "omega_w_2pi_mhz": 51.0, "protocol": "stirap", "pulse_width_us": 0.5,
-            "t_delay_us": 0.6, "t_center_us": 1.5, "adiabaticity": 50.0, "delay_ratio": 1.1,
-            "theta_deg": 60.0, "phi_deg": 40.0, "t_final_us": 4.0, "dt_ns": 0.5,
-            "sample_every": 3, "hops": 3, "hop_time_us": 2.0, "lengths_km": (0.5, 2.0),
-            "media": ("fiber",), "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
-            "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3,
-            "n_samples": 7, "seed": 3,
-            "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",
-            "status": "ok", "failed_at_us": 1.25, "error": "none", "version": "0.0.1",
-        }
-        assert sorted(values) == sorted(f.name for f in fields(ScenarioConfig))
-        cfg = build_config(values)
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_every_key_round_trips_through_the_manifest(self, scenario):
+        # every key the scenario reads, off its default but for gamma_2pi_mhz,
+        # whose -1 selects the per-qubit rates set here
+        assert sorted(ROUND_TRIP) == sorted(f.name for f in fields(ScenarioConfig))
+        reads = cli._read_keys(ScenarioConfig(scenario=scenario, protocol="stirap"))
+        values = {key: value for key, value in ROUND_TRIP.items()
+                  if key in reads or key in cli._RUN_KEYS}
+        cfg = build_config({**values, "scenario": scenario})
         default = ScenarioConfig()
-        assert [f.name for f in fields(cfg)
-                if getattr(cfg, f.name) == getattr(default, f.name)] == ["gamma_2pi_mhz"]
+        assert [key for key in reads if getattr(cfg, key) == getattr(default, key)] == [
+            "gamma_2pi_mhz"]
         loaded = build_config(parse_config_text(cli._manifest_text(cfg)))
         assert loaded == cfg
         assert all(type(getattr(loaded, key)) is type(value) for key, value in values.items())
 
-    def test_every_key_changes_an_output_or_is_refused(self, tmp_path):
-        # a key that every base run accepts and none writes differently
-        # configures nothing, and only reads as if it did
-        unscanned = {"scenario", "preset", "out_path", "status", "failed_at_us", "error",
-                     "version"}
-        assert ({f.name for f in fields(ScenarioConfig)} - unscanned) ^ set(OFF_DEFAULT) == set()
-        outputs = [csv_bytes(base, tmp_path / "base" / str(i))
-                   for i, base in enumerate(KEY_SCAN_BASES)]
-        dead = [key for key, value in OFF_DEFAULT.items()
-                if not any(base.get(key) != value
-                           and csv_bytes({**base, key: value}, tmp_path / key / str(i)) != want
-                           for i, (base, want) in enumerate(zip(KEY_SCAN_BASES, outputs)))]
-        assert dead == []
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_every_key_changes_an_output_or_is_refused(self, scenario, tmp_path):
+        # a key the scenario reads must change its CSVs on some base run that
+        # reads it; any other key must be refused as unread, not be accepted as
+        # if it configured the run
+        assert {f.name for f in fields(ScenarioConfig)} - set(cli._RUN_KEYS) == set(OFF_VALUES)
+        bases = KEY_SCAN_BASES[scenario]
+        outputs = [csv_bytes(base, tmp_path / f"base{i}") for i, base in enumerate(bases)]
+        assert None not in outputs
+        read, changed, not_refused = set(), set(), []
+        for key, values in OFF_VALUES.items():
+            for (i, base), (j, value) in product(enumerate(bases), enumerate(values)):
+                if base.get(key) == value:
+                    continue
+                run = {**base, key: value}
+                if key not in cli._read_keys(ScenarioConfig(**run)):
+                    try:
+                        build_config(run)
+                    except ConfigError as err:
+                        if str(err).startswith(f"{key} = ") and " is not read by the " in str(err):
+                            continue
+                    not_refused.append((key, value, i))
+                    continue
+                read.add(key)
+                if key not in changed:
+                    got = csv_bytes(run, tmp_path / key / f"{i}-{j}")
+                    if got is not None and got != outputs[i]:
+                        changed.add(key)
+        reads = {key for protocol in ("constant", "stirap")
+                 for key in cli._read_keys(ScenarioConfig(scenario=scenario, protocol=protocol))}
+        assert read == reads
+        assert sorted(reads - changed) == []
+        assert not_refused == []
 
 
-# A value off the default for every key a run reads
-OFF_DEFAULT = {
-    "g0_2pi_mhz": 5.0, "g0_a_2pi_mhz": 5.0, "g0_b_2pi_mhz": 5.0, "kappa_2pi_mhz": 0.5,
-    "gamma_2pi_mhz": 0.01, "gamma_a_2pi_mhz": 0.01, "gamma_b_2pi_mhz": 0.01,
-    "omega_q_2pi_mhz": 30.0, "omega_w_2pi_mhz": 30.0, "protocol": "stirap",
-    "pulse_width_us": 0.4, "t_delay_us": 0.5, "t_center_us": 1.5, "adiabaticity": 50.0,
-    "delay_ratio": 1.0, "theta_deg": 60.0, "phi_deg": 40.0, "t_final_us": 0.4, "dt_ns": 0.5,
-    "sample_every": 7, "hops": 3, "hop_time_us": 2.5, "lengths_km": (0.001, 0.3),
-    "media": ("fiber",), "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
+# A value off the default for every key: the manifest round trip's
+ROUND_TRIP = {
+    "scenario": "", "preset": "fig4", "g0_2pi_mhz": 4.5, "g0_a_2pi_mhz": 4.0,
+    "g0_b_2pi_mhz": 3.5, "kappa_2pi_mhz": 0.25, "gamma_2pi_mhz": -1.0,
+    "gamma_a_2pi_mhz": 0.5, "gamma_b_2pi_mhz": 0.75, "omega_q_2pi_mhz": 50.0,
+    "omega_w_2pi_mhz": 51.0, "protocol": "stirap", "pulse_width_us": 0.5,
+    "t_delay_us": 0.6, "t_center_us": 1.5, "adiabaticity": 50.0, "delay_ratio": 1.1,
+    "theta_deg": 60.0, "t_final_us": 4.0, "dt_ns": 0.5, "sample_every": 3, "hops": 3,
+    "hop_time_us": 5.0, "lengths_km": (0.5, 2.0), "media": ("fiber",),
+    "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
     "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3, "n_samples": 7,
-    "seed": 3, "tune_widths_us": (0.3,), "tune_delays_us": (0.4,),
+    "seed": 3, "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",
+    "status": "ok", "failed_at_us": 1.25, "error": "none", "version": "0.0.1",
 }
-# Runs each key is set on: the small scenarios, and a stirap transfer whose
-# pulse pair comes from adiabaticity and delay_ratio, which every stirap
-# scenario among them overrides
-KEY_SCAN_BASES = [
-    SMALL_SCENARIOS["transfer"],
-    {"scenario": "transfer", "protocol": "stirap", "dt_ns": 1.0, "sample_every": 100,
-     **WEAK_LOSS},
-    *(config for name, config in SMALL_SCENARIOS.items() if name != "transfer"),
-]
+# and the key scan's, by key; protocol takes both values, as a chain's default
+# is stirap and every other scenario's constant
+OFF_VALUES = {
+    "g0_2pi_mhz": [5.0], "g0_a_2pi_mhz": [5.0], "g0_b_2pi_mhz": [5.0],
+    # above g0, so that it moves a sweep's default step, its one use there
+    "kappa_2pi_mhz": [10.0],
+    "gamma_2pi_mhz": [0.01], "gamma_a_2pi_mhz": [0.01], "gamma_b_2pi_mhz": [0.01],
+    "omega_q_2pi_mhz": [30.0], "omega_w_2pi_mhz": [30.0], "protocol": ["stirap", "constant"],
+    "pulse_width_us": [0.4], "t_delay_us": [0.5], "t_center_us": [1.5], "adiabaticity": [50.0],
+    "delay_ratio": [1.0], "theta_deg": [60.0], "t_final_us": [2.5], "dt_ns": [0.5],
+    "sample_every": [7], "hops": [3], "hop_time_us": [2.5], "lengths_km": [(0.001, 0.3)],
+    "media": [("fiber",)], "base_kappa_2pi_mhz": [0.1], "cavity_loss_2pi_mhz_per_km": [2.0],
+    "fiber_coupling_2pi_mhz": [0.2], "fiber_attenuation_db_per_km": [0.3], "n_samples": [7],
+    "seed": [3], "tune_widths_us": [(0.3,)], "tune_delays_us": [(0.4,)],
+}
+
+
+def lab_frame(values):
+    """values in the lab frame with per-qubit decay: there omega_q_2pi_mhz,
+    omega_w_2pi_mhz and the per-qubit gammas can each move alone."""
+    return {**values, "omega_q_2pi_mhz": 20.0, "omega_w_2pi_mhz": 20.0, "gamma_2pi_mhz": -1.0}
+
+
+# Runs each key is set on, by scenario: its small config, where it reads the
+# pulse keys one whose pulse pair comes from adiabaticity and delay_ratio,
+# which the small configs override, and the first of them in the lab frame.
+# A sweep also runs without dt_ns, where kappa_2pi_mhz moves the default step.
+_ONE_CAVITY_POINT = {"scenario": "sweep-distance", "lengths_km": (0.001,), "media": ("cavity",)}
+KEY_SCAN_BASES = {scenario: [*bases, lab_frame(bases[0])] for scenario, bases in {
+    "transfer": [
+        SMALL_SCENARIOS["transfer"],
+        {"scenario": "transfer", "protocol": "stirap", "dt_ns": 1.0, "sample_every": 100,
+         **WEAK_LOSS},
+    ],
+    "stirap-compare": [
+        SMALL_SCENARIOS["stirap-compare"],
+        {"scenario": "stirap-compare", "dt_ns": 1.0, "sample_every": 100, **WEAK_LOSS},
+    ],
+    "chain": [
+        SMALL_SCENARIOS["chain"],
+        {"scenario": "chain", "hops": 2, "dt_ns": 1.0, "sample_every": 100, **WEAK_LOSS},
+    ],
+    "sweep-distance": [
+        _ONE_CAVITY_POINT, {**_ONE_CAVITY_POINT, "protocol": "stirap"},
+        SMALL_SCENARIOS["sweep-distance"],
+    ],
+    "coherent-info": [
+        SMALL_SCENARIOS["coherent-info"],
+        {**SMALL_SCENARIOS["coherent-info"], "protocol": "stirap"},
+    ],
+    "tune-stirap": [SMALL_SCENARIOS["tune-stirap"]],
+}.items()}
 
 
 def csv_bytes(values, out):
-    """The bytes of every CSV the run of values writes, by name; None if it is refused."""
+    """The bytes of every CSV the run of values writes, by name; None if it is
+    refused or fails."""
     try:
         cfg = build_config(values)
     except ConfigError:
         return None
-    run_scenario(cfg, out)
+    if run_scenario(cfg, out) != 0:
+        return None
     return {path.name: path.read_bytes() for path in out.glob("*.csv")}

@@ -7,7 +7,8 @@ file and only read. Likewise every name a module exports in __all__ must
 resolve, so that a deletion leaves no dangling export.
 
 Every ```python block in README.md runs, and every ```ini block builds a
-config, so that an API change cannot leave an example stale.
+config, so that an API change cannot leave an example stale. README.md's
+table of the keys each scenario reads is the declaration in cli.py.
 
 The package imports only the standard library and its declared runtime
 dependencies, at module level or inside a function; scipy is a test
@@ -36,7 +37,8 @@ import pytest
 from conftest import SMALL_SCENARIOS
 
 import qlinksim
-from qlinksim.cli import SCENARIOS, build_config, parse_config_text
+from qlinksim import cli
+from qlinksim.cli import SCENARIOS, ScenarioConfig, build_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -167,6 +169,28 @@ def test_readme_config_blocks_build():
     assert blocks
     for i, block in enumerate(blocks, start=1):
         build_config(parse_config_text(block, source=f"README.md ini block {i}"))
+
+
+def _backticked(text: str) -> list[str]:
+    return re.findall(r"`([a-z0-9_]+)`", text)
+
+
+def test_readme_key_table_is_the_declaration():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rates = re.search(r"rates\s+and\s+step,\s(.*?),\s+and\s+the\s+keys", text, re.DOTALL)[1]
+    pulses = re.search(r"The\s+pulse\s+keys,\s(.*?),\s+are\s+read", text, re.DOTALL)[1]
+    rates, pulses = _backticked(rates), _backticked(pulses)
+    assert (tuple(rates), tuple(pulses)) == (cli._RATE_KEYS, cli._PULSE_KEYS)
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (always|when `protocol = stirap`|never.*) \|$",
+                      text, re.MULTILINE)
+    assert [scenario for scenario, _, _ in rows] == list(SCENARIOS)
+    for scenario, keys, pulse_rule in rows:
+        for protocol in ("constant", "stirap"):
+            reads = rates + _backticked(keys)
+            if pulse_rule == "always" or pulse_rule.startswith("when") and protocol == "stirap":
+                reads += pulses
+            declared = cli._read_keys(ScenarioConfig(scenario=scenario, protocol=protocol))
+            assert sorted(reads) == sorted(declared), (scenario, protocol)
 
 
 FORKING_TRANSFER = """
