@@ -8,7 +8,8 @@ the rates, schedule and medium, while resolve_defaults, _links and each
 scenario runner convert the times they read or write at the call. Parsing is
 strict: unknown keys are rejected so a mistyped rate cannot silently fall back
 to a default, and each key's type is its ScenarioConfig annotation. A key the
-scenario does not read (_SCENARIO_KEYS) is refused unless it holds its default.
+scenario does not read (_SCENARIO_KEYS), or that the config's other values
+make inert, is refused unless it holds its default.
 
 A config turns into its runs in one place: resolve_defaults fills every
 horizon, step and cadence, and _links builds every network.LinkSpec a
@@ -30,6 +31,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -253,8 +255,9 @@ _LIST_KEYS = [f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple
 
 # The keys each scenario reads. Every scenario reads the link's rates and its
 # step; one that reads protocol reads the pulse keys too when its links are
-# stirap. Any other key is refused unless it holds its default, and the
-# manifest writes only these and _RUN_KEYS.
+# stirap, unless the config makes them inert (_inert_because). Any other key
+# is refused unless it holds its default, and the manifest writes only these
+# and _RUN_KEYS.
 _RATE_KEYS = ("g0_2pi_mhz", "g0_a_2pi_mhz", "g0_b_2pi_mhz", "kappa_2pi_mhz", "gamma_2pi_mhz",
               "gamma_a_2pi_mhz", "gamma_b_2pi_mhz", "omega_q_2pi_mhz", "omega_w_2pi_mhz",
               "dt_ns")
@@ -279,9 +282,33 @@ def _protocol(cfg: ScenarioConfig) -> str:
     return cfg.protocol or ("stirap" if cfg.scenario == "chain" else "constant")
 
 
+# Keys a scenario reads that a config's other values can make inert: a pulse
+# key that a set pulse key overrides, and a medium key that none of the listed
+# media reads (network.effective_kappa).
+_OVERRIDDEN_BY = {"adiabaticity": "pulse_width_us", "delay_ratio": "t_delay_us"}
+_MEDIA_READING = {
+    "base_kappa_2pi_mhz": (network.CAVITY, network.CAVITY_PLUS_FIBER),
+    "cavity_loss_2pi_mhz_per_km": (network.CAVITY,),
+    "fiber_coupling_2pi_mhz": (network.CAVITY_PLUS_FIBER,),
+    "fiber_attenuation_db_per_km": (network.FIBER, network.CAVITY_PLUS_FIBER),
+}
+
+
+def _inert_because(cfg: ScenarioConfig, key: str) -> str:
+    """The value of cfg that leaves key inert ("pulse_width_us = 0.5"), or ""."""
+    other = _OVERRIDDEN_BY.get(key)
+    if other and getattr(cfg, other) > 0:
+        return f"{other} = {_fmt(getattr(cfg, other))}"
+    if key in _MEDIA_READING and not set(_MEDIA_READING[key]) & set(cfg.media):
+        return f"media = {_fmt(cfg.media)}"
+    return ""
+
+
 def _read_keys(cfg: ScenarioConfig) -> tuple[str, ...]:
     keys = _RATE_KEYS + _SCENARIO_KEYS[cfg.scenario]
-    return keys + _PULSE_KEYS if "protocol" in keys and _protocol(cfg) == "stirap" else keys
+    if "protocol" in keys and _protocol(cfg) == "stirap":
+        keys += _PULSE_KEYS
+    return tuple(key for key in keys if not _inert_because(cfg, key))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -357,9 +384,11 @@ def _validate(cfg: ScenarioConfig) -> None:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.name not in reads and f.name not in _RUN_KEYS and _fmt(value) != _fmt(f.default):
-            drive = f" with protocol = {_protocol(cfg)}" if f.name in _PULSE_KEYS else ""
+            why = _inert_because(cfg, f.name)
+            if not why and f.name in _PULSE_KEYS:
+                why = f"protocol = {_protocol(cfg)}"
             raise ConfigError(f"{f.name} = {_fmt(value)} is not read by the {cfg.scenario} "
-                              f"scenario{drive}; leave it out")
+                              f"scenario{' with ' + why if why else ''}; leave it out")
     if cfg.scenario == "sweep-distance":
         _check_point_names(cfg)
     _check_schedules(cfg)
@@ -444,23 +473,237 @@ def _manifest_text(cfg: ScenarioConfig) -> str:
 # --- output helpers ---------------------------------------------------------
 
 
-# Rows per block of a column-wise CSV. A block holds the text of all its
-# cells at once, so this bounds the memory a long trajectory's file costs.
-_CSV_BLOCK_ROWS = 256
+# Rows per block of a column-wise CSV. A block holds its cells' text and the
+# kernel's work arrays at once, so this bounds the memory a long
+# trajectory's file costs.
+_CSV_BLOCK_ROWS = 512
 # Fewest rows a forked process formats. Forking a 40-50 MB interpreter and
 # reaping the child takes about 3.5 ms, and copying 4096 rows of its text
-# back about 0.7 ms: a sixth of the 25 ms that formatting them takes (8
-# columns, 2-vCPU x86-64 VM, Python 3.11).
+# back about 0.4 ms: 40 % of the 10 ms that _block_text takes to format them
+# (8 columns, 2-vCPU x86-64 VM, Python 3.11). So two slices of 4096 rows (7
+# columns) still write in 16 % less time than one process: 15.9 against 19.0 ms.
 _MIN_SLICE_ROWS = 4096
+
+# --- CSV float text ---------------------------------------------------------
+#
+# _block_text writes a block of float64 cells as the text ",".join(map(repr,
+# row)) gives each row, in a fixed number of numpy calls. repr prints the
+# shortest decimal that reads back as the same double and, of those, the
+# nearest (Gay's correctly rounded dtoa); Adams' Ryu (PLDI 2018) finds the
+# same digits with exact integer arithmetic, and so does this, a block at a
+# time. For a = |x| with decimal exponent E in [-28, 16]:
+#
+# - V = a 10^s, s = 16 - E, lies in [1e16, 1e17). 10^s = hi + lo exactly,
+#   with lo = 0 for s <= 22; Dekker's product gives a hi = P + eP exactly.
+#   With r = eP + a lo, rounded, N = P + rint(r) is the 17-digit candidate
+#   and V = N - e for e = rint(r) - r.
+# - A candidate D reads back as a iff D - V lies within h = ulp(a) 10^s / 2
+#   (h / 2 below a power of two), the ends included iff a's significand is
+#   even. h lies in (0.55, 11.2), so N always reads back, and at most one
+#   multiple of 100 lies within h: if the nearest, D15, does, the digits are
+#   D15's without its trailing zeros; else the nearest multiple of 10, D16,
+#   if it reads back; else N.
+# - For s <= 22, e is exact, and each test compares one once-rounded
+#   difference with a double, so a strict result is exact. A difference that
+#   rounds onto the end of the interval, an exact tie between two
+#   candidates, and a power of two whose D15 fails go to repr.
+# - For s > 22 (1e-28 <= a < 1e-6), a lo and r are rounded: V is off by at
+#   most 3.1e-15 and each tested quantity by at most 1.2e-14. We do not carry
+#   them as double-doubles; a cell within _TEXT_MARGIN = 2^-40 (9.1e-13) of
+#   any decision's boundary goes to repr instead, so no decision can be wrong.
+# - Zeros print 0.0 or -0.0; nan, inf and |x| outside [1e-28, 1e17) go to
+#   repr.
+#
+# Each cell's text is laid out in a 32-byte field: the sign, a "0.000"
+# prefix, 18 slots for the 17 digits and the point, "e-28" and the separator.
+# A table built at first use holds, per shape (E, number of digits), the
+# field's fixed bytes and which slots take a digit or the digit before it
+# (those after the point); the slots a shape leaves empty hold zero bytes,
+# which are dropped from the block's text.
+
+_TEXT_E_MIN = -28
+_TEXT_MARGIN = 2.0 ** -40
+_TEXT_EB_MIN = 1023 - 94  # biased binary exponent of 1e-28
+_TEXT_WORD = np.dtype("<i8")  # 8 bytes of a field, first byte least significant on any host
+
+
+def _least_double_at_least_ten_to(k: int) -> float:
+    """The least double >= 10^k, for k <= 22."""
+    if k >= 0:
+        return float(10 ** k)
+    x = 1 / 10 ** -k  # correctly rounded
+    numerator, denominator = x.as_integer_ratio()
+    return x if numerator * 10 ** -k >= denominator else math.nextafter(x, math.inf)
+
+
+@lru_cache(maxsize=None)
+def _text_tables():
+    """_block_text's tables: built at first use, so importing the module costs nothing."""
+    # row s = 0..44: hi, hi split into halves of 26 bits for Dekker's product, lo
+    scale = []
+    for s in range(17 - _TEXT_E_MIN):
+        hi = float(10 ** s)
+        split = 134217729.0 * hi
+        top = split - (split - hi)
+        scale.append((hi, top, hi - top, float(10 ** s - int(hi))))
+    # per biased binary exponent e: floor(log10 2^e) and the least double >= 10^(that + 1)
+    floor_log10 = ((np.arange(_TEXT_EB_MIN, 1023 + 57) - 1023) * 78913) >> 18
+    tens = [_least_double_at_least_ten_to(int(k) + 1) for k in floor_log10]
+    # layout row (E + 28) * 17 + q - 1 for E in [-28, 17] (17 where digits
+    # round up to 1e17) and q digits: the field's fixed bytes, then masks of
+    # its bytes 8-31 taking digit j and digit j - 1 into region slot j = byte - 8
+    E = np.repeat(np.arange(_TEXT_E_MIN, 18), 17)[:, None]
+    q = np.tile(np.arange(1, 18), 18 - _TEXT_E_MIN)[:, None]
+    byte = np.arange(32)
+    slot = byte - 8
+    fixed_point = (E >= -4) & (E < 16)
+    point = np.where(fixed_point, np.where(E >= 0, E + 1, 99), np.where(q > 1, 1, 99))
+    shown = np.where(fixed_point & (E >= 0), np.maximum(q, E + 2), q)  # "1200.0": 5 digits
+    in_region = (slot >= 0) & (slot < 18)
+    take_digit = in_region & (slot < point) & (slot < shown)
+    take_previous = in_region & (slot > point) & (slot <= shown)
+    fixed = np.zeros((len(E), 32), np.uint8)
+    fixed[in_region & (slot == point)] = ord(".")
+    prefix = fixed_point & (E < 0) & (byte >= 3) & (byte < 4 - E)  # "0." and -E - 1 zeros
+    fixed[prefix] = ord("0")
+    fixed[prefix & (byte == 4)] = ord(".")
+    exponent = ~fixed_point[:, 0]
+    e = E[exponent, 0]
+    fixed[exponent, 26:30] = np.stack([np.full_like(e, ord("e")), np.where(e < 0, 45, 43),
+                                       48 + abs(e) // 10, 48 + abs(e) % 10], axis=1)
+    layout = np.concatenate([fixed.view(_TEXT_WORD),
+                             (take_digit[:, 8:] * np.uint8(255)).view(_TEXT_WORD),
+                             (take_previous[:, 8:] * np.uint8(255)).view(_TEXT_WORD)], axis=1)
+    return np.array(scale), floor_log10, np.array(tens), layout
+
+
+def _shortest_digits(a: np.ndarray, E: np.ndarray, pow2: np.ndarray):
+    """repr's digits of each a in [1e-28, 1e17) with decimal exponent E, as a
+    17-digit integer D (10^17 where they round up to the next power of ten),
+    and whether D is decided exactly; see the scheme above."""
+    scale = _text_tables()[0].take(16 - E, axis=0)
+    hi, top, bottom, lo = scale.T
+    h = ((((a.view(np.int64) >> 52) - 53) << 52).view(np.float64)) * hi  # ulp(a) 10^s / 2
+    margin = (lo != 0) * _TEXT_MARGIN
+    # Dekker's product: a hi = P + r exactly; then r += a lo, rounded where lo != 0
+    a_top = a * 134217729.0
+    a_top -= a_top - a
+    a_bottom = a - a_top
+    P = a * hi
+    r = a_top * top
+    r -= P
+    r += a_top * bottom
+    r += a_bottom * top
+    r += a_bottom * bottom
+    r += a * lo
+    del scale, hi, top, bottom, lo, a_top, a_bottom
+    e = np.rint(r)
+    N = P.astype(np.int64)
+    N += e.astype(np.int64)
+    e -= r  # V = N - e
+    del P, r
+    r100 = (N - N // 100 * 100).astype(np.float64)
+    r10 = r100 - 10.0 * np.floor(r100 * 0.1)
+    h_below = h * (1.0 - 0.5 * pow2)
+    # D - N, and the room D leaves inside the interval, for D15 and D16
+    k15 = 100.0 * (r100 - 50.0 > e) - r100
+    w = k15 + e
+    room15 = np.minimum(h - w, h_below + w)
+    k16 = 10.0 * (r10 - 5.0 > e) - r10
+    w = k16 + e
+    room16 = np.minimum(h - w, h_below + w)
+    in15 = room15 > margin
+    in16 = room16 > margin
+    e = np.abs(e)  # |V - N|
+    decided = in15 | ((room15 < -margin) & ~pow2 & ((r10 != 5) | (e > margin))
+                      & (in16 | (room16 < -margin) & (e < 0.5 - margin)))
+    N += np.where(in15, k15, k16 * in16).astype(np.int64)
+    return N, decided
+
+
+def _ascii_digits(D: np.ndarray):
+    """Digits d0-d7 and d8-d15 of 17-digit integers as 8 ASCII bytes each
+    (least significant byte first), d16 as one, and the count of digits up to
+    the last nonzero one (at least 1)."""
+    n = D.size
+    tenth = D // 10
+    last = D - tenth * 10
+    digits = np.empty(2 * n, np.int64)
+    np.floor_divide(tenth, 10 ** 8, out=digits[:n])
+    digits[n:] = tenth - digits[:n] * 10 ** 8
+    del tenth
+    y = digits // 10000
+    y |= (digits - y * 10000) << 32  # 4-digit halves in 32-bit lanes
+    z = ((y * 5243) >> 19) & 0x0000007F0000007F  # lane // 100
+    z |= (y - z * 100) << 16
+    del y
+    digits = ((z * 103) >> 10) & 0x000F000F000F000F  # 16-bit lane // 10
+    digits |= (z - digits * 10) << 8
+    del z
+    top_byte = (((digits.astype(np.float64).view(np.int64) >> 52) + 1) >> 3) - 128
+    q = np.maximum(top_byte[:n] + 1, top_byte[n:] + 9)
+    q[last != 0] = 17
+    np.maximum(q, 1, out=q)
+    digits |= 0x3030303030303030
+    return digits[:n], digits[n:], last | 48, q
+
+
+def _block_text(block: np.ndarray) -> str:
+    """CSV text of a C-contiguous (rows, columns) float64 block, as repr writes each cell."""
+    _, floor_log10, tens, layout = _text_tables()
+    x = block.reshape(-1)
+    a = np.abs(x)
+    zero = a == 0
+    exact = a >= tens[0]
+    exact &= a < 1e17
+    np.copyto(a, 1.0, where=~exact)  # no lane computes a nan or inf, not even a discarded one
+    bits = a.view(np.int64)
+    row = (bits >> 52) - _TEXT_EB_MIN
+    E = floor_log10.take(row)
+    E += a >= tens.take(row)
+    D, decided = _shortest_digits(a, E, (bits & ((1 << 52) - 1)) == 0)
+    del a, bits, row
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    E += carry
+    D[zero] = 0
+    E[zero] = 0
+    first, second, last, q = _ascii_digits(D)
+    shape = layout.take((E - _TEXT_E_MIN) * 17 + q - 1, axis=0)
+    del D, E, q
+    field = np.empty((x.size, 4), _TEXT_WORD)
+    field[:, 0] = shape[:, 0] | ((x.view(np.int64) >> 63) & (ord("-") << 16))
+    field[:, 1] = shape[:, 1] | (first & shape[:, 4]) | ((first << 8) & shape[:, 7])
+    field[:, 2] = (shape[:, 2] | (second & shape[:, 5])
+                   | (((second << 8) | ((first >> 56) & 0xFF)) & shape[:, 8]))
+    field[:, 3] = (shape[:, 3] | (last & shape[:, 6])
+                   | (((last << 8) | ((second >> 56) & 0xFF)) & shape[:, 9]))
+    del shape, first, second, last
+    separator = field.reshape(*block.shape, 4)[:, :, 3]
+    separator |= ord(",") << 56
+    separator[:, -1] ^= (ord(",") ^ ord("\n")) << 56
+    fallback = np.flatnonzero(~zero & ~(exact & decided))
+    if fallback.size:
+        text = field.view(np.uint8)
+        text[fallback, :24] = np.array(list(map(repr, x[fallback].tolist())), "S24").view(
+            np.uint8).reshape(-1, 24)
+        text[fallback, 24:31] = 0
+    return field.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv_blocks(columns: Sequence[np.ndarray], start: int, stop: int):
-    """Text of rows start..stop of equal-length float columns, block by block."""
+    """Text of rows start..stop of equal-length float columns, block by block.
+
+    Each block of _CSV_BLOCK_ROWS rows is copied into one reused array and
+    written by _block_text: the text is what ",".join(map(repr, row)) gives
+    each row.
+    """
+    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), len(columns)))
     for first in range(start, stop, _CSV_BLOCK_ROWS):
-        last = min(first + _CSV_BLOCK_ROWS, stop)
-        # .tolist() first: repr of a numpy scalar is not its float's
-        texts = [map(repr, c[first:last].tolist()) for c in columns]
-        yield "\n".join(map(",".join, zip(*texts))) + "\n"
+        rows = block[:min(_CSV_BLOCK_ROWS, stop - first)]
+        for j, column in enumerate(columns):
+            rows[:, j] = column[first:first + len(rows)]
+        yield _block_text(rows)
 
 
 def _single_threaded() -> bool:
@@ -563,9 +806,9 @@ class _Outputs:
     write_csv formats mixed-type rows one cell at a time through _fmt, for the
     small summary tables. write_columns writes equal-length float columns,
     such as trajectories and curves, in blocks of _CSV_BLOCK_ROWS rows: each
-    block formats every column with one repr per cell, so the file is byte
-    identical to the same rows written through write_csv, and memory does not
-    grow with the run length.
+    block is formatted at once by _block_text, whose text is repr's for every
+    cell, so the file is byte identical to the same rows written through
+    write_csv, and memory does not grow with the run length.
 
     A long table is formatted in contiguous row slices by forked processes,
     one per usable CPU, and the parent appends their text in row order; the

@@ -21,6 +21,8 @@ from conftest import (
     make_link_run,
     run_choi_probe,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlinksim import cli, metrics
 from qlinksim.cli import (
@@ -787,6 +789,73 @@ class TestForkedWriteFailures:
         assert os.listdir(tmp_path) == ["columns.csv"]
 
 
+def repr_rows(block):
+    """The text ",".join(map(repr, row)) gives each row of a float array."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def kernel_test_values(rng, n):
+    """About 10 n values of both signs from the classes the CSV float kernel
+    must get right: random bit patterns (every exponent, subnormals, nan
+    payloads), 10^U(-30, 16.2) and its neighbours, powers of two and ten and
+    their neighbours, decimals rounded to 0-11 places, and m 10^-k for 9-digit
+    m and k = 7-29 (the 1e-28 to 1e-6 decade range, where V is carried
+    inexactly)."""
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, n, dtype=np.int64)
+    spread = 10.0 ** rng.uniform(-30, 16.2, n)
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-100, 54)), 10.0 ** np.arange(-31, 17)])
+    m = rng.integers(1, 10 ** 9, n // 8).astype(float)
+    values = np.concatenate([
+        bits.view(np.float64),
+        *(np.nextafter(x, toward) for x in (spread, powers) for toward in (-np.inf, np.inf)),
+        spread, powers,
+        *(np.round(rng.uniform(-1e6, 1e6, n // 4), k) for k in range(12)),
+        *(m * 10.0 ** -k for k in range(7, 30)),
+    ])
+    return np.copysign(values, rng.choice([-1.0, 1.0], values.size))
+
+
+class TestFloatText:
+    def test_blocks_match_repr(self):
+        # 3e5 values; a one-off run of the same classes over 5.6e6 values
+        # found no difference either
+        values = kernel_test_values(np.random.default_rng(20), 30000)
+        values = values[:values.size // 7 * 7].reshape(-1, 7)
+        for first in range(0, len(values), cli._CSV_BLOCK_ROWS):
+            block = values[first:first + cli._CSV_BLOCK_ROWS]
+            assert cli._block_text(block) == repr_rows(block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=8))
+    def test_rows_of_any_floats_match_repr(self, rows):
+        block = np.array(rows, dtype=float)
+        assert cli._block_text(block) == repr_rows(block)
+
+    def test_only_the_undecided_cells_reach_repr(self, monkeypatch):
+        # smooth trajectory-like columns never fall back to repr; the kernel
+        # sends it each cell it leaves undecided, and nothing else
+        sent = []
+
+        def counting_repr(value):
+            sent.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        t = np.arange(cli._CSV_BLOCK_ROWS) * 0.0125
+        decay = np.exp(-t / 3.0)
+        smooth = np.stack([t, decay, 1.0 - decay, decay ** 20, np.ones_like(t), -np.sin(t),
+                           np.sin(t) ** 2 * 1e-12], axis=1)
+        assert cli._block_text(smooth) == repr_rows(smooth)
+        assert sent == []
+        edges = np.array([[0.0, -0.0, 1.0, 0.5, 1e16, 1e-5, 123.0],
+                          [math.nan, math.inf, 5e-324, 1e17, 2.0 ** -30, 1000000000000000.25,
+                           9e-29]])
+        assert cli._block_text(edges) == repr_rows(edges)
+        assert [repr(x) for x in sent] == ["nan", "inf", "5e-324", "1e+17",
+                                           "9.313225746154785e-10", "1000000000000000.2",
+                                           "9e-29"]
+
+
 class TestFailureHandling:
     def test_integration_failure_removes_csvs_and_reports(self, tmp_path):
         cfg = build_config({
@@ -897,6 +966,25 @@ class TestFailureHandling:
          "protocol = stirap is not read by the stirap-compare scenario"),
         ("scenario = coherent-info\nlengths_km = 0.1, 1\n",
          "lengths_km = 0.1, 1.0 is not read by the coherent-info scenario"),
+        # keys the config's other values make inert
+        ("scenario = stirap-compare\npulse_width_us = 0.25\nadiabaticity = 50\n",
+         "adiabaticity = 50.0 is not read by the stirap-compare scenario with "
+         "pulse_width_us = 0.25"),
+        (f"scenario = transfer\nprotocol = stirap\nt_delay_us = 0.3\ndelay_ratio = 1\n"
+         f"{WEAK_LOSS_TEXT}",
+         "delay_ratio = 1.0 is not read by the transfer scenario with t_delay_us = 0.3"),
+        ("scenario = sweep-distance\nmedia = cavity+fiber\ncavity_loss_2pi_mhz_per_km = 2\n",
+         "cavity_loss_2pi_mhz_per_km = 2.0 is not read by the sweep-distance scenario with "
+         "media = cavity"),
+        ("scenario = sweep-distance\nmedia = cavity\nfiber_coupling_2pi_mhz = 0.2\n",
+         "fiber_coupling_2pi_mhz = 0.2 is not read by the sweep-distance scenario with "
+         "media = cavity"),
+        ("scenario = sweep-distance\nmedia = cavity\nfiber_attenuation_db_per_km = 0.3\n",
+         "fiber_attenuation_db_per_km = 0.3 is not read by the sweep-distance scenario with "
+         "media = cavity"),
+        ("scenario = sweep-distance\nmedia = fiber\nbase_kappa_2pi_mhz = 0.1\n",
+         "base_kappa_2pi_mhz = 0.1 is not read by the sweep-distance scenario with "
+         "media = fiber"),
     ], ids=["frame-mismatch", "phi-inf", "phi-nan", "chain-hop-in-window",
             "sweep-hop-in-window", "compare-horizon-in-window", "transfer-horizon-in-window",
             "coherent-info-horizon-in-window", "chain-t-final-off-the-hop", "zero-adiabaticity",
@@ -904,7 +992,10 @@ class TestFailureHandling:
             "gamma-a-under-preset", "gamma-b-under-zero-gamma", "transfer-steps-overflow",
             "chain-steps-overflow", "stirap-delay-overflow", "tune-window-steps-overflow",
             "tune-width-underflow", "transfer-hops", "constant-transfer-pulse-width",
-            "tune-theta", "tune-sample-every", "compare-protocol", "coherent-info-lengths"])
+            "tune-theta", "tune-sample-every", "compare-protocol", "coherent-info-lengths",
+            "adiabaticity-under-pulse-width", "delay-ratio-under-delay",
+            "cavity-loss-without-cavity", "fiber-coupling-without-cavity-fiber",
+            "fiber-attenuation-without-fiber", "base-kappa-without-cavity"])
     def test_configs_the_run_cannot_build_exit_with_a_config_error(self, text, key, tmp_path,
                                                                    capsys):
         # each of these once passed validation and crashed the run with a
@@ -913,7 +1004,8 @@ class TestFailureHandling:
         # transfer or coherent-info horizon inside it) with the pulse pair cut
         # off, or (a chain's t_final_us) only moved the output cadence, or (a
         # per-qubit gamma next to gamma_2pi_mhz) ran with that gamma ignored, or
-        # (a key the scenario does not read) changed nothing but the manifest
+        # (a key the scenario does not read, or one its other keys make inert)
+        # changed nothing but the manifest
         with pytest.raises(ConfigError, match=key):
             load_config(write_config(tmp_path, text))
         out = tmp_path / "out"
@@ -1077,18 +1169,26 @@ class TestConfigDataclass:
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
     def test_every_key_round_trips_through_the_manifest(self, scenario):
         # every key the scenario reads, off its default but for gamma_2pi_mhz,
-        # whose -1 selects the per-qubit rates set here
+        # whose -1 selects the per-qubit rates set here; a set pulse_width_us
+        # or t_delay_us leaves adiabaticity or delay_ratio inert, so those two
+        # round-trip in a second run with the pulse pair from the ratios
         assert sorted(ROUND_TRIP) == sorted(f.name for f in fields(ScenarioConfig))
-        reads = cli._read_keys(ScenarioConfig(scenario=scenario, protocol="stirap"))
-        values = {key: value for key, value in ROUND_TRIP.items()
-                  if key in reads or key in cli._RUN_KEYS}
-        cfg = build_config({**values, "scenario": scenario})
         default = ScenarioConfig()
-        assert [key for key in reads if getattr(cfg, key) == getattr(default, key)] == [
-            "gamma_2pi_mhz"]
-        loaded = build_config(parse_config_text(cli._manifest_text(cfg)))
-        assert loaded == cfg
-        assert all(type(getattr(loaded, key)) is type(value) for key, value in values.items())
+        round_tripped = set()
+        for unset in [(), ("pulse_width_us", "t_delay_us")]:
+            run = {**ROUND_TRIP, **{key: getattr(default, key) for key in unset}}
+            reads = cli._read_keys(ScenarioConfig(**{**run, "scenario": scenario}))
+            values = {key: value for key, value in run.items()
+                      if key in reads or key in cli._RUN_KEYS}
+            cfg = build_config({**values, "scenario": scenario})
+            assert [key for key in reads if getattr(cfg, key) == getattr(default, key)] == [
+                key for key in reads if key in ("gamma_2pi_mhz", *unset)]
+            loaded = build_config(parse_config_text(cli._manifest_text(cfg)))
+            assert loaded == cfg
+            assert all(type(getattr(loaded, key)) is type(value) for key, value in values.items())
+            round_tripped.update(reads)
+        assert round_tripped == set(cli._read_keys(ScenarioConfig(scenario=scenario,
+                                                                  protocol="stirap")))
 
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
     def test_every_key_changes_an_output_or_is_refused(self, scenario, tmp_path):
@@ -1131,9 +1231,9 @@ ROUND_TRIP = {
     "g0_b_2pi_mhz": 3.5, "kappa_2pi_mhz": 0.25, "gamma_2pi_mhz": -1.0,
     "gamma_a_2pi_mhz": 0.5, "gamma_b_2pi_mhz": 0.75, "omega_q_2pi_mhz": 50.0,
     "omega_w_2pi_mhz": 51.0, "protocol": "stirap", "pulse_width_us": 0.5,
-    "t_delay_us": 0.6, "t_center_us": 1.5, "adiabaticity": 50.0, "delay_ratio": 1.1,
+    "t_delay_us": 0.6, "t_center_us": 1.5, "adiabaticity": 5.0, "delay_ratio": 1.1,
     "theta_deg": 60.0, "t_final_us": 4.0, "dt_ns": 0.5, "sample_every": 3, "hops": 3,
-    "hop_time_us": 5.0, "lengths_km": (0.5, 2.0), "media": ("fiber",),
+    "hop_time_us": 5.0, "lengths_km": (0.5, 2.0), "media": ("cavity", "fiber", "cavity+fiber"),
     "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
     "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3, "n_samples": 7,
     "seed": 3, "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",

@@ -18,7 +18,12 @@ environment, so no shell variable can change what a run computes or how.
 A long trajectory is formatted by forked processes; a fresh interpreter under
 -X dev -W error, with its BLAS library held to one thread so that it may
 fork, shows that doing so leaves no warning behind and writes the same bytes
-as a run held to one CPU.
+as a run held to one CPU. The same interpreter writes a table of the cells
+the CSV float kernel leaves to repr or decides at an edge (signed zeros,
+infinities, nan, subnormal, huge and tiny values, a power of two that needs
+16 digits, 1.0 and an exact 17-digit tie), so a RuntimeWarning from a lane
+the kernel computes and then discards fails the test too, and that table's
+bytes must be repr's per cell.
 """
 
 import ast
@@ -26,6 +31,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -193,14 +199,24 @@ def test_readme_key_table_is_the_declaration():
             assert sorted(reads) == sorted(declared), (scenario, protocol)
 
 
+# cells the float kernel leaves to repr or decides at an edge: signed zeros,
+# infinities, nan, the least subnormal, values past either end of its range,
+# a power of two that needs 16 digits, 1.0 and an exact tie at 17 digits
+KERNEL_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300, 2.0 ** -30,
+                1.0, 1000000000000000.25]
+
 FORKING_TRANSFER = """
 import json, os, resource, sys
-from qlinksim.cli import main
-config, out, cpus = sys.argv[1:]
+from pathlib import Path
+from qlinksim.cli import _Outputs, main
+config, out, cpus, edges = sys.argv[1:]
 if cpus == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 status = main(["transfer", "--config", config, "--out", out])
 forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+cells = json.loads(edges)
+_Outputs(Path(out)).write_columns("edges.csv", ["x", "minus_x", "shifted"],
+                                  [cells, [-x for x in cells], cells[3:] + cells[:3]])
 print(json.dumps({"status": status, "forked": forked}))
 """
 
@@ -220,7 +236,7 @@ def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
     for cpus in ("all", "one"):
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_TRANSFER,
-             str(config), str(tmp_path / cpus), cpus],
+             str(config), str(tmp_path / cpus), cpus, json.dumps(KERNEL_EDGES)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""  # no ResourceWarning or other warning
@@ -229,5 +245,9 @@ def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
     trajectory = (tmp_path / "all" / "trajectory.csv").read_bytes()
     assert trajectory.count(b"\n") == 11602
     assert trajectory == (tmp_path / "one" / "trajectory.csv").read_bytes()
-    assert sorted(os.listdir(tmp_path / "all")) == ["manifest.txt", "summary.csv",
+    assert sorted(os.listdir(tmp_path / "all")) == ["edges.csv", "manifest.txt", "summary.csv",
                                                      "trajectory.csv"]
+    rows = zip(KERNEL_EDGES, [-x for x in KERNEL_EDGES], KERNEL_EDGES[3:] + KERNEL_EDGES[:3])
+    expected = "x,minus_x,shifted\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    for cpus in ("all", "one"):
+        assert (tmp_path / cpus / "edges.csv").read_text(encoding="utf-8") == expected
