@@ -18,7 +18,8 @@ too, so a run that cannot be built is a ConfigError before anything runs.
 
 The manifest written next to the outputs is itself a complete config file:
 every key the scenario reads, resolved; re-running from it reproduces the
-summary CSVs byte for byte.
+summary CSVs byte for byte. The run's result (status, failure time, error,
+version) follows the config as comment lines, so a config holds only inputs.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class ScenarioConfig:
     tune_widths_us: tuple[float, ...] = (0.5, 1.0, 2.0)
     tune_delays_us: tuple[float, ...] = (0.6, 1.2, 2.4)
     out_path: str = "qlinksim-out"
-    # result keys, written to manifests and ignored on load
-    status: str = ""
-    failed_at_us: float = -1.0
-    error: str = ""
-    version: str = ""
 
     # --- unit conversion -------------------------------------------------
     def g0_a(self) -> float:
@@ -273,8 +269,8 @@ _SCENARIO_KEYS = {
                       "seed"),
     "tune-stirap": ("tune_widths_us", "tune_delays_us"),
 }
-# What to run, where to write it, and the result keys: in every manifest.
-_RUN_KEYS = ("scenario", "preset", "out_path", "status", "failed_at_us", "error", "version")
+# What to run and where to write it: in every manifest.
+_RUN_KEYS = ("scenario", "preset", "out_path")
 
 
 def _protocol(cfg: ScenarioConfig) -> str:
@@ -468,6 +464,12 @@ def _manifest_text(cfg: ScenarioConfig) -> str:
     written = _RUN_KEYS + _read_keys(cfg)
     lines += [f"{f.name} = {_fmt(getattr(cfg, f.name))}" for f in fields(cfg) if f.name in written]
     return "\n".join(lines) + "\n"
+
+
+def _result_text(status: str, failed_at_us: float = -1.0, error: str = "") -> str:
+    """A run's result, as the comment lines that end its manifest."""
+    result = dict(status=status, failed_at_us=failed_at_us, error=error, version=__version__)
+    return "".join(f"# {key} = {_fmt(value)}\n" for key, value in result.items())
 
 
 # --- output helpers ---------------------------------------------------------
@@ -1048,9 +1050,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> int:
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_path)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(cfg, out_path=str(out), version=__version__, status="", error="",
-                  failed_at_us=-1.0)
-    cfg = resolve_defaults(cfg)
+    cfg = resolve_defaults(replace(cfg, out_path=str(out)))
     outputs = _Outputs(out)
     try:
         _SCENARIO_RUNNERS[cfg.scenario](cfg, outputs)
@@ -1058,16 +1058,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None) -> int:
         for path in outputs.written:
             path.unlink(missing_ok=True)
         if isinstance(err, dynamics.IntegrationError):
-            status = "integration-failure"
-            failed_at_us = err.t / US if err.t is not None else -1.0
+            t_us = err.t / US if err.t is not None else -1.0
+            result = _result_text("integration-failure", t_us, str(err))
         else:
-            status, failed_at_us = "invalid-state", -1.0
-        failed = replace(cfg, status=status, failed_at_us=failed_at_us, error=str(err))
-        (out / "manifest.txt").write_text(_manifest_text(failed), encoding="utf-8")
+            result = _result_text("invalid-state", error=str(err))
+        (out / "manifest.txt").write_text(_manifest_text(cfg) + result, encoding="utf-8")
         print(f"error: {err}", file=sys.stderr)
         return 1
-    cfg = replace(cfg, status="ok")
-    (out / "manifest.txt").write_text(_manifest_text(cfg), encoding="utf-8")
+    (out / "manifest.txt").write_text(_manifest_text(cfg) + _result_text("ok"), encoding="utf-8")
     for path in outputs.written:
         print(path)
     return 0

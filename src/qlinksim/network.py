@@ -16,10 +16,10 @@ fiber-coupling overhead plus the fiber term. That rate charges the photon
 only while it sits in the mediator, for part of the hop, so a fiber point is
 charged well under its dB budget: on a lossless 5.8 x 2pi MHz link under a
 constant drive the fiber scales the received survival by about eta^0.25, not
-eta (ROADMAP direction 7, which would treat the fiber as the pure-loss
-channel f -> sqrt(eta) f instead). The coupling
-overhead is what makes the bare cavity win at short distance before the
-fiber's flat per-km cost takes over.
+eta (ROADMAP direction 8, "Media as channels", which would treat the fiber
+as the pure-loss channel f -> sqrt(eta) f instead). The coupling overhead is
+what makes the bare cavity win at short distance before the fiber's flat
+per-km cost takes over.
 """
 
 from __future__ import annotations

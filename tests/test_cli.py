@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -24,7 +25,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import cli, metrics
+from qlinksim import __version__, cli, metrics
 from qlinksim.cli import (
     _MIN_SLICE_ROWS,
     PRESETS,
@@ -64,6 +65,13 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_result(out):
+    """The result lines that end the manifest in out, by key."""
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()[-4:]
+    assert all(line.startswith("# ") for line in lines)
+    return dict(line[2:].split(" = ", 1) for line in lines)
 
 
 def read_csv(path):
@@ -270,9 +278,11 @@ class TestScenarioRuns:
     def test_mode_dim_key_rejected(self, tmp_path):
         # one excitation never fills a Fock level above 1, so there is no
         # truncation to configure; and no run reads a refractive index, nor does
-        # a phase of the input move an output (the link is phase covariant), so
-        # a manifest that still carries one is refused rather than silently ignored
-        for line in ("mode_dim = 3", "fiber_refractive_index = 1.468", "phi_deg = 0.0"):
+        # a phase of the input move an output (the link is phase covariant), nor
+        # is a run's result one of its inputs; so a manifest that still carries
+        # one is refused rather than silently ignored
+        for line in ("mode_dim = 3", "fiber_refractive_index = 1.468", "phi_deg = 0.0",
+                     "status = ok", "failed_at_us = -1.0", "error = ", "version = 0.1.0"):
             key = line.partition(" ")[0]
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(write_config(tmp_path, FAST_TRANSFER + line + "\n"))
@@ -305,6 +315,9 @@ class TestScenarioRuns:
     def test_manifest_round_trip_reproduces_summary(self, tmp_path):
         cfg = load_config(write_config(tmp_path, FAST_TRANSFER))
         run_scenario(cfg, tmp_path / "a")
+        # the result follows the config as comment lines
+        assert read_result(tmp_path / "a") == {
+            "status": "ok", "failed_at_us": "-1.0", "error": "", "version": __version__}
         cfg2 = load_config(tmp_path / "a" / "manifest.txt")
         run_scenario(cfg2, tmp_path / "b")
         assert (tmp_path / "a" / "summary.csv").read_bytes() == (
@@ -880,8 +893,7 @@ class TestFailureHandling:
                    "dt = 4.000000e-09 s, sample_every = 1)")
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         assert f"error = {message}\n" in manifest
-        failed_at = next(line for line in manifest.splitlines() if line.startswith("failed_at"))
-        assert float(failed_at.split("=")[1]) == pytest.approx(0.004, rel=1e-12)
+        assert float(read_result(out)["failed_at_us"]) == pytest.approx(0.004, rel=1e-12)
         assert message in capsys.readouterr().err
 
     def test_failed_run_keeps_csvs_it_did_not_write(self, tmp_path):
@@ -894,6 +906,21 @@ class TestFailureHandling:
         assert run_scenario(cfg, out) == 1
         assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]
         assert (out / "earlier.csv").read_text(encoding="utf-8") == "a,b\n1,2\n"
+
+    def test_failing_tune_stirap_grid_point_is_reported_in_the_manifest(self, tmp_path,
+                                                                        capsys):
+        # a 200 ns step refills the vacuum on the first point's weak-loss run,
+        # and the grid search names that point
+        cfg = build_config({"scenario": "tune-stirap", **WEAK_LOSS, "dt_ns": 200.0})
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+        result = read_result(out)
+        assert result["status"] == "integration-failure"
+        assert result["failed_at_us"] == "1.4000000000000001"
+        assert result["error"].startswith(
+            "grid point (T=5e-07, t_delay=6e-07): vacuum refill")
+        assert result["error"] in capsys.readouterr().err
 
     def test_invalid_state_is_reported_in_the_manifest(self, tmp_path, monkeypatch, capsys):
         def invalid(*args, **kwargs):
@@ -1067,6 +1094,22 @@ class TestConfigDataclass:
         params = cfg.link_params()
         assert (params.gamma_a, params.gamma_b) == (1.0 * TWO_PI_MHZ, 2.5 * TWO_PI_MHZ)
 
+    @pytest.mark.parametrize("values, message", [
+        ({"scenario": "chain", "hops": 0}, "hops must be >= 1, got 0"),
+        ({"scenario": "coherent-info", "n_samples": 0}, "n_samples must be >= 1, got 0"),
+        ({"scenario": "coherent-info", "seed": -1}, "seed must be >= 0, got -1"),
+        ({"scenario": "sweep-distance", "media": ("wormhole",)},
+         "unknown medium kind 'wormhole'"),
+        ({"scenario": "transfer", "protocol": "pulsed"},
+         "protocol must be 'constant' or 'stirap', got 'pulsed'"),
+        ({"scenario": "transfer", "protocol": "stirap", "g0_2pi_mhz": 0.0},
+         "stirap protocol needs a positive coupling amplitude"),
+    ], ids=["zero-hops", "zero-samples", "negative-seed", "unknown-medium", "unknown-protocol",
+            "stirap-without-coupling"])
+    def test_out_of_range_values_rejected_with_their_message(self, values, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_config(values)
+
     def test_negative_non_sentinel_rejected(self):
         with pytest.raises(ConfigError, match="t_final_us"):
             build_config({"scenario": "transfer", "t_final_us": -2.0})
@@ -1141,9 +1184,13 @@ class TestConfigDataclass:
             build_config({"scenario": "chain", "hops": 2, "hop_time_us": 2.0,
                           "pulse_width_us": 0.25, "t_delay_us": 0.3, key: value})
 
-    def test_unknown_dict_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key 'mode_dim'"):
-            build_config({"scenario": "transfer", "mode_dim": 3})
+    @pytest.mark.parametrize("key, value", [
+        ("mode_dim", 3), ("status", "ok"), ("failed_at_us", -1.0), ("error", ""),
+        ("version", "0.1.0"),
+    ])
+    def test_unknown_dict_key_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            build_config({"scenario": "transfer", key: value})
 
     @pytest.mark.parametrize("values", [
         {"lengths_km": (0.001, 0.0010000001)},
@@ -1237,7 +1284,6 @@ ROUND_TRIP = {
     "base_kappa_2pi_mhz": 0.1, "cavity_loss_2pi_mhz_per_km": 2.0,
     "fiber_coupling_2pi_mhz": 0.2, "fiber_attenuation_db_per_km": 0.3, "n_samples": 7,
     "seed": 3, "tune_widths_us": (0.25,), "tune_delays_us": (0.3, 0.4), "out_path": "elsewhere",
-    "status": "ok", "failed_at_us": 1.25, "error": "none", "version": "0.0.1",
 }
 # and the key scan's, by key; protocol takes both values, as a chain's default
 # is stirap and every other scenario's constant
