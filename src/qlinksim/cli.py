@@ -120,7 +120,7 @@ class ScenarioConfig:
     theta_deg: float = 90.0
     # integration
     t_final_us: float = -1.0  # -1: scenario default; chains and sweeps read hop_time_us
-    dt_ns: float = -1.0  # -1: resolve-fastest-rate rule
+    dt_ns: float = -1.0  # -1: default_dt; RK4's step for stirap, the sample grid for constant
     sample_every: int = -1  # -1: aim for ~1000 stored samples
     # chain / per-hop evolution window (-1: 20 us for chains, the bare
     # transfer time pi/(sqrt(2) g0) for distance sweeps; a stirap link's at
@@ -898,8 +898,10 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
         params = cfg.link_params()
         if cfg.scenario == "sweep-distance":  # each point runs at its medium's loss rate
             params = replace(params, kappa=max(params.kappa, *_sweep_kappas(cfg)))
-        # a config's schedules peak at the link's couplings, which max_rate() covers
-        cfg = replace(cfg, dt_ns=dynamics.default_dt(params) / NS)
+        # RK4 steps a pulsed link: default_dt reads only that, and its peaks (the couplings)
+        pulsed = cfg.protocol == "stirap" or cfg.scenario in ("stirap-compare", "tune-stirap")
+        pulses = StirapSchedule(params.g_a, params.g_b, pulse_width=1.0, t_delay=1.0)
+        cfg = replace(cfg, dt_ns=dynamics.default_dt(params, pulses if pulsed else None) / NS)
     n_steps = _step_count(getattr(cfg, key) * US, cfg, f"{key} = {getattr(cfg, key)!r} us")
     if cfg.sample_every <= 0:  # tune-stirap's t_final_us = -1 gives 1
         cfg = replace(cfg, sample_every=max(1, n_steps // 1000))

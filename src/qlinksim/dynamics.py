@@ -11,19 +11,20 @@ conserved by the coherent part. Dissipation enters through collapse channels
 L = sigma_minus and mediator photon loss L = a, both unit-normalized, so an
 isolated excited qubit decays as exp(-gamma t).
 
-Integration is fixed-step classical RK4, with the couplings re-evaluated at
-the substage times. A link carries at most one excitation: the exchange
-Hamiltonian conserves it and every loss channel removes it, so the
-vacuum (+) one-excitation subspace is closed under the master equation. Both
-`evolve` and `link_channel` step only the amplitudes of the one-excitation
-states, one per site, under generators built site by site from the rates
-(`link_generators`), and put the population they lose back on the vacuum.
-In the rotating frame the generators are real in the site gauge
-diag((-i)^k), so the amplitudes step as a real m x m system on their real
-and imaginary parts; a lab-frame link steps the 2m x 2m real form of its
-complex generators. Every drive reaches its steps by prefix products of its
-step matrices in chunks; a constant drive's one step matrix gives every
-chunk the same ones, its powers.
+A link carries at most one excitation: the exchange Hamiltonian conserves it
+and every loss channel removes it, so the vacuum (+) one-excitation subspace
+is closed under the master equation. Both `evolve` and `link_channel` step
+only the amplitudes of the one-excitation states, one per site, under
+generators built site by site from the rates (`link_generators`), and put
+the population they lose back on the vacuum. A constant drive steps them
+exactly, by the exponential of its generator over one sample spacing; a
+pulsed drive by fixed-step classical RK4 on the grid of dt, with the
+couplings re-evaluated at the substage times. In the rotating frame the
+generators are real in the site gauge diag((-i)^k), so the amplitudes step
+as a real m x m system on their real and imaginary parts; a lab-frame link
+steps the 2m x 2m real form of its complex generators. Every drive reaches
+its steps by prefix products of its step matrices in chunks; a constant
+drive's one step matrix gives every chunk the same ones, its powers.
 `evolve` admits a run when its layout is (qubit, modes..., qubit) and its
 initial state lies in that subspace, and raises ValueError otherwise. Such
 states are positive by construction as long as the vacuum refill is, which
@@ -132,13 +133,6 @@ class LinkParams:
 
     def constant_schedule(self) -> ConstantSchedule:
         return ConstantSchedule(g0_a=self.g_a, g0_b=self.g_b)
-
-    def max_rate(self) -> float:
-        """Fastest rate of the generator: the lab-frame omegas sit on its diagonal."""
-        return max(
-            self.g_a, self.g_b, self.kappa, self.gamma_a, self.gamma_b,
-            self.omega_q, self.omega_w,
-        )
 
 
 @dataclass(frozen=True)
@@ -260,17 +254,24 @@ def link_generators(params: LinkParams, n_mediators: int = 1, g_hop: float = 0.0
 
 def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None,
                g_hop: float = 0.0) -> float:
-    """Step resolving the generator's fastest rate by at least 200 steps per cycle, capped at 1 ns.
+    """Step resolving the generator's fastest rate at 200 steps per cycle, capped at 1 ns.
 
-    The rates are params.max_rate(), the schedule's peak couplings and the
-    hopping g_hop between mediators.
+    The rates are params' couplings, losses and lab-frame omegas, the
+    schedule's peak couplings and g_hop. A constant drive is exact, so this
+    sets only its sample grid. A pulsed schedule's RK4 takes 100 steps per
+    cycle of every rate but the omegas, whose phase error builds up over the
+    run, capped at 2 ns: within 1e-7 in fidelity of RK4 at dt/8 on the
+    presets and the benchmark's links (tests/test_dynamics.py).
     """
-    fastest = max(params.max_rate(), abs(g_hop))
+    fastest = max(params.g_a, params.g_b, params.kappa, params.gamma_a, params.gamma_b,
+                  abs(g_hop))
     if schedule is not None:
         fastest = max(fastest, schedule.g0_a, schedule.g0_b)
-    if fastest <= 0:
-        return 1e-9
-    return min(1e-9, 2.0 * math.pi / (200.0 * fastest))
+    pulsed = schedule is not None and not isinstance(schedule, ConstantSchedule)
+    # 100 steps per cycle of a rate are 200 of half of it
+    fastest = max(fastest / 2 if pulsed else fastest, params.omega_q, params.omega_w)
+    cap = 2e-9 if pulsed else 1e-9
+    return min(cap, 2.0 * math.pi / (200.0 * fastest)) if fastest > 0 else cap
 
 
 @dataclass
@@ -395,10 +396,11 @@ def evolve(
     target: Optional[PureQubitSpec] = None,
     g_hop: float = 0.0,
 ) -> Trajectory:
-    """Fixed-step RK4 integration of the master equation.
+    """Integration of the master equation: exact for a constant drive, else fixed-step RK4.
 
     The number of steps is rounded so a uniform grid lands exactly on t1.
-    Samples include the initial and final states. A failed check raises
+    Samples include the initial and final states; a constant drive steps
+    from sample to sample. A failed check raises
     IntegrationError naming the quantity, its value, the step and the grid.
 
     The layout must be (qubit, mode(s)..., qubit) and rho0 must lie in
@@ -476,7 +478,7 @@ def _sector_trajectory(
     target: Optional[PureQubitSpec],
     g_hop: float,
 ) -> Trajectory:
-    """evolve on an admitted run: RK4 on C, then the columns in closed form.
+    """evolve on an admitted run: C stepped, then the columns in closed form.
 
     R0 is factored by pivoted Cholesky, not eigh, whose LAPACK code alone adds
     0.4 MB of resident memory; u0 is the Hermitian part, as in dense samples.
@@ -586,7 +588,7 @@ def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
                  g_hop: float = 0.0) -> LinkChannel:
     """Run the link once from |1> on A over (0, t_final): its channel at every sample.
 
-    RK4 steps e_A as evolve steps its amplitudes, with the same grid and
+    It steps e_A as evolve steps its amplitudes, with the same grid and
     per-step checks; delta = 1 - sum_i |c_i|^2 is the refill, and an input's
     is p delta. dt defaults to default_dt(params, schedule, g_hop).
     """
@@ -600,7 +602,7 @@ def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
 
 def _amplitude_run(c0: np.ndarray, rank: int, params: LinkParams, schedule: CouplingSchedule,
                    grid: _Grid, g_hop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and C = K C0 at each, by RK4 under link_generators.
+    """Sample times and C = K C0 at each, stepped under link_generators.
 
     C0 is m x q, m = n_mediators + 2 sites; its first rank columns factor R0.
     In the rotating frame the gauge U = diag((-i)^k) over the sites makes
@@ -622,8 +624,8 @@ def _amplitude_run(c0: np.ndarray, rank: int, params: LinkParams, schedule: Coup
     # divergence surfaces as an IntegrationError from the per-step check, so
     # transient overflow warnings from an unstable step are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _rk4_amplitudes(x0, rank if gauge is None else 2 * rank, generators,
-                                  schedule, grid, steps)
+        samples = _step_amplitudes(x0, rank if gauge is None else 2 * rank, generators,
+                                   schedule, grid, steps)
     if gauge is not None:
         c = samples.view(complex)
         c *= gauge[:, None]
@@ -726,7 +728,32 @@ _BATCH_STEPS = 1024
 _CHUNK_STEPS = 32
 
 
-def _rk4_amplitudes(
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small real matrix, by a Taylor polynomial with scaling and squaring.
+
+    a is halved s times until its 1-norm theta is at most 1/2; the polynomial
+    stops at the degree q whose remainder bound theta^(q+1)/(q+1)! is below
+    2^-53, and its value is squared s times (Moler & Van Loan, SIAM Review
+    45, 3 (2003)). At a default step theta is about 0.06: q = 8, no squaring.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not norm < math.inf:  # the per-step check reports the non-finite result
+        return np.full_like(a, math.nan)
+    squarings = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+    theta = math.ldexp(norm, -squarings)  # at most 1/2, so q <= 14
+    q = next(q for q in range(15) if theta ** (q + 1) <= 2.0**-53 * math.factorial(q + 1))
+    x, eye = np.ldexp(a, -squarings), np.eye(len(a))
+    out = eye
+    for k in range(q, 0, -1):  # Horner: I + x (I + x/2 (I + ... x/q))
+        out = x @ out
+        out *= 1.0 / k
+        out += eye
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _step_amplitudes(
     x0: np.ndarray,
     refill_columns: int,
     generators: np.ndarray,
@@ -734,26 +761,27 @@ def _rk4_amplitudes(
     grid: _Grid,
     sample_steps: np.ndarray,
 ) -> np.ndarray:
-    """RK4 on a real form X0 of C0, whose first refill_columns factor R0; X at sample_steps.
+    """X at sample_steps from a real form X0 of C0, whose first refill_columns factor R0.
 
-    generators are real forms of A_0, A_A and A_B acting on X. Every drive
-    steps _BATCH_STEPS at a time by chunked prefix products (_stepped). A
-    pulsed drive builds each batch's from its RK4 step matrices; a constant
-    drive has one step matrix, so the powers S, ..., S^_CHUNK_STEPS are every
-    chunk's. On a weak-loss STIRAP run in the real gauge (4176 steps, one
-    BLAS thread, a shared 2-vCPU x86-64 machine) a pulsed step costs
-    0.9-1.2 us, against 1.7-2.8 us for one realified 6 x 6 product per step.
-    Every step is checked: an entry that is not finite, or a vacuum refill
-    delta = Tr R0 - Tr R below MIN_EIGENVALUE_MIN, raises IntegrationError at
-    the first step that shows it.
+    generators are real forms of A_0, A_A and A_B acting on X. A constant
+    drive takes one exact step S = exp(h_s A~) per sample spacing h_s, and
+    its own exponential for a shorter last one; a pulsed drive takes every
+    RK4 step of the grid. Every drive steps _BATCH_STEPS at a time by chunked
+    prefix products (_stepped), of a pulsed drive's RK4 step matrices or of
+    S, ..., S^_CHUNK_STEPS for every chunk. On a weak-loss STIRAP run in the
+    real gauge (4176 steps, one BLAS thread, a shared 2-vCPU x86-64 machine)
+    a pulsed step costs 0.9-1.2 us, against 1.7-2.8 us for one realified
+    6 x 6 product per step. Every step is checked: an entry that is not
+    finite, or a vacuum refill delta = Tr R0 - Tr R below MIN_EIGENVALUE_MIN,
+    raises IntegrationError at the first step that shows it.
     """
     excited0 = (x0[:, :refill_columns] ** 2).sum()
     samples = np.empty((len(sample_steps),) + x0.shape)
     samples[0] = x0
     j = 1
 
-    def record(start: int, blocks: np.ndarray) -> None:
-        # blocks hold X after steps start + 1, ..., start + len(blocks)
+    def record(start: int, stride: int, blocks: np.ndarray) -> None:
+        # blocks hold X after grid steps start + stride, ..., start + stride * len(blocks)
         nonlocal j
         r = blocks[..., :refill_columns]
         delta = excited0 - np.einsum("nij,nij->n", r, r)
@@ -767,25 +795,29 @@ def _rk4_amplitudes(
             what = ("state diverged (non-finite entries)" if diverged[i] else
                     f"vacuum refill Tr R0 - Tr R = {float(delta[i]):.3e} below "
                     f"{MIN_EIGENVALUE_MIN:g}, a lower bound on the smallest eigenvalue")
-            step = start + i + 1
+            step = start + stride * (i + 1)
             raise IntegrationError(f"{what} {grid.where(step)}", t=grid.t0 + step * grid.h)
-        end = int(np.searchsorted(sample_steps, start + len(blocks), side="right"))
-        samples[j:end] = blocks[sample_steps[j:end] - start - 1]
+        end = int(np.searchsorted(sample_steps, start + stride * len(blocks), side="right"))
+        samples[j:end] = blocks[(sample_steps[j:end] - start) // stride - 1]
         j = end
 
-    h, x = grid.h, x0
-    if isinstance(schedule, ConstantSchedule):
-        drive = schedule.couplings(grid.t0 + h * np.array([[0.0, 0.5, 1.0]]))
-        powers = _powers(_rk4_step_matrices(generators, h, *drive)[0], _CHUNK_STEPS)[None]
-    for start in range(0, grid.n_steps, _BATCH_STEPS):
-        n = min(_BATCH_STEPS, grid.n_steps - start)
-        if isinstance(schedule, ConstantSchedule):
-            prefix = powers
-        else:
+    h, x, stride = grid.h, x0, 1
+    constant = isinstance(schedule, ConstantSchedule)
+    if constant:  # one step per sample
+        a = generators[0] + schedule.g0_a * generators[1] + schedule.g0_b * generators[2]
+        stride = grid.sample_every
+        prefix = _powers(_expm(stride * h * a), _CHUNK_STEPS)[None]
+    n_steps = grid.n_steps // stride
+    for start in range(0, n_steps, _BATCH_STEPS):
+        n = min(_BATCH_STEPS, n_steps - start)
+        if not constant:
             t = grid.t0 + np.arange(start, start + n) * h
             drive = schedule.couplings(np.stack([t, t + 0.5 * h, t + h], axis=1))
             prefix = _chunk_prefixes(_rk4_step_matrices(generators, h, *drive))
         blocks = _stepped(prefix, x, n)
-        record(start, blocks)
+        record(start * stride, stride, blocks)
         x = blocks[-1]
+    last = grid.n_steps - n_steps * stride
+    if last:  # a constant drive's shorter last spacing
+        record(n_steps * stride, last, (_expm(last * h * a) @ x)[None])
     return samples

@@ -23,6 +23,7 @@ from qlinksim.dynamics import (
     standard_collapse,
 )
 from qlinksim.metrics import _clamp_fidelity
+from qlinksim.protocols import ConstantSchedule
 from qlinksim.qspace import (
     PureQubitSpec,
     Qubit,
@@ -218,27 +219,50 @@ def propagator_oracle(
     rho0: np.ndarray,
     h: np.ndarray,
     collapse: Sequence[CollapseChannel],
-    t: float,
+    t,
 ) -> np.ndarray:
     """Evolve under a time-independent H by exponentiating the Liouvillian.
 
-    Test oracle for small systems; refuses superoperator dimensions above
-    ORACLE_MAX_SUPERDIM.
+    t is one time, or a sequence of times for the stack of states at each.
+    The exponential acts on the entries that rho0's support reaches through
+    the Liouvillian's nonzero entries, which hold the whole evolution, so a
+    vacuum (+) one-excitation state takes a small one. Test oracle for small
+    systems; refuses superoperator dimensions above ORACLE_MAX_SUPERDIM.
     """
     d = h.shape[0]
     if d * d > ORACLE_MAX_SUPERDIM:
         raise ValueError(
             f"oracle limited to dim^2 <= {ORACLE_MAX_SUPERDIM}, got {d * d}"
         )
-    if t < 0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if (times < 0).any():
         raise ValueError("t must be >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
-    if t == 0:
-        return rho0.copy()
     sup = liouvillian(h, collapse)
     vec = rho0.reshape(-1, order="F")
-    out = scipy.linalg.expm(sup * t) @ vec
-    return out.reshape(d, d, order="F")
+    live = vec != 0
+    while True:
+        reached = live | (sup[:, live] != 0).any(axis=1)
+        if (reached == live).all():
+            break
+        live = reached
+    block = sup[np.ix_(live, live)]
+    out = np.zeros((len(times), d * d), dtype=complex)
+    for i, ti in enumerate(times):
+        out[i, live] = scipy.linalg.expm(block * ti) @ vec[live] if ti > 0 else vec[live]
+    states = out.reshape(len(times), d, d, order="F")
+    return states[0] if np.ndim(t) == 0 else states
+
+
+def oracle_reference(rho0, layout, params, schedule, t_span, dt, sample_every=1, target=None,
+                     g_hop=0.0):
+    """evolve on a constant drive, exactly: propagator_oracle at the run's sample times."""
+    assert isinstance(schedule, ConstantSchedule), "the oracle needs a constant drive"
+    grid = dynamics._checked_grid(t_span, dt, sample_every)
+    times = grid.t0 + grid.sample_steps() * grid.h
+    h = hamiltonian_at(grid.t0, params, schedule, layout, g_hop)
+    states = propagator_oracle(rho0, h, standard_collapse(params, layout), times - grid.t0)
+    return sampled_trajectory(layout, times, states, target=target)
 
 
 # --- reference for the one-excitation amplitude engine -----------------------

@@ -335,5 +335,5 @@ def test_11_determinism_and_performance(tmp_path):
         "11 determinism and performance",
         identical and elapsed < 30.0,
         f"re-run CSVs byte-identical: {identical}; "
-        f"100000-step trajectory in {elapsed:.1f} s (< 30 s)",
+        f"100 us trajectory on a 100000-step grid in {elapsed:.1f} s (< 30 s)",
     )

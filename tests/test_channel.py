@@ -36,7 +36,7 @@ from qlinksim.dynamics import (
 )
 from qlinksim.metrics import probe_curve
 from qlinksim.network import LinkSpec, MediumModel, distance_sweep, run_chain
-from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.protocols import StirapSchedule, default_stirap, default_stirap_window
 from qlinksim.qspace import PureQubitSpec, link_layout, partial_trace, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -144,7 +144,8 @@ def channel_runs(draw):
         gamma_b=draw(rates) * TWO_PI_MHZ,
     )
     g_hop = draw(rates) * TWO_PI_MHZ if n_mediators > 1 else 0.0
-    dt = 2 * math.pi / (200 * max(params.max_rate(), g_hop))
+    dt = 2 * math.pi / (200 * max(params.g_a, params.g_b, params.omega_q, params.omega_w,
+                                   params.kappa, params.gamma_a, params.gamma_b, g_hop))
     t_final = draw(st.integers(20, 300)) * dt
     if draw(st.booleans()):
         width = t_final / 6
@@ -241,14 +242,16 @@ def test_sweep_points_match_evolved_hops():
 
 
 def test_failing_link_names_its_first_hop_and_time():
-    # the third hop's link is unstable at its step; it fails at its first step
+    # the third hop's link is unstable at its step: its STIRAP pulses with a
+    # 6 ns step fail mid-pulse, at step 74
     g = 100 * TWO_PI_MHZ
     params = LinkParams(g_a=g, g_b=g, kappa=6 * TWO_PI_MHZ)
     good = LinkSpec(params=params, schedule=params.constant_schedule(), hop_time=0.2e-6,
                     dt=0.25e-9)
-    bad = LinkSpec(params=params, schedule=params.constant_schedule(), hop_time=0.2e-6,
-                   dt=4e-9)
+    stirap = default_stirap(g)
+    window = default_stirap_window(stirap)[1]
+    bad = LinkSpec(params=params, schedule=stirap, hop_time=window, dt=6e-9)
     with pytest.raises(IntegrationError, match=r"^hop 3: vacuum refill") as err:
         run_chain(PureQubitSpec(theta=math.pi / 2), [good, good, bad, bad])
-    assert err.value.t == pytest.approx(4e-9, rel=1e-12)
-    assert "(step 1 of 50, dt = 4.000000e-09 s" in str(err.value)
+    assert err.value.t == pytest.approx(74 * window / 191, rel=1e-12)
+    assert "(step 74 of 191, dt = 5.999558e-09 s" in str(err.value)

@@ -544,8 +544,9 @@ class TestScenarioRuns:
     @pytest.mark.parametrize("values, failed", [
         ({}, []),
         ({"lengths_km": (1.0, 1400.0, 10000.0)}, []),
-        ({"lengths_km": (10000.0,), "dt_ns": 0.862}, ["cavity at 10000 km",
-                                                      "cavity+fiber at 10000 km"]),
+        # a constant drive is exact at any step, so this point runs STIRAP pulses, by RK4
+        ({"lengths_km": (10000.0,), "dt_ns": 0.862, "protocol": "stirap"},
+         ["cavity at 10000 km"]),
     ], ids=["default-lengths", "long-at-default-step", "long-at-coarse-step"])
     def test_sweep_distance_warns_of_failed_points(self, values, failed, tmp_path):
         # at long lengths the medium's loss outruns g0; the default step once
@@ -568,6 +569,18 @@ class TestScenarioRuns:
                                   f"nan: {failed[0]}: vacuum refill")
         assert all(f"{point}: " in message for point in failed)
 
+
+    @pytest.mark.parametrize("dt_ns", [2.5, 1.5])
+    def test_constant_transfer_is_exact_at_any_step(self, dt_ns, tmp_path):
+        # fig5-red near its bare transfer time: RK4 at a 2.5 ns step read
+        # 0.5283279 here, and 0.5944 at 1.5 ns, each with status = ok; the
+        # exact step reads the answer whatever the step
+        cfg = build_config({"scenario": "transfer", "preset": "fig5-red", "t_final_us": 0.0106,
+                            "dt_ns": dt_ns})
+        assert run_scenario(cfg, tmp_path / "out") == 0
+        assert read_result(tmp_path / "out")["status"] == "ok"
+        _, [[fidelity, _]] = read_csv(tmp_path / "out" / "summary.csv")
+        assert float(fidelity) == pytest.approx(0.6056868, abs=1e-7)
 
 # shortest reprs, the sign of zero, subnormals, exponent switches, non-finite
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
@@ -872,8 +885,8 @@ class TestFloatText:
 class TestFailureHandling:
     def test_integration_failure_removes_csvs_and_reports(self, tmp_path):
         cfg = build_config({
-            "scenario": "transfer", "preset": "fig5-red",
-            "t_final_us": 0.2, "dt_ns": 4.0,  # far too coarse for this coupling
+            "scenario": "transfer", "preset": "fig5-red", "protocol": "stirap",
+            "t_final_us": 1.2, "dt_ns": 6.0,  # too coarse for RK4 at the pulses' peak
         })
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == 1
@@ -884,16 +897,17 @@ class TestFailureHandling:
 
     def test_integration_failure_message_names_step_grid_and_quantity(self, tmp_path, capsys):
         cfg = build_config({
-            "scenario": "transfer", "preset": "fig5-red", "t_final_us": 0.2, "dt_ns": 4.0,
+            "scenario": "transfer", "preset": "fig5-red", "protocol": "stirap",
+            "t_final_us": 1.2, "dt_ns": 6.0,
         })
         out = tmp_path / "out"
         assert run_scenario(cfg, out) == 1
-        message = ("vacuum refill Tr R0 - Tr R = -3.035e+00 below -1e-05, a lower bound on "
-                   "the smallest eigenvalue at t = 4.000000e-09 s (step 1 of 50, "
-                   "dt = 4.000000e-09 s, sample_every = 1)")
+        message = ("vacuum refill Tr R0 - Tr R = -2.220e+00 below -1e-05, a lower bound on "
+                   "the smallest eigenvalue at t = 5.520000e-07 s (step 92 of 200, "
+                   "dt = 6.000000e-09 s, sample_every = 1)")
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
         assert f"error = {message}\n" in manifest
-        assert float(read_result(out)["failed_at_us"]) == pytest.approx(0.004, rel=1e-12)
+        assert float(read_result(out)["failed_at_us"]) == pytest.approx(0.552, rel=1e-12)
         assert message in capsys.readouterr().err
 
     def test_failed_run_keeps_csvs_it_did_not_write(self, tmp_path):
@@ -901,7 +915,8 @@ class TestFailureHandling:
         out.mkdir()
         (out / "earlier.csv").write_text("a,b\n1,2\n", encoding="utf-8")
         cfg = build_config({
-            "scenario": "transfer", "preset": "fig5-red", "t_final_us": 0.2, "dt_ns": 4.0,
+            "scenario": "transfer", "preset": "fig5-red", "protocol": "stirap",
+            "t_final_us": 1.2, "dt_ns": 6.0,
         })
         assert run_scenario(cfg, out) == 1
         assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -281,12 +282,14 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(1e-6, rel=1e-12)
 
     def test_unstable_step_raises_integration_error_with_time(self):
+        # STIRAP pulses at g0 = 100 x 2 pi MHz with a 6 ns step: RK4 turns unstable mid-pulse
         g = 100 * TWO_PI_MHZ
         params = LinkParams(g_a=g, g_b=g)
+        stirap = default_stirap(g)
         rho0 = product_state([EXCITED, None, None], LAYOUT)
         with pytest.raises(IntegrationError) as err:
-            evolve(rho0, LAYOUT, params, params.constant_schedule(),
-                   (0.0, 1e-6), 4 * NS, sample_every=10)
+            evolve(rho0, LAYOUT, params, stirap,
+                   (0.0, default_stirap_window(stirap)[1]), 6 * NS, sample_every=10)
         assert err.value.t is not None
 
     def test_argument_validation(self):
@@ -371,6 +374,59 @@ class TestPropagatorOracle:
         np.testing.assert_allclose(via_sup, direct, atol=1e-12)
 
 
+# Pulsed links: (params, schedule, t_final, n_mediators, g_hop), each run to
+# t_final. The weak-loss short pulse is the benchmark's stirap-compare link
+# and its first tune-stirap point; its chain hops run past the window.
+WEAK_LOSS = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
+                       gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ)
+FIG5_RED = LinkParams(g_a=100 * TWO_PI_MHZ, g_b=100 * TWO_PI_MHZ, kappa=6 * TWO_PI_MHZ,
+                      gamma_a=65 * TWO_PI_MHZ, gamma_b=65 * TWO_PI_MHZ)
+FIG5_YELLOW = LinkParams(g_a=98 * TWO_PI_MHZ, g_b=98 * TWO_PI_MHZ, kappa=253 * TWO_PI_MHZ,
+                         gamma_a=6 * TWO_PI_MHZ, gamma_b=6 * TWO_PI_MHZ)
+
+
+def pulsed_link(params, width_us=None, delay_us=None, t_final_us=None, n_mediators=1,
+                g_hop=0.0):
+    """STIRAP over params, at the default adiabaticity unless width and delay are given."""
+    schedule = default_stirap(params.g_a) if width_us is None else StirapSchedule(
+        g0_a=params.g_a, g0_b=params.g_b, pulse_width=width_us * US, t_delay=delay_us * US)
+    t_final = default_stirap_window(schedule)[1] if t_final_us is None else t_final_us * US
+    return params, schedule, t_final, n_mediators, g_hop
+
+
+@pytest.mark.parametrize("link, order", [
+    (pulsed_link(WEAK_LOSS, 0.5, 0.6), True),
+    (pulsed_link(WEAK_LOSS, 0.5, 0.6, t_final_us=4.0), False),
+    (pulsed_link(WEAK_LOSS, 0.5, 1.2), False),
+    (pulsed_link(WEAK_LOSS, 1.0, 0.6), False),
+    (pulsed_link(WEAK_LOSS, 1.0, 1.2), False),
+    (pulsed_link(fig4_params()), False),
+    (pulsed_link(FIG5_RED), False),
+    (pulsed_link(FIG5_YELLOW), False),
+    (pulsed_link(WEAK_LOSS, 0.5, 0.6, n_mediators=2, g_hop=3.1 * TWO_PI_MHZ), False),
+], ids=["short-pulse", "short-pulse-chain-hop", "tune-0.5-1.2", "tune-1.0-0.6", "tune-1.0-1.2",
+        "fig4", "fig5-red", "fig5-yellow", "two-mediators-g-hop"])
+def test_pulsed_default_step_meets_its_tolerance(link, order):
+    # RK4 at the pulsed default step, against RK4 at dt/8: the fidelity |f|^2
+    # at the run's end is within 1e-7. On the short pulse the error grows
+    # 12-20x per doubling of the step, RK4's 4th order: measured 1.2e-11,
+    # 2.0e-10 and 3.2e-9 at dt/2 (the 200-per-cycle step), dt and 2 dt
+    params, schedule, t_final, n_mediators, g_hop = link
+    dt = default_dt(params, schedule, g_hop)
+
+    def fidelity(step):
+        channel = link_channel(params, schedule, t_final, step, sample_every=sys.maxsize,
+                               n_mediators=n_mediators, g_hop=g_hop)
+        return abs(channel.f[-1]) ** 2
+
+    reference = fidelity(dt / 8)
+    error = abs(fidelity(dt) - reference)
+    assert error <= 1e-7
+    if order:
+        finer, coarser = (abs(fidelity(factor * dt) - reference) for factor in (0.5, 2.0))
+        assert 12 <= error / finer <= 20 and 12 <= coarser / error <= 20
+
+
 class TestDefaults:
     def test_default_dt_resolves_fastest_rate(self):
         params = LinkParams(g_a=100 * TWO_PI_MHZ, g_b=100 * TWO_PI_MHZ)
@@ -392,6 +448,17 @@ class TestDefaults:
     def test_default_dt_capped_at_one_nanosecond(self):
         params = LinkParams(g_a=100.0, g_b=100.0)
         assert default_dt(params) == 1e-9
+        assert default_dt(params, params.constant_schedule()) == 1e-9
+        # a pulsed schedule's RK4 takes 100 steps per cycle, capped at 2 ns
+        assert default_dt(params, default_stirap(params.g_a)) == 2e-9
+        fast = LinkParams(g_a=100 * TWO_PI_MHZ, g_b=100 * TWO_PI_MHZ)
+        assert default_dt(fast, default_stirap(fast.g_a)) == 2 * default_dt(fast)
+        # but still 200 per cycle of the lab-frame carriers, whose phase error
+        # builds up over the whole run
+        lab = LinkParams(g_a=fast.g_a, g_b=fast.g_b, omega_q=150 * TWO_PI_MHZ,
+                         omega_w=150 * TWO_PI_MHZ)
+        assert default_dt(lab, default_stirap(lab.g_a)) == default_dt(lab) == pytest.approx(
+            2 * math.pi / (200 * 150 * TWO_PI_MHZ), rel=1e-15)
 
     def test_standard_collapse_channel_count(self):
         params = fig4_params()

@@ -11,6 +11,7 @@ from conftest import (
     choi_probe_curve,
     make_density_matrix,
     make_link_run,
+    propagator_oracle,
     refilled_states,
     rk4_columns,
     run_choi_probe,
@@ -22,6 +23,7 @@ from qlinksim.dynamics import (
     IntegrationError,
     LinkChannel,
     LinkParams,
+    _checked_grid,
     default_dt,
     evolve,
     hamiltonian_terms,
@@ -37,7 +39,7 @@ from qlinksim.metrics import (
     run_channel_probe,
     transfer_fidelity,
 )
-from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.protocols import ConstantSchedule, StirapSchedule, default_stirap_window
 from qlinksim.qspace import (
     InvalidStateError,
     Mode,
@@ -307,11 +309,13 @@ def probe_ending_with_b_eigenvalue(lam: float) -> ChannelProbe:
 
 
 def lifted_probe(params, schedule, t_final, dt, sample_every):
-    """The probe evolved on (R, A, W, B) by RK4 on its lifted state vector: the reference.
+    """The probe evolved on (R, A, W, B) from its lifted operators: the reference.
 
     The link's Hamiltonian terms and jumps are lifted as I_R (x) X, so R stays
-    idle. The run starts from |Phi+> on (R, A) with the link in vacuum. The
-    vector evolves under the no-jump drift, and the norm it loses is put back
+    idle. The run starts from |Phi+> on (R, A) with the link in vacuum. A
+    constant drive's probe is the exponential of the lifted Liouvillian at
+    every sample, as the link's run is exact. Otherwise the state vector
+    evolves by RK4 under the no-jump drift, and the norm it loses is put back
     on |1_R> (x) vacuum, where every jump of the excitation lands.
     """
     layout = link_layout()
@@ -322,6 +326,13 @@ def lifted_probe(params, schedule, t_final, dt, sample_every):
     lifted_collapse = [CollapseChannel(np.kron(eye_r, ch.operator), ch.rate)
                        for ch in standard_collapse(params, layout)]
     bell, vacuum = np.array([1, 0, 0, 1]) / math.sqrt(2), np.eye(4)[0]
+    if isinstance(schedule, ConstantSchedule):
+        grid = _checked_grid((0.0, t_final), dt, sample_every)
+        times = grid.sample_steps() * grid.h
+        psi = np.kron(bell, vacuum)
+        h = lifted_terms.at(schedule.g0_a, schedule.g0_b)
+        states = propagator_oracle(np.outer(psi, psi), h, lifted_collapse, times)
+        return sampled_trajectory(PROBE_LAYOUT, times, states)
     times, columns = rk4_columns(lifted_terms, lifted_collapse, schedule,
                                  np.kron(bell, vacuum)[:, None], (0.0, t_final), dt,
                                  sample_every)

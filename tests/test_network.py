@@ -251,12 +251,10 @@ class TestDistanceSweep:
     def test_failures_recorded_without_stopping_the_sweep(self):
         g = 5.8 * TWO_PI_MHZ
         params = LinkParams(g_a=g, g_b=g)
-        # loss rate at the long point is far beyond the stable step range
+        # loss rate at the long point is far beyond RK4's stable step range
         medium = MediumModel(cavity_loss_per_m=1e9)
-        link = LinkSpec(
-            params=params, schedule=params.constant_schedule(), hop_time=1e-7,
-            medium=medium, dt=1e-9,
-        )
+        pulses = StirapSchedule(g0_a=g, g0_b=g, pulse_width=10e-9, t_delay=12e-9)
+        link = LinkSpec(params=params, schedule=pulses, hop_time=1e-7, medium=medium, dt=1e-9)
         points = distance_sweep(link, [CAVITY], [0.0, 1e4], PureQubitSpec(theta=math.pi))
         assert points[0].error is None and points[0].fidelity is not None
         assert points[1].error is not None and points[1].fidelity is None

@@ -1,16 +1,18 @@
 """The one-excitation amplitude engine against its references.
 
 evolve steps the amplitudes of the one-excitation states of a link run that
-starts in vacuum (+) one excitation, and rejects every other run. Its
-reference here is the same RK4 on the run's full-space column vectors plus
-the vacuum refill (conftest's sector_reference), which agrees to roundoff;
-conftest's evolve_dense (RK4 on the whole density matrix) and
-propagator_oracle agree to the RK4 error.
+starts in vacuum (+) one excitation, and rejects every other run. A pulsed
+run's reference here is the same RK4 on the run's full-space column vectors
+plus the vacuum refill (conftest's sector_reference), and a constant run's
+is the exponential of the Liouvillian at every sample (conftest's
+oracle_reference); each agrees to roundoff. conftest's evolve_dense (RK4 on
+the whole density matrix) agrees to the RK4 error.
 """
 
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from conftest import (
     evolve_dense,
     evolved_hop,
     hamiltonian_at,
+    oracle_reference,
     propagator_oracle,
     rk4_columns,
     sector_columns,
@@ -37,7 +40,12 @@ from qlinksim.dynamics import (
     link_generators,
     standard_collapse,
 )
-from qlinksim.protocols import StirapSchedule, default_stirap, default_stirap_window
+from qlinksim.protocols import (
+    ConstantSchedule,
+    StirapSchedule,
+    default_stirap,
+    default_stirap_window,
+)
 from qlinksim.qspace import Mode, PureQubitSpec, Qubit, SystemLayout, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
@@ -49,12 +57,18 @@ LOW_LOSS = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, kappa=0.34 * T
                       gamma_a=0.006 * TWO_PI_MHZ, gamma_b=0.006 * TWO_PI_MHZ)
 LOW_LOSS_STIRAP = StirapSchedule(g0_a=LOW_LOSS.g_a, g0_b=LOW_LOSS.g_b,
                                  pulse_width=0.5e-6, t_delay=0.6e-6)
-# RK4 on the amplitudes is not RK4 on rho: the two differ by the method's
-# error, about 1e-7 at fig4's default step
+# the engine's exact constant drive and RK4 on rho differ by RK4's error,
+# about 1e-7 at fig4's default step
 RK4_ERROR_TOL = 1e-6
 
 
-# --- property: the amplitude engine is RK4 on the run's full-space columns ----
+def reference_run(run):
+    """The engine's reference for a run: exact for a constant drive, else RK4 on its columns."""
+    exact = isinstance(run["schedule"], ConstantSchedule)
+    return (oracle_reference if exact else sector_reference)(**run)
+
+
+# --- property: the amplitude engine is exact for a constant drive, else RK4 ----
 
 rates = st.floats(0.0, 20.0)  # x 2 pi MHz
 
@@ -74,7 +88,8 @@ def sector_runs(draw):
         gamma_b=draw(rates) * TWO_PI_MHZ,
     )
     g_hop = draw(rates) * TWO_PI_MHZ if n_mediators > 1 else 0.0
-    dt = 2 * math.pi / (200 * max(params.max_rate(), g_hop))
+    dt = 2 * math.pi / (200 * max(params.g_a, params.g_b, params.omega_q, params.omega_w,
+                                   params.kappa, params.gamma_a, params.gamma_b, g_hop))
     n_steps = draw(st.integers(20, 300))
     t_final = n_steps * dt
     if draw(st.booleans()):
@@ -107,7 +122,7 @@ def sector_runs(draw):
 @given(sector_runs())
 def test_sector_path_matches_dense_rk4(run):
     sector = evolve(**run)
-    reference = sector_reference(**run)
+    reference = reference_run(run)
     np.testing.assert_array_equal(sector.times, reference.times)
     np.testing.assert_allclose(sector.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
     for column in ("populations", "trace", "purity", "fidelity"):
@@ -150,11 +165,19 @@ def first_refill_failure(run):
     return step, times[1] - times[0], delta[step]
 
 
+def fig5_red_stirap_run(dt, input_a=PureQubitSpec(theta=math.pi), t_center=-1.0):
+    """fig5-red under its default STIRAP, centred at t_center, over its pulse window."""
+    schedule = replace(default_stirap(FIG5_RED_G), t_center=t_center)  # -1: 3 T
+    return fig5_red_run(default_stirap_window(schedule)[1], dt, schedule, input_a=input_a)
+
+
 def test_unstable_step_fails_at_the_dense_paths_time():
-    # fig5-red with a 4 ns step: RK4 is unstable at this coupling. The
-    # engine checks every step, the dense path only its samples, so the
-    # engine fails first, at the first step whose refill breaks the bound.
-    run = fig5_red_run(0.2e-6, 4e-9)
+    # fig5-red STIRAP with g_B at its peak from t = 0 and a 6 ns step: RK4 is
+    # unstable at this coupling. The engine checks every step, the dense path
+    # only its samples, so the engine fails first, at the first step whose
+    # refill breaks the bound. (Where the coupling ramps up, RK4 on rho, whose
+    # generator has twice the spectral radius, turns unstable before it.)
+    run = fig5_red_stirap_run(6e-9, input_a=PureQubitSpec(theta=math.pi / 2), t_center=0.0)
     step, h, _ = first_refill_failure(run)
     for sample_every in (1, 10):
         with pytest.raises(IntegrationError) as sector:
@@ -162,31 +185,30 @@ def test_unstable_step_fails_at_the_dense_paths_time():
         with pytest.raises(IntegrationError) as dense:
             evolve_dense(**run, sample_every=sample_every)
         assert sector.value.t == pytest.approx(step * h, rel=1e-12)
-        assert f"(step {step} of 50, dt = 4.000000e-09 s, sample_every = {sample_every})" \
+        assert f"(step {step} of 111, dt = 6.022079e-09 s, sample_every = {sample_every})" \
             in str(sector.value)
         assert sector.value.t <= dense.value.t
 
 
-def fig5_red_stirap_run(dt):
-    """fig5-red under its default STIRAP over the pulse window, from |1> on A."""
-    schedule = default_stirap(FIG5_RED_G)
-    return fig5_red_run(default_stirap_window(schedule)[1], dt, schedule,
-                        input_a=PureQubitSpec(theta=math.pi))
+# fig5-red's coupling and mediator loss with no qubit decay, so that A keeps
+# its excitation until a late pulse pair reaches it
+FIG5_RED_NO_QUBIT_DECAY = LinkParams(g_a=FIG5_RED_G, g_b=FIG5_RED_G, kappa=6 * TWO_PI_MHZ)
+FIG5_RED_WIDTH = default_stirap(FIG5_RED_G).pulse_width
 
 
 @pytest.mark.parametrize("run, refill, where", [
     (fig5_red_stirap_run(6e-9), "-4.218e+00",
      "t = 5.519593e-07 s (step 92 of 191, dt = 5.999558e-09 s"),
-    (fig5_red_run(1600 * 3.32198e-9, 3.32198e-9, input_a=PureQubitSpec(theta=math.pi)),
-     "-1.839e-03", "t = 4.262100e-06 s (step 1283 of 1600, dt = 3.321980e-09 s"),
-], ids=["stirap-mid-pulse", "constant-second-batch"])
+    (dict(fig5_red_stirap_run(6e-9, t_center=3 * FIG5_RED_WIDTH + 6.6e-6),
+          params=FIG5_RED_NO_QUBIT_DECAY),
+     "-4.864e-04", "t = 7.043923e-06 s (step 1174 of 1291, dt = 5.999935e-09 s"),
+], ids=["stirap-mid-pulse", "stirap-second-batch"])
 def test_pulsed_failure_is_reported_at_the_references_step(run, refill, where):
-    # fig5-red where RK4 turns unstable: under its default STIRAP with a 6 ns
-    # step mid-pulse, and under the constant drive with a step just past the
-    # stability edge, after the first batch. The engine reaches its steps
-    # through chunked prefix products, and must still stop at the first step
-    # whose refill breaks the bound, at every cadence; |1> on A makes the
-    # refill the link's own
+    # fig5-red where RK4 turns unstable under its default STIRAP with a 6 ns
+    # step: mid-pulse, and with the pulse pair centred after the first batch.
+    # The engine reaches its steps through chunked prefix products, and must
+    # still stop at the first step whose refill breaks the bound, at every
+    # cadence; |1> on A makes the refill the link's own
     step, h, reference_refill = first_refill_failure(run)
     assert f"{reference_refill:.3e}" == refill
     assert f"(step {step} of " in where
@@ -239,21 +261,23 @@ def test_divergence_is_reported_at_its_step(sample_every):
 
 @pytest.mark.parametrize("sample_every", [1, 10, 40, 400, 4000])
 def test_verdict_does_not_depend_on_the_sampling_cadence(sample_every):
-    # fig5-red at 0.25 ns over 2 us: the step matrix is a contraction there,
-    # so the refill never shrinks and every cadence passes with positive states
-    traj = evolve(**fig5_red_run(2e-6, 0.25e-9), sample_every=sample_every)
+    # fig5-red STIRAP over its window at 0.25 ns: every step matrix is a
+    # contraction there, so the refill never shrinks and every cadence passes
+    # with positive states; at 6 ns RK4 turns unstable mid-pulse
+    traj = evolve(**fig5_red_stirap_run(0.25e-9), sample_every=sample_every)
     assert np.linalg.eigvalsh(traj.states).min() >= -1e-12
     with pytest.raises(IntegrationError, match="vacuum refill"):
-        evolve(**fig5_red_run(2e-6, 4e-9), sample_every=sample_every)
+        evolve(**fig5_red_stirap_run(6e-9), sample_every=sample_every)
 
 
 def test_constant_drive_powers_match_the_step_by_step_product():
-    # the dense-output benchmark's 23,200 steps: powers of the one step
-    # matrix, chunk by chunk, against one RK4 step at a time
+    # the dense-output benchmark's 23,200 steps at a cadence of 1000: powers
+    # of the one exact step matrix, chunk by chunk, against the exponential
+    # of the Liouvillian at every sample
     run = dict(link_run(LOW_LOSS, LOW_LOSS.constant_schedule(), 20e-6,
                         dynamics.default_dt(LOW_LOSS)), sample_every=1000)
     traj = evolve(**run)
-    reference = sector_reference(**run)
+    reference = oracle_reference(**run)
     np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
 
 
@@ -308,9 +332,10 @@ def multi_batch_run(params, schedule=None, n_mediators=1, g_hop=0.0):
         "constant-lab-frame-detuned"])
 def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
     # rotating-frame links step in the real gauge, lab-frame ones in the
-    # realified form; a constant drive's chunks all share one set of powers
+    # realified form; a constant drive steps exactly, one step per sample, and
+    # its chunks all share one set of powers
     traj = evolve(**run)
-    reference = sector_reference(**run)
+    reference = reference_run(run)
     assert len(traj.times) == MULTI_BATCH_STEPS // 7 + 2
     np.testing.assert_array_equal(traj.times, reference.times)
     np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
@@ -390,6 +415,69 @@ def test_engine_matches_the_exponential_oracle_to_the_rk4_error():
         np.testing.assert_allclose(
             state, propagator_oracle(run["rho0"], h, standard_collapse(FIG4, run["layout"]), t),
             rtol=0, atol=RK4_ERROR_TOL)
+
+
+# --- a constant drive is exact --------------------------------------------------
+
+
+def preset_params(name):
+    return build_config({"scenario": "transfer", "preset": name}).link_params()
+
+
+def constant_run(params, t_final, sample_every, rho_a=PureQubitSpec(theta=1.1, phi=0.7)):
+    """params under their constant drive from rho_a on A, at their default step."""
+    layout = link_layout()
+    return dict(rho0=product_state([rho_a, None, None], layout), layout=layout, params=params,
+                schedule=params.constant_schedule(), t_span=(0.0, t_final),
+                dt=dynamics.default_dt(params), sample_every=sample_every,
+                target=PureQubitSpec(theta=1.1, phi=0.7))
+
+
+# a rank-2 input on A, coherent with the vacuum
+MIXED_INPUT = np.array([[0.55, 0.3 - 0.2j], [0.3 + 0.2j, 0.45]])
+
+
+@pytest.mark.parametrize("run", [
+    constant_run(preset_params("fig4"), 2e-6, 30),
+    constant_run(preset_params("fig5-red"), 0.05e-6, 7),
+    constant_run(preset_params("fig5-yellow"), 0.05e-6, 7, rho_a=MIXED_INPUT),
+    dict(multi_batch_run(LOW_LOSS, LOW_LOSS.constant_schedule()), sample_every=1),
+    constant_run(LAB_DETUNED, 1e-6, 45),
+], ids=["fig4", "fig5-red", "fig5-yellow-mixed-input", "rank-2-every-step", "lab-frame-detuned"])
+def test_constant_drive_is_exact(run):
+    # one exact step per sample, and a shorter last one where the cadence
+    # leaves one: every column, sample and received state is the exponential
+    # of the Liouvillian's to roundoff, whatever the step
+    traj = evolve(**run)
+    reference = oracle_reference(**run)
+    np.testing.assert_array_equal(traj.times, reference.times)
+    np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
+    for column in ("populations", "trace", "purity", "fidelity"):
+        np.testing.assert_allclose(getattr(traj, column), getattr(reference, column),
+                                   rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+    layout = run["layout"]
+    received = [qspace.partial_trace(t.final_state, layout.n_sites - 1, layout)
+                for t in (traj, reference)]
+    np.testing.assert_allclose(*received, rtol=0, atol=EQUIVALENCE_TOL)
+
+
+@pytest.mark.parametrize("params, t_final", [
+    (preset_params("fig4"), 0.06e-6), (preset_params("fig5-red"), 0.0106e-6),
+    (preset_params("fig5-yellow"), 0.0106e-6), (LAB_DETUNED, 0.06e-6),
+], ids=["fig4", "fig5-red", "fig5-yellow", "lab-frame-detuned"])
+def test_constant_drive_channel_is_exact(params, t_final):
+    # each link read near its transfer time, while B holds part of the excitation
+    dt = dynamics.default_dt(params)
+    channel = link_channel(params, params.constant_schedule(), t_final, dt, sample_every=9)
+    layout = link_layout()
+    h = hamiltonian_at(0.0, params, params.constant_schedule(), layout)
+    for rho_a in (PureQubitSpec(theta=1.1, phi=0.7).density_matrix(), MIXED_INPUT):
+        final = propagator_oracle(product_state([rho_a, None, None], layout), h,
+                                  standard_collapse(params, layout), channel.times[-1])
+        np.testing.assert_allclose(
+            channel.received_state(rho_a),
+            dynamics.receiver_frame(qspace.partial_trace(final, 2, layout)),
+            rtol=0, atol=EQUIVALENCE_TOL)
 
 
 # --- admission ---------------------------------------------------------------
@@ -528,12 +616,14 @@ def per_cell_rows(traj):
 
 @pytest.mark.parametrize("name", ["transfer", "chain"])
 def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch):
-    # byte-identical to rows built per cell, equal to the amplitude reference
-    # to roundoff, and equal to evolve_dense, a second algorithm, to the RK4
-    # error; at 1 ns steps the two RK4 schemes differ by 3e-6 on transfer. A
-    # chain's references evolve every hop from its input, so they also check
-    # that hops read off the link's one run compose like evolved ones
+    # byte-identical to rows built per cell, equal to the engine's reference
+    # to roundoff (the exponential oracle for transfer's constant drive, RK4
+    # on the columns for chain's pulses), and equal to evolve_dense, RK4 on
+    # rho, to its error; at 1 ns steps that is 3e-6 on transfer. A chain's
+    # references evolve every hop from its input, so they also check that
+    # hops read off the link's one run compose like evolved ones
     cfg = build_config({**SMALL_SCENARIOS[name], "dt_ns": 0.5})
+    reference = {"transfer": oracle_reference, "chain": sector_reference}[name]
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
         patch.setattr(cli._Outputs, "write_trajectory",
@@ -541,7 +631,7 @@ def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch
         assert run_scenario(cfg, tmp_path / "per-cell") == 0
         # a chain's hops go through the evolve patched in below, one run per hop
         patch.setattr(network, "run_hop", evolved_hop)
-        patch.setattr(dynamics, "evolve", sector_reference)
+        patch.setattr(dynamics, "evolve", reference)
         assert run_scenario(cfg, tmp_path / "reference") == 0
         patch.setattr(dynamics, "evolve", evolve_dense)
         assert run_scenario(cfg, tmp_path / "dense") == 0

@@ -6,6 +6,11 @@ benchmark pass without failing any other test. The tracer is loaded from its
 file and only read. Likewise every name a module exports in __all__ must
 resolve, so that a deletion leaves no dangling export.
 
+perfbench/workloads.py is loaded the same way: every benchmark workload runs
+here once, and its outputs must pass the benchmark's own checks against
+perfbench/reference.json (file names, line counts and summaries), so that a
+change that moves them fails in tier-1 too.
+
 Every ```python block in README.md runs, and every ```ini block builds a
 config, so that an API change cannot leave an example stale. README.md's
 table of the keys each scenario reads is the declaration in cli.py.
@@ -47,13 +52,13 @@ from qlinksim import cli
 from qlinksim.cli import SCENARIOS, ScenarioConfig, build_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
 PACKAGE = ROOT / "src" / "qlinksim"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
@@ -66,11 +71,37 @@ def tracer():
     return module
 
 
+@pytest.fixture(scope="module")
+def tracer():
+    return _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
+
+
 def test_every_traced_name_resolves(tracer):
     for layer, names in tracer.TRACED.items():
         module = importlib.import_module(f"qlinksim.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"qlinksim.{layer}.{name}"
+
+
+@pytest.mark.parametrize("workload", ["pulsed", "channel", "dense-output"])
+def test_benchmark_outputs_match_their_reference(workloads, workload, tmp_path):
+    # the benchmark refuses a run whose CSV names, line counts or summaries
+    # leave perfbench/reference.json; a step rule that moves them fails here
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))[workload]
+    for label, values in workloads.scenarios(workload, 0).items():
+        cfg = cli.resolve_defaults(build_config(values))
+        assert cli.run_scenario(cfg, tmp_path / label) == 0, label
+        assert workloads.check_outputs(tmp_path / label, reference[label], cfg.t_final_us,
+                                       cfg.n_samples) == [], label
+    for label, values in workloads.check_cases(workload, 0).items():
+        assert cli.run_scenario(build_config(values), tmp_path / label) == 0, label
+        manifest = (tmp_path / label / "manifest.txt").read_text(encoding="utf-8")
+        assert "\n# status = ok\n" in manifest, label
 
 
 def test_evolve_binds_the_arguments_the_tracer_reads():
