@@ -902,19 +902,20 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
         pulsed = cfg.protocol == "stirap" or cfg.scenario in ("stirap-compare", "tune-stirap")
         pulses = StirapSchedule(params.g_a, params.g_b, pulse_width=1.0, t_delay=1.0)
         cfg = replace(cfg, dt_ns=dynamics.default_dt(params, pulses if pulsed else None) / NS)
+    if cfg.scenario == "tune-stirap":  # its grid points' windows are its horizons
+        return cfg
     n_steps = _step_count(getattr(cfg, key) * US, cfg, f"{key} = {getattr(cfg, key)!r} us")
-    if cfg.sample_every <= 0:  # tune-stirap's t_final_us = -1 gives 1
+    if cfg.sample_every <= 0:
         cfg = replace(cfg, sample_every=max(1, n_steps // 1000))
     return cfg
 
 
 def _step_count(horizon: float, cfg: ScenarioConfig, what: str) -> int:
-    """Steps of dt_ns in horizon seconds, rounded as evolve does; a ConfigError if not finite."""
-    dt = cfg.dt_ns * NS
-    steps = horizon / dt if dt > 0 else math.inf
-    if not math.isfinite(steps):
-        raise ConfigError(f"{what} is not a finite number of dt_ns = {cfg.dt_ns!r} ns steps")
-    return max(1, int(round(steps)))
+    """Steps of dt_ns in horizon seconds, as dynamics grids a run; a ConfigError if it cannot."""
+    try:
+        return dynamics._checked_grid((0.0, horizon), cfg.dt_ns * NS, 1).n_steps
+    except ValueError as err:
+        raise ConfigError(f"{what} in steps of dt_ns = {cfg.dt_ns!r} ns: {err}") from None
 
 
 def _links(cfg: ScenarioConfig) -> dict[str, network.LinkSpec]:

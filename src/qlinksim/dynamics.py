@@ -60,6 +60,7 @@ from .qspace import (
     PureQubitSpec,
     Qubit,
     SystemLayout,
+    checked_fidelity,
     dagger,
     embed,
     link_layout,
@@ -254,13 +255,13 @@ def link_generators(params: LinkParams, n_mediators: int = 1, g_hop: float = 0.0
 
 def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None,
                g_hop: float = 0.0) -> float:
-    """Step resolving the generator's fastest rate at 200 steps per cycle, capped at 1 ns.
+    """Step of 200 per cycle of the fastest rate, capped at 1 ns; pulsed, 100, capped at 2 ns.
 
     The rates are params' couplings, losses and lab-frame omegas, the
     schedule's peak couplings and g_hop. A constant drive is exact, so this
     sets only its sample grid. A pulsed schedule's RK4 takes 100 steps per
     cycle of every rate but the omegas, whose phase error builds up over the
-    run, capped at 2 ns: within 1e-7 in fidelity of RK4 at dt/8 on the
+    run and which keep 200: within 1e-7 in fidelity of RK4 at dt/8 on the
     presets and the benchmark's links (tests/test_dynamics.py).
     """
     fastest = max(params.g_a, params.g_b, params.kappa, params.gamma_a, params.gamma_b,
@@ -369,7 +370,10 @@ def _checked_grid(t_span: tuple[float, float], dt: float, sample_every: int) -> 
         raise ValueError("t_span must satisfy t1 > t0")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"step count (t1 - t0) / dt = {steps!r} is not finite")
+    n_steps = max(1, int(round(steps)))
     # a cadence past the last step samples the same two ends as one of n_steps
     return _Grid(t0, (t1 - t0) / n_steps, n_steps, min(sample_every, n_steps))
 
@@ -506,7 +510,8 @@ def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: fl
 
     C's rows are the sites. Populations are diag R, the purity is
     rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R, the fidelity reads
-    rho_B off R_BB and u_B, and dense states are built only when read.
+    rho_B off R_BB and u_B under checked_fidelity's rule, and dense states are
+    built only when read.
     """
     d, one = layout.total_dim, _site_states(layout)
     r, u = c[..., :rank], c[..., -1]
@@ -519,8 +524,8 @@ def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: fl
     if target is not None:
         proj = receiver_frame(target.density_matrix())
         pop_b, u_b = r_diag[..., -1], u[..., -1]
-        fidelity = np.clip(proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
-                           + 2.0 * (proj[0, 1] * u_b).real, 0.0, 1.0)
+        fidelity = checked_fidelity(proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
+                                    + 2.0 * (proj[0, 1] * u_b).real)
 
     def state_at(index) -> np.ndarray:
         r, u = c[index][..., :rank], c[index][..., -1]

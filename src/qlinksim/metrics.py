@@ -14,7 +14,8 @@ with h the binary entropy. The same channel gives the received state of any
 input (LinkChannel.link_run, for the Haar-average fidelity) and its
 trajectory (LinkChannel.link_trajectory) without evolving again; the
 cross-check that evolves each input on its own (make_link_run) is a test
-reference in tests/conftest.py.
+reference in tests/conftest.py. Every fidelity follows qspace.checked_fidelity:
+within 1e-9 of [0, 1] it is clipped, past that it raises InvalidStateError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import dynamics
 from .protocols import CouplingSchedule
-from .qspace import PureQubitSpec, spectrum_entropies
+from .qspace import PureQubitSpec, checked_fidelity, spectrum_entropies
 
 __all__ = [
     "transfer_fidelity",
@@ -38,22 +39,13 @@ __all__ = [
     "average_fidelity",
 ]
 
-FIDELITY_SLACK = 1e-9  # raw overlaps may be outside [0, 1] by at most this
-
-
-def _clamp_fidelity(value: float) -> float:
-    if value < -FIDELITY_SLACK or value > 1.0 + FIDELITY_SLACK:
-        raise ValueError(f"fidelity {value!r} outside [0, 1] beyond numerical slack")
-    return min(1.0, max(0.0, value))
-
-
 def transfer_fidelity(rho_b: np.ndarray, target: PureQubitSpec) -> float:
     """Overlap <psi_t| rho_B |psi_t> with the intended pure state."""
     rho_b = np.asarray(rho_b, dtype=complex)
     if rho_b.shape != (2, 2):
         raise ValueError(f"expected a 2x2 qubit state, got shape {rho_b.shape}")
     ket = target.ket()
-    return _clamp_fidelity(float(np.real(ket.conj() @ rho_b @ ket)))
+    return float(checked_fidelity(np.real(ket.conj() @ rho_b @ ket)))
 
 
 def run_channel_probe(
@@ -76,10 +68,7 @@ def _coherent_information(f: np.ndarray) -> np.ndarray:
 
 
 def _entanglement_fidelity(f: np.ndarray) -> np.ndarray:
-    overlaps = 0.25 * ((1.0 + f.real) ** 2 + f.imag**2)
-    for value in overlaps[(overlaps < 0.0) | (overlaps > 1.0)]:
-        _clamp_fidelity(float(value))  # raises beyond the slack
-    return np.clip(overlaps, 0.0, 1.0)
+    return checked_fidelity(0.25 * ((1.0 + f.real) ** 2 + f.imag**2))
 
 
 def coherent_information(channel: dynamics.LinkChannel) -> float:
@@ -99,8 +88,8 @@ def entanglement_fidelity(channel: dynamics.LinkChannel) -> float:
 def probe_curve(channel: dynamics.LinkChannel) -> tuple[np.ndarray, np.ndarray]:
     """Coherent information (bits) and entanglement fidelity at every sample.
 
-    The entropies' eigenvalues go through qspace's clamp, so a survival
-    |f|^2 above 1 + 2 EIGENVALUE_TOL raises InvalidStateError.
+    A survival |f|^2 past 1 raises InvalidStateError once F_e passes
+    1 + FIDELITY_SLACK or an entropy's eigenvalue falls below -EIGENVALUE_TOL.
     """
     return _coherent_information(channel.f), _entanglement_fidelity(channel.f)
 

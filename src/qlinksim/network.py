@@ -1,12 +1,12 @@
 """Multi-hop chains and communication-medium models.
 
-A hop transfers the current qubit state through one link: the input goes on
-qubit A, mediators start in vacuum, B starts in |0>, and the link runs for
-hop_time. A link is the qubit channel of one amplitude run
-(dynamics.LinkChannel), so a hop reads its received state and its
-trajectory off the channel in closed form, and the received state of B (no
-residual entanglement carried along) is the next hop's input. A chain runs
-each distinct link once, however many hops use it.
+A hop sends the current qubit state through one link: the input goes on qubit
+A, mediators start in vacuum, B starts in |0>, and the link runs for hop_time.
+A link is the qubit channel of one amplitude run (dynamics.LinkChannel), so a
+hop reads its received state and its trajectory off the channel in closed
+form. B's received state (no residual entanglement carried along) is the next
+hop's input, and a hop's or a sweep point's fidelity is its trajectory's last
+sample. A chain runs each distinct link once, however many hops use it.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
 distance loses photons linearly in length; a fiber's end-to-end survival
@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .metrics import transfer_fidelity
 from .protocols import CouplingSchedule, StirapSchedule, default_stirap_window
 from .qspace import PureQubitSpec, check_density_matrix
 
@@ -219,14 +218,8 @@ def run_chain(initial: PureQubitSpec, links: Sequence[LinkSpec]) -> ChainResult:
             state, traj = run_hop(state, link, target=initial, channel=channels[link])
         except dynamics.IntegrationError as err:
             raise dynamics.IntegrationError(f"hop {index}: {err}", t=err.t) from err
-        result.per_hop.append(
-            HopRecord(
-                hop_index=index,
-                output_state=state,
-                fidelity=transfer_fidelity(state, initial),
-                trajectory=traj,
-            )
-        )
+        result.per_hop.append(HopRecord(hop_index=index, output_state=state,
+                                        fidelity=traj.final_fidelity, trajectory=traj))
     return result
 
 
@@ -260,14 +253,12 @@ def distance_sweep(
         for length in lengths:
             link = replace(link_template, medium=replace(medium, kind=kind, length=length))
             try:
-                out, traj = run_hop(target.density_matrix(), link, target)
+                _, traj = run_hop(target.density_matrix(), link, target)
             except dynamics.IntegrationError as err:
                 points.append(SweepPoint(kind=kind, length=float(length),
                                          fidelity=None, error=str(err)))
                 continue
-            points.append(
-                SweepPoint(kind=kind, length=float(length),
-                           fidelity=transfer_fidelity(out, target), trajectory=traj)
-            )
+            points.append(SweepPoint(kind=kind, length=float(length),
+                                     fidelity=traj.final_fidelity, trajectory=traj))
     points.sort(key=lambda p: (p.kind, p.length))
     return points

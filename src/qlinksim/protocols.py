@@ -17,6 +17,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .qspace import checked_fidelity
+
 __all__ = [
     "ConstantSchedule",
     "StirapSchedule",
@@ -165,7 +167,7 @@ def stirap_grid_search(
                 raise dynamics.IntegrationError(
                     f"grid point (T={width:g}, t_delay={delay:g}): {err}", t=err.t
                 ) from err
-            fid = float(abs(channel.f[-1]) ** 2)
+            fid = float(checked_fidelity(abs(channel.f[-1]) ** 2))
             records.append(
                 {"pulse_width": width, "t_delay": delay, "window": t1, "fidelity": fid}
             )

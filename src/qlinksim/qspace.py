@@ -37,12 +37,23 @@ __all__ = [
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-8
 EIGENVALUE_TOL = 1e-7
+FIDELITY_SLACK = 1e-9  # an overlap may leave [0, 1] by at most this much
 
 MAX_MODE_DIM = 8  # larger Fock truncations are out of scope
 
 
 class InvalidStateError(RuntimeError):
     """A matrix violated density-matrix invariants beyond tolerance."""
+
+
+def checked_fidelity(overlap):
+    """Overlaps clipped to [0, 1]; InvalidStateError for nan or one over FIDELITY_SLACK outside."""
+    overlap = np.asarray(overlap, dtype=float)
+    outside = ~((overlap >= -FIDELITY_SLACK) & (overlap <= 1.0 + FIDELITY_SLACK))
+    if outside.any():
+        raise InvalidStateError(f"fidelity {float(overlap[outside].flat[0])!r} outside [0, 1] "
+                                f"beyond the slack {FIDELITY_SLACK:g}")
+    return np.clip(overlap, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from qlinksim.dynamics import (
     receiver_frame,
     standard_collapse,
 )
-from qlinksim.metrics import _clamp_fidelity
 from qlinksim.protocols import ConstantSchedule
 from qlinksim.qspace import (
     PureQubitSpec,
     Qubit,
     SystemLayout,
+    checked_fidelity,
     dagger,
     embed,
     link_layout,
@@ -486,7 +486,7 @@ def choi_entanglement_fidelity(probe: ChannelProbe, joint=None) -> float:
     rho_rb = _reduced(probe, joint, (0, probe.site_b))
     frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
     rho_rb = frame @ rho_rb @ frame
-    return _clamp_fidelity(float(np.real(np.trace(bell_phi_plus() @ rho_rb))))
+    return float(checked_fidelity(np.real(np.trace(bell_phi_plus() @ rho_rb))))
 
 
 def choi_probe_curve(probe: ChannelProbe) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +501,7 @@ def choi_probe_curve(probe: ChannelProbe) -> tuple[np.ndarray, np.ndarray]:
     info = von_neumann_entropies(rho_b) - von_neumann_entropies(rho_rb)
     frame = np.kron(np.eye(2, dtype=complex), dynamics.RECEIVER_FRAME)
     overlaps = np.einsum("ij,sji->s", frame @ bell_phi_plus() @ frame, rho_rb).real
-    return info, np.array([_clamp_fidelity(float(f)) for f in overlaps])
+    return info, checked_fidelity(overlaps)
 
 
 # --- reference for a hop: the link evolved step by step -------------------------

@@ -25,7 +25,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import __version__, cli, metrics
+from qlinksim import __version__, cli, metrics, network
 from qlinksim.cli import (
     _MIN_SLICE_ROWS,
     PRESETS,
@@ -41,7 +41,7 @@ from qlinksim.cli import (
     resolve_defaults,
     run_scenario,
 )
-from qlinksim.dynamics import default_dt, evolve
+from qlinksim.dynamics import LinkChannel, default_dt, evolve
 from qlinksim.protocols import (
     DEFAULT_ADIABATICITY,
     DEFAULT_DELAY_RATIO,
@@ -937,25 +937,33 @@ class TestFailureHandling:
             "grid point (T=5e-07, t_delay=6e-07): vacuum refill")
         assert result["error"] in capsys.readouterr().err
 
-    def test_invalid_state_is_reported_in_the_manifest(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("scenario", ["coherent-info", "chain"])
+    def test_invalid_state_is_reported_in_the_manifest(self, scenario, tmp_path, monkeypatch,
+                                                       capsys):
         def invalid(*args, **kwargs):
             raise InvalidStateError("eigenvalue -2.000e-07 below -1e-07; not a density matrix")
 
-        # fails after curve.csv and trajectory.csv are written
-        monkeypatch.setattr(metrics, "average_fidelity", invalid)
+        if scenario == "coherent-info":
+            # fails after curve.csv and trajectory.csv are written
+            monkeypatch.setattr(metrics, "average_fidelity", invalid)
+            values = {"g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0, "dt_ns": 0.02, "n_samples": 5}
+            error = "eigenvalue -2.000e-07 below -1e-07"
+        else:
+            # a survival |f|^2 = 1 + 1e-8 scores the first hop past the fidelity slack
+            channel = LinkChannel(np.array([0.0, 1e-6]),
+                                  np.array([[1.0, 0, 0], [0, 0, -math.sqrt(1.0 + 1e-8)]]))
+            monkeypatch.setattr(network, "link_channel", lambda link: channel)
+            values = {"protocol": "constant", "hops": 2, **WEAK_LOSS}
+            error = "fidelity 1.0000000025"
         out = tmp_path / "out"
         out.mkdir()
         (out / "earlier.csv").write_text("a\n1\n", encoding="utf-8")
-        cfg = build_config({
-            "scenario": "coherent-info", "g0_2pi_mhz": 100.0, "kappa_2pi_mhz": 1.0,
-            "dt_ns": 0.02, "n_samples": 5,
-        })
-        assert run_scenario(cfg, out) == 1
+        assert run_scenario(build_config({"scenario": scenario, **values}), out) == 1
         assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]
-        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-        assert "status = invalid-state" in manifest
-        assert "error = eigenvalue -2.000e-07 below -1e-07" in manifest
-        assert "eigenvalue -2.000e-07" in capsys.readouterr().err
+        result = read_result(out)
+        assert result["status"] == "invalid-state"
+        assert result["error"].startswith(error)
+        assert error in capsys.readouterr().err
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         bad = write_config(tmp_path, "scenario = transfer\nbogus_key = 1\n")

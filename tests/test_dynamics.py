@@ -346,6 +346,18 @@ def test_non_finite_input_is_rejected_naming_the_field(field, build):
         build()
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: _run_link(t_span=(0.0, 1e308), dt=1e-12), id="evolve"),
+    pytest.param(lambda: link_channel(LinkParams(g_a=1e7, g_b=1e7),
+                                      ConstantSchedule(g0_a=1e7, g0_b=1e7), 1e308, 1e-12),
+                 id="link-channel"),
+])
+def test_step_count_past_the_float_range_is_rejected(run):
+    # 1e308 s in steps of 1e-12 s is inf steps, which int() cannot round
+    with pytest.raises(ValueError, match=r"^step count \(t1 - t0\) / dt = inf is not finite"):
+        run()
+
+
 class TestPropagatorOracle:
     def test_zero_time_returns_initial_state(self, rng):
         rho0 = make_density_matrix(rng, 8)

@@ -17,6 +17,7 @@ from conftest import (
     run_choi_probe,
     sampled_trajectory,
 )
+from qlinksim import dynamics
 from qlinksim.dynamics import (
     CollapseChannel,
     HamiltonianTerms,
@@ -39,7 +40,12 @@ from qlinksim.metrics import (
     run_channel_probe,
     transfer_fidelity,
 )
-from qlinksim.protocols import ConstantSchedule, StirapSchedule, default_stirap_window
+from qlinksim.protocols import (
+    ConstantSchedule,
+    StirapSchedule,
+    default_stirap_window,
+    stirap_grid_search,
+)
 from qlinksim.qspace import (
     InvalidStateError,
     Mode,
@@ -109,6 +115,38 @@ class TestTransferFidelity:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             transfer_fidelity(np.eye(4) / 4, PureQubitSpec(theta=0.0))
+
+
+def _channel_ending_with(f: float) -> LinkChannel:
+    """A link channel whose receiver-frame amplitude ends at f."""
+    return LinkChannel(np.array([0.0, 1e-9]), np.array([[1.0, 0, 0], [0, 0, -f]]))
+
+
+def _grid_score(value, monkeypatch):
+    monkeypatch.setattr(dynamics, "link_channel",
+                        lambda *args, **kwargs: _channel_ending_with(math.sqrt(value)))
+    (record,) = stirap_grid_search(ideal_params(), [1e-7], [1e-7])
+    return record["fidelity"]
+
+
+# every fidelity the package scores, handed an overlap of value
+FIDELITY_SCORES = {
+    "trajectory": lambda value, _: _channel_ending_with(math.sqrt(value)).link_trajectory(
+        PureQubitSpec(theta=math.pi)).final_fidelity,
+    "transfer-fidelity": lambda value, _: transfer_fidelity(
+        np.diag([0.0, value]).astype(complex), PureQubitSpec(theta=math.pi)),
+    "entanglement-fidelity": lambda value, _: entanglement_fidelity(
+        _channel_ending_with(2.0 * math.sqrt(value) - 1.0)),
+    "grid-score": _grid_score,
+}
+
+
+@pytest.mark.parametrize("score", FIDELITY_SCORES.values(), ids=FIDELITY_SCORES.keys())
+def test_one_fidelity_rule(score, monkeypatch):
+    # within the 1e-9 slack an overlap is clipped to 1 exactly; past it, no state scores it
+    assert score(1.0 + 5e-10, monkeypatch) == 1.0
+    with pytest.raises(InvalidStateError, match=r"^fidelity 1\.00000000\d* outside \[0, 1\]"):
+        score(1.0 + 2e-9, monkeypatch)
 
 
 class TestChannelProbe:
@@ -393,8 +431,7 @@ class TestProbeChannelMap:
     def test_negative_eigenvalue_rejected_by_both_curve_paths(self):
         # eigenvalue -1e-6: within evolve's tolerance, beyond the entropy's;
         # on the channel, the (R, B) eigenvalue (1 - |f|^2)/2 of |f|^2 = 1 + 2e-6
-        channel = LinkChannel(np.array([0.0, 1e-9]),
-                              np.array([[1.0, 0, 0], [0, 0, -math.sqrt(1.0 + 2e-6)]]))
+        channel = _channel_ending_with(math.sqrt(1.0 + 2e-6))
         probe = probe_ending_with_b_eigenvalue(-1e-6)
         for curve in (lambda: coherent_information(channel), lambda: probe_curve(channel),
                       lambda: choi_coherent_information(probe, probe.evolved_joint),

@@ -9,7 +9,11 @@ resolve, so that a deletion leaves no dangling export.
 perfbench/workloads.py is loaded the same way: every benchmark workload runs
 here once, and its outputs must pass the benchmark's own checks against
 perfbench/reference.json (file names, line counts and summaries), so that a
-change that moves them fails in tier-1 too.
+change that moves them fails in tier-1 too. Each fidelity a summary reports
+must also read byte for byte as the last row of the trajectory it stands for.
+
+Every fidelity follows qspace's one rule: no other module reads
+FIDELITY_SLACK or clips a value.
 
 Every ```python block in README.md runs, and every ```ini block builds a
 config, so that an API change cannot leave an example stale. README.md's
@@ -32,6 +36,7 @@ bytes must be repr's per cell.
 """
 
 import ast
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -88,6 +93,24 @@ def test_every_traced_name_resolves(tracer):
             assert callable(getattr(module, name, None)), f"qlinksim.{layer}.{name}"
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+# by scenario: the summary column of each fidelity, and the file and column
+# of the trajectory whose last row it is, given its summary row
+SUMMARY_TRAJECTORIES = {
+    "transfer": ("final_fidelity", lambda row: ("trajectory.csv", "fidelity")),
+    "stirap-compare": ("final_fidelity",
+                       lambda row: (f"trajectory_{row['protocol']}.csv", "fidelity")),
+    "chain": ("fidelity", lambda row: (f"trajectory_hop{row['hop']}.csv", "fidelity")),
+    "sweep-distance": ("fidelity", lambda row: (
+        cli._point_name(row["kind"], float(row["length_km"]) * 1000.0), "fidelity")),
+    "coherent-info": ("entanglement_fidelity", lambda row: ("curve.csv", "entanglement_fidelity")),
+}
+
+
 @pytest.mark.parametrize("workload", ["pulsed", "channel", "dense-output"])
 def test_benchmark_outputs_match_their_reference(workloads, workload, tmp_path):
     # the benchmark refuses a run whose CSV names, line counts or summaries
@@ -98,6 +121,12 @@ def test_benchmark_outputs_match_their_reference(workloads, workload, tmp_path):
         assert cli.run_scenario(cfg, tmp_path / label) == 0, label
         assert workloads.check_outputs(tmp_path / label, reference[label], cfg.t_final_us,
                                        cfg.n_samples) == [], label
+        if cfg.scenario in SUMMARY_TRAJECTORIES:
+            column, source = SUMMARY_TRAJECTORIES[cfg.scenario]
+            for row in _csv_rows(tmp_path / label / "summary.csv"):
+                name, cell = source(row)
+                last = _csv_rows(tmp_path / label / name)[-1][cell]
+                assert row[column] == last, (label, name)
     for label, values in workloads.check_cases(workload, 0).items():
         assert cli.run_scenario(build_config(values), tmp_path / label) == 0, label
         manifest = (tmp_path / label / "manifest.txt").read_text(encoding="utf-8")
@@ -165,6 +194,21 @@ def test_no_module_reads_the_environment():
                 reads += [f"{path.name}:{node.lineno} from os import {alias.name}"
                           for alias in node.names if alias.name in ENVIRONMENT_READERS]
     assert reads == []
+
+
+def test_one_module_holds_the_fidelity_rule():
+    # qspace.checked_fidelity clips within FIDELITY_SLACK and raises past it;
+    # a second clip or slack elsewhere would be a second rule
+    others = []
+    for path, tree in _module_trees(PACKAGE):
+        if path.name == "qspace.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "FIDELITY_SLACK"
+                    or isinstance(node, ast.Attribute) and node.attr in ("FIDELITY_SLACK", "clip")
+                    or isinstance(node, ast.alias) and node.name in ("FIDELITY_SLACK", "clip")):
+                others.append(f"{path.name}:{node.lineno}")
+    assert others == []
 
 
 COLD_START = """
