@@ -31,9 +31,10 @@ import shutil
 import sys
 import tempfile
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, islice, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -693,18 +694,25 @@ def _block_text(block: np.ndarray) -> str:
     return field.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_blocks(columns: Sequence[np.ndarray], start: int, stop: int):
-    """Text of rows start..stop of equal-length float columns, block by block.
+def _csv_blocks(tables: Sequence[Sequence[np.ndarray]], start: int, stop: int):
+    """Text of rows start..stop of tables of float columns, one after the other, block by block.
 
-    Each block of _CSV_BLOCK_ROWS rows is copied into one reused array and
-    written by _block_text: the text is what ",".join(map(repr, row)) gives
-    each row.
+    Each table holds equal-length columns, as many as every other. Each block
+    of _CSV_BLOCK_ROWS rows is copied into one reused array, across the
+    tables' edges, and written by _block_text: the text is what
+    ",".join(map(repr, row)) gives each row.
     """
-    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), len(columns)))
+    ends = list(accumulate(len(columns[0]) for columns in tables))
+    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), len(tables[0])))
     for first in range(start, stop, _CSV_BLOCK_ROWS):
         rows = block[:min(_CSV_BLOCK_ROWS, stop - first)]
-        for j, column in enumerate(columns):
-            rows[:, j] = column[first:first + len(rows)]
+        row, t = first, bisect_right(ends, first)
+        while row < first + len(rows):
+            n = min(ends[t], first + len(rows)) - row
+            offset = row - ends[t] + len(tables[t][0])
+            for j, column in enumerate(tables[t]):
+                rows[row - first:row - first + n, j] = column[offset:offset + n]
+            row, t = row + n, t + 1
         yield _block_text(rows)
 
 
@@ -740,7 +748,7 @@ def _row_slices(n_rows: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:] + [n_rows]))
 
 
-def _format_slice_and_exit(tmp, columns: Sequence[np.ndarray], start: int, stop: int):
+def _format_slice_and_exit(tmp, tables, start: int, stop: int):
     """Body of a forked child: write rows start..stop to tmp and exit.
 
     It leaves through os._exit, so no buffer inherited from the parent is
@@ -749,7 +757,7 @@ def _format_slice_and_exit(tmp, columns: Sequence[np.ndarray], start: int, stop:
     """
     status = 1
     try:
-        tmp.writelines(_csv_blocks(columns, start, stop))
+        tmp.writelines(_csv_blocks(tables, start, stop))
         tmp.flush()
         status = 0
     except BaseException:  # even an interrupt must end in os._exit, never unwind
@@ -760,15 +768,15 @@ def _format_slice_and_exit(tmp, columns: Sequence[np.ndarray], start: int, stop:
         os._exit(status)
 
 
-def _write_slices(fh, columns: Sequence[np.ndarray], slices, directory: Path) -> None:
-    """Write slices[0] to fh while forked children format the others.
+def _write_slices(files: "_TableFiles", tables, slices, directory: Path) -> None:
+    """Write slices[0] of the tables' rows to their files while forked children format the others.
 
     Each child streams its slice into an unlinked temporary file in
     directory; the parent then reaps the children in row order and appends
-    their files. Where a temporary file or a fork cannot be had (a process
-    or memory limit), the parent formats that slice and the rest itself.
-    Every child is reaped and every temporary file closed, also when a
-    write fails. With one slice nothing is forked.
+    their text to the files. Where a temporary file or a fork cannot be had
+    (a process or memory limit), the parent formats that slice and the rest
+    itself. Every child is reaped and every temporary file closed, also when
+    a write fails. With one slice nothing is forked.
     """
     temps, pids = [], []
     try:
@@ -780,11 +788,11 @@ def _write_slices(fh, columns: Sequence[np.ndarray], slices, directory: Path) ->
             except OSError:
                 break
             if pid == 0:
-                _format_slice_and_exit(temps[-1], columns, start, stop)
+                _format_slice_and_exit(temps[-1], tables, start, stop)
             pids.append(pid)
         forked = slices[1:len(pids) + 1]
         rest = slices[len(pids)][1]  # first row no child formats
-        fh.writelines(_csv_blocks(columns, *slices[0]))
+        files.write_blocks(tables, *slices[0])
         for (start, stop), tmp in zip(forked, temps):
             pid = pids[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -793,13 +801,88 @@ def _write_slices(fh, columns: Sequence[np.ndarray], slices, directory: Path) ->
                 raise ChildProcessError(f"process {pid} formatting rows {start}-{stop} "
                                         f"exited with status {status}")
             tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
-        fh.writelines(_csv_blocks(columns, rest, slices[-1][1]))
+            files.copy(tmp, stop - start)
+        files.write_blocks(tables, rest, slices[-1][1])
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
         for tmp in temps:
             tmp.close()
+
+
+class _TableFiles:
+    """The files of tables written one after the other: each row's text goes to its table's.
+
+    ends[t] is the number of rows in tables 0..t. Rows come in order, so one
+    file is open at a time. Each starts with the header; it opens when its
+    table's first row comes, or for an empty table once the rows before it
+    are written (finish opens those after the last row).
+    """
+
+    def __init__(self, outputs: "_Outputs", names: Sequence[str], header: str,
+                 ends: Sequence[int]):
+        self.outputs, self.names, self.header, self.ends = outputs, names, header, ends
+        self.table, self.row, self.fh = -1, 0, None
+
+    def __enter__(self) -> "_TableFiles":
+        self._next_file()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+    @property
+    def path(self) -> Path:
+        return self.outputs.path / self.names[self.table]
+
+    def _next_file(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None  # closed once, also if the next open fails
+        self.table += 1
+        self.fh = self.outputs._open(self.names[self.table])
+        self.fh.write(self.header)
+
+    def _rows_left(self, n_rows: int):
+        """Split the next n_rows rows at the tables' edges: the row count of each piece, in
+        order, with the file of its table open."""
+        done = 0
+        while done < n_rows:
+            while self.ends[self.table] <= self.row:
+                self._next_file()
+            n = min(self.ends[self.table] - self.row, n_rows - done)
+            yield n
+            done += n
+            self.row += n
+
+    def write_blocks(self, tables, start: int, stop: int) -> None:
+        """Format rows start..stop, the next rows to write, and write each to its file."""
+        for first, text in zip(range(start, stop, _CSV_BLOCK_ROWS),
+                               _csv_blocks(tables, start, stop)):
+            n_rows, lines, done = min(_CSV_BLOCK_ROWS, stop - first), None, 0
+            for n in self._rows_left(n_rows):
+                if n == n_rows:
+                    self.fh.write(text)
+                else:  # a block across tables' edges: its text split at the rows
+                    lines = text.splitlines(keepends=True) if lines is None else lines
+                    self.fh.write("".join(lines[done:done + n]))
+                done += n
+
+    def copy(self, src, n_rows: int) -> None:
+        """Write the next n_rows rows from the text file src, from its current position."""
+        done = 0
+        for n in self._rows_left(n_rows):
+            if done + n == n_rows:
+                shutil.copyfileobj(src, self.fh)
+            else:
+                self.fh.writelines(islice(src, n))
+            done += n
+
+    def finish(self) -> None:
+        """Open the files of the empty tables after the last row too."""
+        while self.table < len(self.names) - 1:
+            self._next_file()
 
 
 class _Outputs:
@@ -838,27 +921,47 @@ class _Outputs:
                 fh.write(",".join(map(_fmt, row)) + "\n")
 
     def write_columns(self, name: str, header: Sequence[str], columns) -> None:
-        columns = [np.asarray(column, dtype=float) for column in columns]
-        n_rows = len(columns[0])
-        if len(columns) != len(header) or any(c.shape != (n_rows,) for c in columns):
-            raise ValueError(f"{name}: expected {len(header)} 1-D columns of {n_rows} rows, "
-                             f"got shapes {[c.shape for c in columns]}")
-        with self._open(name) as fh:
-            fh.write(",".join(header) + "\n")
+        self.write_tables([name], header, [columns])
+
+    def write_tables(self, names: Sequence[str], header: Sequence[str], tables) -> None:
+        """Write each table of equal-length float columns to its file under one header.
+
+        The tables are formatted as one, in blocks across their edges and in
+        row slices over their total rows, and each row's text goes to its
+        table's file: every file is byte identical to its table written alone.
+        """
+        tables = [[np.asarray(column, dtype=float) for column in columns] for columns in tables]
+        for name, columns in zip(names, tables):
+            n_rows = len(columns[0])
+            if len(columns) != len(header) or any(c.shape != (n_rows,) for c in columns):
+                raise ValueError(f"{name}: expected {len(header)} 1-D columns of {n_rows} rows, "
+                                 f"got shapes {[c.shape for c in columns]}")
+        ends = list(accumulate(len(columns[0]) for columns in tables))
+        with _TableFiles(self, names, ",".join(header) + "\n", ends) as files:
             try:
-                _write_slices(fh, columns, _row_slices(n_rows), self.path)
+                _write_slices(files, tables, _row_slices(ends[-1]), self.path)
+                files.finish()
             except OSError as err:
-                raise OSError(f"cannot write {self.path / name}: {err}") from err
+                raise OSError(f"cannot write {files.path}: {err}") from err
 
     def write_trajectory(self, name: str, traj: dynamics.Trajectory) -> None:
-        n_mediators = traj.populations.shape[1] - 2
+        self.write_trajectories([name], [traj])
+
+    def write_trajectories(self, names: Sequence[str],
+                           trajectories: Sequence[dynamics.Trajectory]) -> None:
+        """Write each trajectory to its file, as write_tables writes tables; they must
+        have the same number of sites."""
+        if not trajectories:
+            return
+        n_mediators = trajectories[0].populations.shape[1] - 2
         header = ["t_us", "pop_A"]
         header += ["pop_W" if i == 0 else f"pop_W{i + 1}" for i in range(n_mediators)]
         header += ["pop_B", "fidelity", "trace", "purity"]
-        fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
-        self.write_columns(
-            name, header, [traj.times / US, *traj.populations.T, fid, traj.trace, traj.purity]
-        )
+        tables = []
+        for traj in trajectories:
+            fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
+            tables.append([traj.times / US, *traj.populations.T, fid, traj.trace, traj.purity])
+        self.write_tables(names, header, tables)
 
 
 # --- scenarios --------------------------------------------------------------
@@ -971,8 +1074,8 @@ def _scenario_stirap_compare(cfg: ScenarioConfig, out: _Outputs) -> None:
 def _scenario_chain(cfg: ScenarioConfig, out: _Outputs) -> None:
     (link,) = _links(cfg).values()
     result = network.run_chain(cfg.target(), [link] * cfg.hops)
-    for rec in result.per_hop:
-        out.write_trajectory(f"trajectory_hop{rec.hop_index}.csv", rec.trajectory)
+    out.write_trajectories([f"trajectory_hop{rec.hop_index}.csv" for rec in result.per_hop],
+                           [rec.trajectory for rec in result.per_hop])
     out.write_csv(
         "summary.csv", ["hop", "fidelity"],
         [[rec.hop_index, rec.fidelity] for rec in result.per_hop],
@@ -992,12 +1095,12 @@ def _scenario_sweep_distance(cfg: ScenarioConfig, out: _Outputs) -> None:
         warnings.warn(f"{len(failed)} of {len(points)} sweep points failed and read nan: "
                       + "; ".join(f"{p.kind} at {p.length / 1000.0:g} km: {p.error}"
                                   for p in failed), RuntimeWarning, stacklevel=2)
-    rows = []
-    for p in points:
-        rows.append([p.kind, p.length / 1000.0, math.nan if p.fidelity is None else p.fidelity])
-        if p.trajectory is not None:
-            out.write_trajectory(_point_name(p.kind, p.length), p.trajectory)
-    out.write_csv("summary.csv", ["kind", "length_km", "fidelity"], rows)
+    ran = [p for p in points if p.trajectory is not None]
+    out.write_trajectories([_point_name(p.kind, p.length) for p in ran],
+                           [p.trajectory for p in ran])
+    out.write_csv("summary.csv", ["kind", "length_km", "fidelity"],
+                  [[p.kind, p.length / 1000.0, math.nan if p.fidelity is None else p.fidelity]
+                   for p in points])
 
 
 def _scenario_coherent_info(cfg: ScenarioConfig, out: _Outputs) -> None:

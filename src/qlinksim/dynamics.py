@@ -37,7 +37,9 @@ that exponentiates the column-stacked Liouvillian, are built on them.
 
 `link_channel` runs a link once, from |1> on A; the LinkChannel it returns
 gives the received state and the trajectory of any qubit input in closed
-form.
+form. `link_channels` runs links that share a constant drive and a grid as
+one stack, each by its own step matrices and checks, and
+`link_trajectories` reads their trajectories off the stack at once.
 
 Receiver frame: completing the resonant transfer (driven or adiabatic) lands
 the excitation on B with a deterministic minus sign, since the passage goes
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +79,8 @@ __all__ = [
     "link_generators",
     "LinkChannel",
     "link_channel",
+    "link_channels",
+    "link_trajectories",
     "default_dt",
     "evolve",
     "receiver_frame",
@@ -498,20 +502,22 @@ def _sector_trajectory(
         r = r - np.outer(columns[-1], columns[-1].conj())
     rank = len(columns)
     c0 = np.column_stack(columns + [0.5 * (rho[one, 0] + rho[0, one].conj())])
-    times, c = _amplitude_run(c0, rank, params, schedule, grid, g_hop)
+    generators = link_generators(params, len(one) - 2, g_hop)[None]
+    times, c = _amplitude_run(c0[None], rank, generators, schedule, grid)
     trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
-    return _amplitude_trajectory(times, c, rank, trace, layout, target)
+    return _amplitude_trajectories(times, c, rank, trace, layout, target)[0]
 
 
-def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: float,
-                          layout: SystemLayout,
-                          target: Optional[PureQubitSpec]) -> Trajectory:
-    """The trajectory of amplitude blocks C = [R's factors, u], columns in closed form.
+def _amplitude_trajectories(times: np.ndarray, c: np.ndarray, rank: int, trace: float,
+                            layout: SystemLayout,
+                            target: Optional[PureQubitSpec]) -> list[Trajectory]:
+    """The trajectory of each run of a stack of amplitude blocks C = [R's factors, u].
 
-    C's rows are the sites. Populations are diag R, the purity is
-    rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R, the fidelity reads
-    rho_B off R_BB and u_B under checked_fidelity's rule, and dense states are
-    built only when read.
+    c is (run, sample, site, column), every run on the same sample times and
+    of the same trace; the columns of all runs come in closed form at once.
+    Populations are diag R, the purity is rho_vv^2 + 2 |u|^2 + Tr R^2 with
+    rho_vv = trace - Tr R, the fidelity reads rho_B off R_BB and u_B under
+    checked_fidelity's rule, and dense states are built only when read.
     """
     d, one = layout.total_dim, _site_states(layout)
     r, u = c[..., :rank], c[..., -1]
@@ -527,20 +533,23 @@ def _amplitude_trajectory(times: np.ndarray, c: np.ndarray, rank: int, trace: fl
         fidelity = checked_fidelity(proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
                                     + 2.0 * (proj[0, 1] * u_b).real)
 
-    def state_at(index) -> np.ndarray:
-        r, u = c[index][..., :rank], c[index][..., -1]
-        states = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
-        states[..., one[:, None], one] = r @ r.conj().swapaxes(-1, -2)
-        states[..., one, 0] = u
-        states[..., 0, one] = u.conj()
-        states[..., 0, 0] = vacuum[index]
-        return states
+    def trajectory(run: int) -> Trajectory:
+        def state_at(index) -> np.ndarray:
+            r, u = c[run, index][..., :rank], c[run, index][..., -1]
+            states = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
+            states[..., one[:, None], one] = r @ r.conj().swapaxes(-1, -2)
+            states[..., one, 0] = u
+            states[..., 0, one] = u.conj()
+            states[..., 0, 0] = vacuum[run, index]
+            return states
 
-    return Trajectory(
-        layout=layout, times=times, state_at=state_at,
-        populations=r_diag, trace=np.full(len(times), trace), purity=purity,
-        fidelity=fidelity, target=target,
-    )
+        return Trajectory(
+            layout=layout, times=times, state_at=state_at,
+            populations=r_diag[run], trace=np.full(len(times), trace), purity=purity[run],
+            fidelity=None if fidelity is None else fidelity[run], target=target,
+        )
+
+    return [trajectory(run) for run in range(len(c))]
 
 
 # --- the link's qubit channel ---------------------------------------------------
@@ -580,12 +589,22 @@ class LinkChannel:
     def link_trajectory(self, target: PureQubitSpec,
                         rho_a: Optional[np.ndarray] = None) -> Trajectory:
         """Trajectory with rho_a (default: target) on A, scored against target, in closed form."""
-        rho_a = target.density_matrix() if rho_a is None else rho_a
-        factors = np.array([math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]])
-        return _amplitude_trajectory(self.times, self.amplitudes[..., None] * factors, 1,
-                                     rho_a.trace().real,
-                                     link_layout(n_mediators=self.amplitudes.shape[-1] - 2),
-                                     target)
+        return link_trajectories([self], target, rho_a)[0]
+
+
+def link_trajectories(channels: Sequence[LinkChannel], target: PureQubitSpec,
+                      rho_a: Optional[np.ndarray] = None) -> list[Trajectory]:
+    """Each channel's link_trajectory, read off the stack of their amplitudes at once.
+
+    The channels must share their sample times and number of sites, as the
+    channels of one link_channels run do.
+    """
+    rho_a = target.density_matrix() if rho_a is None else rho_a
+    factors = np.array([math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]])
+    amplitudes = np.stack([channel.amplitudes for channel in channels])
+    return _amplitude_trajectories(channels[0].times, amplitudes[..., None] * factors, 1,
+                                   rho_a.trace().real,
+                                   link_layout(n_mediators=amplitudes.shape[-1] - 2), target)
 
 
 def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
@@ -599,43 +618,64 @@ def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
     """
     if dt is None:
         dt = default_dt(params, schedule, g_hop)
+    return link_channels([params], schedule, t_final, dt, sample_every=sample_every,
+                         n_mediators=n_mediators, g_hop=g_hop)[0]
+
+
+def link_channels(params: Sequence[LinkParams], schedule: CouplingSchedule, t_final: float,
+                  dt: float, *, sample_every: int = 1, n_mediators: int = 1,
+                  g_hop: float = 0.0) -> list[LinkChannel]:
+    """link_channel of links that share a drive and a grid, from one run of their stack.
+
+    Under a constant drive each link takes its own exact step matrices and
+    its own per-step checks. A failed check raises the IntegrationError of
+    the first link in the stack that fails in that batch of steps, as that
+    link's own run raises it. A pulsed drive runs one link at a time
+    (ValueError for more): RK4 on pulsed links in lockstep costs more per
+    link and step than separate runs.
+    """
+    if not isinstance(schedule, ConstantSchedule) and len(params) != 1:
+        raise ValueError(f"a pulsed drive runs one link at a time, got {len(params)}")
     grid = _checked_grid((0.0, t_final), dt, sample_every)
-    e_a = np.eye(n_mediators + 2, 1, dtype=complex)
-    times, c = _amplitude_run(e_a, 1, params, schedule, grid, g_hop)
-    return LinkChannel(times, c[..., 0])
+    generators = np.array([link_generators(p, n_mediators, g_hop) for p in params])
+    e_a = np.zeros((len(params), n_mediators + 2, 1), dtype=complex)
+    e_a[:, 0] = 1.0
+    times, c = _amplitude_run(e_a, 1, generators, schedule, grid)
+    return [LinkChannel(times, amplitudes) for amplitudes in c[..., 0]]
 
 
-def _amplitude_run(c0: np.ndarray, rank: int, params: LinkParams, schedule: CouplingSchedule,
-                   grid: _Grid, g_hop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and C = K C0 at each, stepped under link_generators.
+def _amplitude_run(c0: np.ndarray, rank: int, generators: np.ndarray,
+                   schedule: CouplingSchedule, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and C = K C0 at each, for a stack of runs under link_generators.
 
-    C0 is m x q, m = n_mediators + 2 sites; its first rank columns factor R0.
+    c0 is (run, m, q), m sites, and generators (run, 3, m, m); each run's
+    first rank columns of C0 factor its R0, and C comes as (run, sample, m, q).
     In the rotating frame the gauge U = diag((-i)^k) over the sites makes
     A~ = U* A U real (the couplings -i g become -+g; the decay is real), so
     C~ = U* C steps as a real m x m system on its real and imaginary parts.
     It is laid out as (m, 2q) floats with each column's (Re, Im) interleaved:
     the samples view as C~ with no copy, and C = U C~ is restored in place. A
     lab-frame link, whose A~ keeps -i omega on its diagonal, steps the
-    realified 2m x 2m form on (Re C; Im C).
+    realified 2m x 2m form on (Re C; Im C); a stack steps that form if any
+    of its runs needs it.
     """
-    m, steps = len(c0), grid.sample_steps()
-    a = link_generators(params, m - 2, g_hop)
-    gauge = _real_gauge(a)
+    m, steps = c0.shape[-2], grid.sample_steps()
+    gauge = _real_gauge(generators)
     if gauge is not None:
-        generators = (gauge.conj()[:, None] * a * gauge).real
+        real = (gauge.conj()[:, None] * generators * gauge).real
         x0 = np.ascontiguousarray(gauge.conj()[:, None] * c0).view(float)
     else:
-        generators, x0 = _realified(a), np.concatenate([c0.real, c0.imag])
+        real, x0 = _realified(generators), np.concatenate([c0.real, c0.imag], axis=-2)
     # divergence surfaces as an IntegrationError from the per-step check, so
     # transient overflow warnings from an unstable step are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _step_amplitudes(x0, rank if gauge is None else 2 * rank, generators,
-                                   schedule, grid, steps)
+        samples = _step_amplitudes(x0, rank if gauge is None else 2 * rank, real, schedule,
+                                   grid, steps)
     if gauge is not None:
         c = samples.view(complex)
         c *= gauge[:, None]
     else:
-        c = samples[:, :m] + 1j * samples[:, m:]
+        c = samples[..., :m, :] + 1j * samples[..., m:, :]
     return grid.t0 + steps * grid.h, c
 
 
@@ -684,13 +724,17 @@ def _rk4_step_matrices(
 
 
 def _powers(step: np.ndarray, n: int) -> np.ndarray:
-    """step^1, ..., step^n, by doubling: step^(k + i) = step^k step^i."""
-    out = np.empty((n,) + step.shape)
-    out[0] = step
+    """step^1, ..., step^n of each of a stack of step matrices, by doubling.
+
+    step is (run, dim, dim) and the powers (run, n, dim, dim), from
+    step^(k + i) = step^k step^i.
+    """
+    out = np.empty((len(step), n) + step.shape[1:])
+    out[:, 0] = step
     k = 1
     while k < n:
         s = min(k, n - k)
-        np.matmul(out[k - 1], out[:s], out=out[k : k + s])
+        np.matmul(out[:, k - 1 : k], out[:, :s], out=out[:, k : k + s])
         k += s
     return out
 
@@ -710,21 +754,24 @@ def _chunk_prefixes(steps: np.ndarray) -> np.ndarray:
 
 
 def _stepped(prefix: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """X after each of n steps from x, given each chunk's prefix products.
+    """X after each of n steps from x, for a stack of runs, given each chunk's prefix products.
 
-    prefix is (chunk, step in chunk, dim, dim); a single chunk serves every
-    chunk. Each chunk's start comes from the end of the one before, and every
-    step's X from one batched matmul: a few numpy calls per chunk in place of
-    one per step.
+    prefix is (run, chunk, step in chunk, dim, dim); a single chunk serves
+    every chunk. x is (run, dim, columns), the result (run, step, dim,
+    columns). Each chunk's start comes from the end of the one before, and
+    every step's X from one batched matmul: a few numpy calls per chunk in
+    place of one per step, whatever the number of runs.
     """
-    dim = prefix.shape[-1]
-    starts = np.empty((-(-n // _CHUNK_STEPS),) + x.shape)
+    dim, chunks = prefix.shape[-1], prefix.shape[1]
+    ends = np.ascontiguousarray(prefix[:, :, -1])  # (run, chunk, dim, dim)
+    starts = np.empty((-(-n // _CHUNK_STEPS),) + x.shape)  # (chunk, run, dim, columns)
     starts[0] = x
     for j in range(1, len(starts)):
-        np.matmul(prefix[(j - 1) % len(prefix), -1], starts[j - 1], out=starts[j])
+        np.matmul(ends[:, (j - 1) % chunks], starts[j - 1], out=starts[j])
     # stacking each chunk's prefix products into one tall matrix makes this
-    # one gemm per chunk, not one per step
-    return np.matmul(prefix.reshape(len(prefix), -1, dim), starts).reshape((-1,) + x.shape)[:n]
+    # one gemm per run and chunk, not one per step
+    tall = prefix.reshape(len(x), chunks, -1, dim)
+    return np.matmul(tall, starts.swapaxes(0, 1)).reshape((len(x), -1) + x.shape[1:])[:, :n]
 
 
 # Steps computed, checked and sampled at once, in chunks of _CHUNK_STEPS
@@ -766,63 +813,70 @@ def _step_amplitudes(
     grid: _Grid,
     sample_steps: np.ndarray,
 ) -> np.ndarray:
-    """X at sample_steps from a real form X0 of C0, whose first refill_columns factor R0.
+    """X at sample_steps for a stack of runs, from real forms X0 of C0.
 
-    generators are real forms of A_0, A_A and A_B acting on X. A constant
-    drive takes one exact step S = exp(h_s A~) per sample spacing h_s, and
-    its own exponential for a shorter last one; a pulsed drive takes every
-    RK4 step of the grid. Every drive steps _BATCH_STEPS at a time by chunked
-    prefix products (_stepped), of a pulsed drive's RK4 step matrices or of
-    S, ..., S^_CHUNK_STEPS for every chunk. On a weak-loss STIRAP run in the
-    real gauge (4176 steps, one BLAS thread, a shared 2-vCPU x86-64 machine)
-    a pulsed step costs 0.9-1.2 us, against 1.7-2.8 us for one realified
-    6 x 6 product per step. Every step is checked: an entry that is not
-    finite, or a vacuum refill delta = Tr R0 - Tr R below MIN_EIGENVALUE_MIN,
-    raises IntegrationError at the first step that shows it.
+    x0 is (run, dim, columns), each run's first refill_columns factoring its
+    R0, and generators (run, 3, dim, dim), real forms of each run's A_0, A_A
+    and A_B acting on its X; the samples come as (run, sample, dim, columns). A constant drive takes one exact step S =
+    exp(h_s A~) per sample spacing h_s, each run its own, and its own
+    exponential for a shorter last one; a pulsed drive takes every RK4 step
+    of the grid, for one run. Every drive steps _BATCH_STEPS at a time by
+    chunked prefix products (_stepped), of a pulsed drive's RK4 step matrices
+    or of S, ..., S^_CHUNK_STEPS for every chunk. On a weak-loss STIRAP run
+    in the real gauge (4176 steps, one BLAS thread, a shared 2-vCPU x86-64
+    machine) a pulsed step costs 0.9-1.2 us, against 1.7-2.8 us for one
+    realified 6 x 6 product per step. Every step of every run is checked: an
+    entry that is not finite, or a vacuum refill delta = Tr R0 - Tr R below
+    MIN_EIGENVALUE_MIN, raises IntegrationError at the first step that shows
+    it, naming the first run in the stack to fail in that batch.
     """
-    excited0 = (x0[:, :refill_columns] ** 2).sum()
-    samples = np.empty((len(sample_steps),) + x0.shape)
-    samples[0] = x0
+    excited0 = (x0[..., :refill_columns] ** 2).sum(axis=(-2, -1))
+    samples = np.empty((len(x0), len(sample_steps)) + x0.shape[1:])
+    samples[:, 0] = x0
     j = 1
 
     def record(start: int, stride: int, blocks: np.ndarray) -> None:
-        # blocks hold X after grid steps start + stride, ..., start + stride * len(blocks)
+        # blocks hold each run's X after grid steps start + stride, ...,
+        # start + stride * n, as (run, n, dim, columns)
         nonlocal j
         r = blocks[..., :refill_columns]
-        delta = excited0 - np.einsum("nij,nij->n", r, r)
+        delta = excited0[:, None] - np.einsum("pnij,pnij->pn", r, r)
         # per-step flags only for a batch that holds a non-finite entry
-        diverged = np.zeros(len(blocks), dtype=bool)
+        diverged = np.zeros(delta.shape, dtype=bool)
         if not np.isfinite(blocks).all():
             diverged = ~np.isfinite(blocks).all(axis=(-2, -1))
         failed = diverged | (delta < MIN_EIGENVALUE_MIN)
         if failed.any():
-            i = int(np.argmax(failed))
-            what = ("state diverged (non-finite entries)" if diverged[i] else
-                    f"vacuum refill Tr R0 - Tr R = {float(delta[i]):.3e} below "
+            run = int(np.argmax(failed.any(axis=1)))
+            i = int(np.argmax(failed[run]))
+            what = ("state diverged (non-finite entries)" if diverged[run, i] else
+                    f"vacuum refill Tr R0 - Tr R = {float(delta[run, i]):.3e} below "
                     f"{MIN_EIGENVALUE_MIN:g}, a lower bound on the smallest eigenvalue")
             step = start + stride * (i + 1)
             raise IntegrationError(f"{what} {grid.where(step)}", t=grid.t0 + step * grid.h)
-        end = int(np.searchsorted(sample_steps, start + stride * len(blocks), side="right"))
-        samples[j:end] = blocks[(sample_steps[j:end] - start) // stride - 1]
+        end = int(np.searchsorted(sample_steps, start + stride * blocks.shape[1], side="right"))
+        samples[:, j:end] = blocks[:, (sample_steps[j:end] - start) // stride - 1]
         j = end
 
     h, x, stride = grid.h, x0, 1
     constant = isinstance(schedule, ConstantSchedule)
     if constant:  # one step per sample
-        a = generators[0] + schedule.g0_a * generators[1] + schedule.g0_b * generators[2]
+        a = generators[:, 0] + schedule.g0_a * generators[:, 1] + schedule.g0_b * generators[:, 2]
         stride = grid.sample_every
-        prefix = _powers(_expm(stride * h * a), _CHUNK_STEPS)[None]
+        prefix = _powers(np.stack([_expm(stride * h * a_run) for a_run in a]),
+                         _CHUNK_STEPS)[:, None]
     n_steps = grid.n_steps // stride
     for start in range(0, n_steps, _BATCH_STEPS):
         n = min(_BATCH_STEPS, n_steps - start)
         if not constant:
             t = grid.t0 + np.arange(start, start + n) * h
             drive = schedule.couplings(np.stack([t, t + 0.5 * h, t + h], axis=1))
-            prefix = _chunk_prefixes(_rk4_step_matrices(generators, h, *drive))
+            prefix = _chunk_prefixes(_rk4_step_matrices(generators[0], h, *drive))[None]
         blocks = _stepped(prefix, x, n)
         record(start * stride, stride, blocks)
-        x = blocks[-1]
+        x = blocks[:, -1]
     last = grid.n_steps - n_steps * stride
     if last:  # a constant drive's shorter last spacing
-        record(n_steps * stride, last, (_expm(last * h * a) @ x)[None])
+        steps = np.stack([_expm(last * h * a_run) for a_run in a])
+        record(n_steps * stride, last, (steps @ x)[:, None])
     return samples

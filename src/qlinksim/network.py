@@ -6,7 +6,11 @@ A link is the qubit channel of one amplitude run (dynamics.LinkChannel), so a
 hop reads its received state and its trajectory off the channel in closed
 form. B's received state (no residual entanglement carried along) is the next
 hop's input, and a hop's or a sweep point's fidelity is its trajectory's last
-sample. A chain runs each distinct link once, however many hops use it.
+sample. A chain runs each distinct link once, however many hops use it. A
+distance sweep runs the links of its points that share a step under a
+constant drive as one stacked amplitude run (dynamics.link_channels), and
+reads their trajectories off the stack at once; under a pulsed drive each
+point runs alone.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
 distance loses photons linearly in length; a fiber's end-to-end survival
@@ -32,8 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .protocols import CouplingSchedule, StirapSchedule, default_stirap_window
-from .qspace import PureQubitSpec, check_density_matrix
+from .protocols import ConstantSchedule, CouplingSchedule, StirapSchedule, default_stirap_window
+from .qspace import InvalidStateError, PureQubitSpec, check_density_matrix
 
 __all__ = [
     "CAVITY",
@@ -240,25 +244,68 @@ def distance_sweep(
 ) -> list[SweepPoint]:
     """End-of-hop fidelity for every (medium kind, length) combination.
 
-    Per-point integration failures are recorded and the sweep continues.
-    Results are sorted by (kind, length).
+    Each point is a hop of target through the template's link over its
+    medium, as run_hop sends it. Points that share a step (the template's dt,
+    or each point's default_dt where that is None) run as one stacked
+    amplitude run of their links under a constant drive; under a pulsed
+    drive each point runs alone. Per-point integration failures are recorded
+    and the sweep continues: a stack that fails a check is redone point by
+    point, so each point records, or raises, what its own run gives. Results
+    are sorted by (kind, length).
     """
     if len(lengths) == 0:
         raise ValueError("lengths must be non-empty")
     if any(length < 0 for length in lengths):
         raise ValueError("lengths must be >= 0")
     medium = link_template.medium if link_template.medium is not None else MediumModel()
+    combinations = [(kind, length) for kind in kinds for length in lengths]
+    params = [replace(link_template, medium=replace(medium, kind=kind, length=length))
+              .effective_params() for kind, length in combinations]
+    rho = target.density_matrix()
+    check_density_matrix(rho)
+    # points that share a step share a run under a constant drive; a pulsed
+    # point runs alone, as lockstep RK4 costs more per link-step than separate runs
+    constant = isinstance(link_template.schedule, ConstantSchedule)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, p in enumerate(params):
+        dt = link_template.dt
+        if dt is None:
+            dt = dynamics.default_dt(p, link_template.schedule, link_template.g_hop)
+        groups.setdefault((dt, -1 if constant else i), []).append(i)
+    outcomes: list = [None] * len(params)
+    for (dt, _), members in groups.items():
+        runs = _sweep_runs(link_template, [params[i] for i in members], dt, rho, target)
+        for i, outcome in zip(members, runs):
+            outcomes[i] = outcome
     points = []
-    for kind in kinds:
-        for length in lengths:
-            link = replace(link_template, medium=replace(medium, kind=kind, length=length))
-            try:
-                _, traj = run_hop(target.density_matrix(), link, target)
-            except dynamics.IntegrationError as err:
-                points.append(SweepPoint(kind=kind, length=float(length),
-                                         fidelity=None, error=str(err)))
-                continue
+    for (kind, length), outcome in zip(combinations, outcomes):
+        if isinstance(outcome, InvalidStateError):  # the first, in point order, ends the sweep
+            raise outcome
+        if isinstance(outcome, dynamics.IntegrationError):
+            points.append(SweepPoint(kind=kind, length=float(length), fidelity=None,
+                                     error=str(outcome)))
+        else:
             points.append(SweepPoint(kind=kind, length=float(length),
-                                     fidelity=traj.final_fidelity, trajectory=traj))
+                                     fidelity=outcome.final_fidelity, trajectory=outcome))
     points.sort(key=lambda p: (p.kind, p.length))
     return points
+
+
+def _sweep_runs(template: LinkSpec, params: Sequence[dynamics.LinkParams], dt: float,
+                rho: np.ndarray, target: PureQubitSpec) -> list:
+    """The trajectory of rho sent through the template's link at each of params, from one
+    stacked run, or the error its own run raises.
+
+    A stack whose run raises IntegrationError, or whose received states or
+    fidelities raise InvalidStateError, is redone one link at a time.
+    """
+    try:
+        channels = dynamics.link_channels(
+            params, template.schedule, template.hop_time, dt, sample_every=template.sample_every,
+            n_mediators=template.n_mediators, g_hop=template.g_hop)
+        check_density_matrix(np.stack([channel.received_state(rho) for channel in channels]))
+        return dynamics.link_trajectories(channels, target, rho)
+    except (dynamics.IntegrationError, InvalidStateError) as err:
+        if len(params) == 1:
+            return [err]
+    return [_sweep_runs(template, [p], dt, rho, target)[0] for p in params]

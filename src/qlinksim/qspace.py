@@ -276,13 +276,18 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise InvalidStateError unless rho is Hermitian, unit-trace and PSD."""
+    """Raise InvalidStateError unless rho is Hermitian, unit-trace and PSD.
+
+    rho may be a stack (..., d, d), checked at once: every matrix must pass.
+    """
     rho = np.asarray(rho, dtype=complex)
-    herm = np.max(np.abs(rho - dagger(rho)))
+    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
     if herm > HERMITICITY_TOL:
         raise InvalidStateError(f"Hermiticity violation {herm:.3e} > {HERMITICITY_TOL:g}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
+    traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    off = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+    if off.size:
+        tr = complex(traces[off[0]])
         raise InvalidStateError(f"trace deviation |{tr:.12f} - 1| > {TRACE_TOL:g}")
     lam_min = float(np.linalg.eigvalsh(rho).min())
     if lam_min < -EIGENVALUE_TOL:

@@ -76,6 +76,25 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def use_cpus(monkeypatch, n_cpus):
+    """Make the CSV writer see n_cpus usable CPUs, and count the processes it forks.
+
+    Patched where os lacks either call too, so that the one-CPU case runs on
+    every platform.
+    """
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+    if hasattr(os, "fork"):
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 # --- small configs of the six CLI scenarios, each well under a second -----------
 
 _WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}

@@ -21,6 +21,7 @@ from conftest import (
     choi_entanglement_fidelity,
     make_link_run,
     run_choi_probe,
+    use_cpus,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -586,25 +587,6 @@ class TestScenarioRuns:
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
 
 
-def use_cpus(monkeypatch, n_cpus):
-    """Make write_columns see n_cpus usable CPUs, and count the processes it forks.
-
-    Patched where os lacks either call too, so that the one-CPU case runs on
-    every platform.
-    """
-    forks = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
-    if hasattr(os, "fork"):
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -665,6 +647,25 @@ class TestColumnWriter:
     def test_slices_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
         # three usable CPUs: three slices where the table is long enough
         assert self.write_edge_columns(n_rows, 3, tmp_path, monkeypatch) == slices - 1
+        assert_no_child_left()
+
+    # tables written as one stream: empty ones, one row, within a block and
+    # across blocks; on three CPUs one child formats rows of the long table
+    # alone and another its end and the tables after it
+    TABLE_ROWS = [0, 1, 255, 0, 513, 3 * _MIN_SLICE_ROWS, 300, 0]
+
+    @pytest.mark.parametrize("n_cpus", [1, pytest.param(3, marks=needs_fork)])
+    def test_tables_match_per_cell_rows(self, n_cpus, tmp_path, monkeypatch):
+        header = ["t_us", "a", "b"]
+        tables = [edge_columns(n_rows, len(header)) for n_rows in self.TABLE_ROWS]
+        names = [f"table{i}.csv" for i in range(len(tables))]
+        forks = use_cpus(monkeypatch, n_cpus)
+        _Outputs(tmp_path).write_tables(names, header, tables)
+        assert len(forks) == n_cpus - 1
+        for name, columns in zip(names, tables):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text.split("\n") == per_cell_lines(header, columns), name
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
         assert_no_child_left()
 
     def test_mismatched_columns_rejected(self, tmp_path):

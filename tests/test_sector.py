@@ -626,8 +626,9 @@ def test_csvs_match_per_cell_rows_and_the_dense_path(name, tmp_path, monkeypatch
     reference = {"transfer": oracle_reference, "chain": sector_reference}[name]
     assert run_scenario(cfg, tmp_path / "sector") == 0
     with monkeypatch.context() as patch:
-        patch.setattr(cli._Outputs, "write_trajectory",
-                      lambda out, csv, traj: out.write_csv(csv, *per_cell_rows(traj)))
+        # every trajectory file goes through write_trajectories
+        patch.setattr(cli._Outputs, "write_trajectories", lambda out, names, trajs: [
+            out.write_csv(csv, *per_cell_rows(traj)) for csv, traj in zip(names, trajs)])
         assert run_scenario(cfg, tmp_path / "per-cell") == 0
         # a chain's hops go through the evolve patched in below, one run per hop
         patch.setattr(network, "run_hop", evolved_hop)

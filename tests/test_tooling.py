@@ -24,10 +24,16 @@ dependencies, at module level or inside a function; scipy is a test
 dependency, so a scenario run must not load it. No module reads the
 environment, so no shell variable can change what a run computes or how.
 
+A distance sweep runs its constant-drive points as one stacked amplitude run
+and formats their files as one row stream, in full blocks across the files'
+edges; a pulsed sweep runs each point alone. The number of runs and of
+formatted blocks is held here, so that a change that falls back to one run or
+one file at a time fails.
+
 A long trajectory is formatted by forked processes; a fresh interpreter under
 -X dev -W error, with its BLAS library held to one thread so that it may
 fork, shows that doing so leaves no warning behind and writes the same bytes
-as a run held to one CPU. The same interpreter writes a table of the cells
+as a run held to one CPU, for one file and for a sweep's many. The same interpreter writes a table of the cells
 the CSV float kernel leaves to repr or decides at an edge (signed zeros,
 infinities, nan, subnormal, huge and tiny values, a power of two that needs
 16 digits, 1.0 and an exact 17-digit tie), so a RuntimeWarning from a lane
@@ -48,12 +54,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import SMALL_SCENARIOS
 
 import qlinksim
-from qlinksim import cli
+from qlinksim import cli, dynamics
 from qlinksim.cli import SCENARIOS, ScenarioConfig, build_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -274,6 +281,30 @@ def test_readme_key_table_is_the_declaration():
             assert sorted(reads) == sorted(declared), (scenario, protocol)
 
 
+def _trajectory_rows(out: Path) -> int:
+    return sum(len(_csv_rows(path)) for path in out.glob("trajectory_*.csv"))
+
+
+@pytest.mark.parametrize("protocol", ["constant", "stirap"])
+def test_sweep_stacks_its_constant_points(protocol, tmp_path, monkeypatch):
+    # the default sweep: 7 lengths in 2 media, 72 rows each under a constant
+    # drive; on one CPU, so that no forked process formats blocks uncounted
+    cfg = build_config({"scenario": "sweep-distance", "protocol": protocol})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with mock.patch.object(dynamics, "_amplitude_run", wraps=dynamics._amplitude_run) as runs, \
+            mock.patch.object(cli, "_block_text", wraps=cli._block_text) as blocks:
+        assert cli.run_scenario(cfg, tmp_path) == 0
+    points = 14
+    assert len(list(tmp_path.glob("trajectory_*.csv"))) == points
+    rows = _trajectory_rows(tmp_path)
+    if protocol == "constant":
+        assert rows == points * 72
+        assert runs.call_count == 1  # one stacked run
+    else:
+        assert runs.call_count == points  # pulsed links run one at a time
+    assert blocks.call_count == math.ceil(rows / cli._CSV_BLOCK_ROWS)
+
+
 # cells the float kernel leaves to repr or decides at an edge: signed zeros,
 # infinities, nan, the least subnormal, values past either end of its range,
 # a power of two that needs 16 digits, 1.0 and an exact tie at 17 digits
@@ -326,3 +357,44 @@ def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
     expected = "x,minus_x,shifted\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
     for cpus in ("all", "one"):
         assert (tmp_path / cpus / "edges.csv").read_text(encoding="utf-8") == expected
+
+
+FORKING_SWEEP = """
+import json, os, resource, sys
+from qlinksim.cli import main
+config, out, cpus = sys.argv[1:]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+status = main(["sweep-distance", "--config", config, "--out", out])
+forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+print(json.dumps({"status": status, "forked": forked}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_forked_sweep_files_match_one_cpu_under_dev_mode(tmp_path):
+    # 14 points of 611 rows at 0.1 ns: 8554 rows, two slices on two CPUs,
+    # whose edge falls inside the seventh file
+    config = tmp_path / "sweep.cfg"
+    config.write_text("scenario = sweep-distance\ndt_ns = 0.1\nsample_every = 1\n"
+                      "g0_2pi_mhz = 5.8\nkappa_2pi_mhz = 0.34\ngamma_2pi_mhz = 0.006\n",
+                      encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    runs = {}
+    for cpus in ("all", "one"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_SWEEP,
+             str(config), str(tmp_path / cpus), cpus],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""  # no ResourceWarning or other warning
+        runs[cpus] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs == {"all": {"status": 0, "forked": True}, "one": {"status": 0, "forked": False}}
+    names = sorted(path.name for path in (tmp_path / "all").glob("*.csv"))
+    assert len(names) == 15
+    assert names == sorted(path.name for path in (tmp_path / "one").glob("*.csv"))
+    assert _trajectory_rows(tmp_path / "all") == 14 * 611
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
