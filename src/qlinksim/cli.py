@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -694,24 +694,43 @@ def _block_text(block: np.ndarray) -> str:
     return field.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_blocks(tables: Sequence[Sequence[np.ndarray]], start: int, stop: int):
+class _Table(NamedTuple):
+    """n_rows rows of width float columns, read a range of rows at a time.
+
+    read(start, stop) gives each column's values for rows start..stop. It
+    runs in the process that formats those rows, parent or forked child, so
+    a table's columns need not exist whole anywhere.
+    """
+
+    n_rows: int
+    width: int
+    read: Callable[[int, int], Sequence[np.ndarray]]
+
+
+def _column_table(columns: Sequence[np.ndarray]) -> _Table:
+    """A table of equal-length columns held whole."""
+    return _Table(len(columns[0]), len(columns),
+                  lambda start, stop: [column[start:stop] for column in columns])
+
+
+def _csv_blocks(tables: Sequence[_Table], start: int, stop: int):
     """Text of rows start..stop of tables of float columns, one after the other, block by block.
 
-    Each table holds equal-length columns, as many as every other. Each block
-    of _CSV_BLOCK_ROWS rows is copied into one reused array, across the
-    tables' edges, and written by _block_text: the text is what
+    Every table has the same width. Each block of _CSV_BLOCK_ROWS rows is
+    read into one reused array, across the tables' edges, one read per
+    table in it, and written by _block_text: the text is what
     ",".join(map(repr, row)) gives each row.
     """
-    ends = list(accumulate(len(columns[0]) for columns in tables))
-    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), len(tables[0])))
+    ends = list(accumulate(table.n_rows for table in tables))
+    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), tables[0].width))
     for first in range(start, stop, _CSV_BLOCK_ROWS):
         rows = block[:min(_CSV_BLOCK_ROWS, stop - first)]
         row, t = first, bisect_right(ends, first)
         while row < first + len(rows):
             n = min(ends[t], first + len(rows)) - row
-            offset = row - ends[t] + len(tables[t][0])
-            for j, column in enumerate(tables[t]):
-                rows[row - first:row - first + n, j] = column[offset:offset + n]
+            offset = row - ends[t] + tables[t].n_rows
+            for j, column in enumerate(tables[t].read(offset, offset + n)):
+                rows[row - first:row - first + n, j] = column
             row, t = row + n, t + 1
         yield _block_text(rows)
 
@@ -890,10 +909,15 @@ class _Outputs:
 
     write_csv formats mixed-type rows one cell at a time through _fmt, for the
     small summary tables. write_columns writes equal-length float columns,
-    such as trajectories and curves, in blocks of _CSV_BLOCK_ROWS rows: each
-    block is formatted at once by _block_text, whose text is repr's for every
-    cell, so the file is byte identical to the same rows written through
+    such as curves, in blocks of _CSV_BLOCK_ROWS rows: each block is
+    formatted at once by _block_text, whose text is repr's for every cell,
+    so the file is byte identical to the same rows written through
     write_csv, and memory does not grow with the run length.
+    write_trajectories writes trajectories the same way, but no column but
+    times and fidelity exists whole: each block's populations, trace and
+    purity are computed from the trajectory's amplitudes by the process that
+    formats that block, so a long trajectory costs its amplitudes and one
+    block.
 
     A long table is formatted in contiguous row slices by forked processes,
     one per usable CPU, and the parent appends their text in row order; the
@@ -936,7 +960,11 @@ class _Outputs:
             if len(columns) != len(header) or any(c.shape != (n_rows,) for c in columns):
                 raise ValueError(f"{name}: expected {len(header)} 1-D columns of {n_rows} rows, "
                                  f"got shapes {[c.shape for c in columns]}")
-        ends = list(accumulate(len(columns[0]) for columns in tables))
+        self._write_tables(names, header, [_column_table(columns) for columns in tables])
+
+    def _write_tables(self, names: Sequence[str], header: Sequence[str],
+                      tables: Sequence[_Table]) -> None:
+        ends = list(accumulate(table.n_rows for table in tables))
         with _TableFiles(self, names, ",".join(header) + "\n", ends) as files:
             try:
                 _write_slices(files, tables, _row_slices(ends[-1]), self.path)
@@ -949,19 +977,29 @@ class _Outputs:
 
     def write_trajectories(self, names: Sequence[str],
                            trajectories: Sequence[dynamics.Trajectory]) -> None:
-        """Write each trajectory to its file, as write_tables writes tables; they must
-        have the same number of sites."""
+        """Write each trajectory to its file, as write_tables writes tables, each block's
+        columns computed where it is formatted; they must have the same number of sites."""
         if not trajectories:
             return
-        n_mediators = trajectories[0].populations.shape[1] - 2
+        n_mediators = trajectories[0].layout.n_sites - 2
         header = ["t_us", "pop_A"]
         header += ["pop_W" if i == 0 else f"pop_W{i + 1}" for i in range(n_mediators)]
         header += ["pop_B", "fidelity", "trace", "purity"]
-        tables = []
-        for traj in trajectories:
-            fid = traj.fidelity if traj.fidelity is not None else np.full(len(traj.times), np.nan)
-            tables.append([traj.times / US, *traj.populations.T, fid, traj.trace, traj.purity])
-        self.write_tables(names, header, tables)
+        self._write_tables(names, header, [_trajectory_table(traj) for traj in trajectories])
+
+
+def _trajectory_table(traj: dynamics.Trajectory) -> _Table:
+    """A trajectory's rows t_us, populations by site, fidelity (nan without a target),
+    trace and purity."""
+    def read(start: int, stop: int) -> list[np.ndarray]:
+        rows = slice(start, stop)
+        columns = traj.columns_at(rows)
+        fidelity = (np.full(len(columns.trace), np.nan) if traj.fidelity is None
+                    else traj.fidelity[rows])
+        return [traj.times[rows] / US, *columns.populations.T, fidelity, columns.trace,
+                columns.purity]
+
+    return _Table(len(traj.times), traj.layout.n_sites + 4, read)
 
 
 # --- scenarios --------------------------------------------------------------
@@ -1059,15 +1097,17 @@ def _scenario_transfer(cfg: ScenarioConfig, out: _Outputs) -> None:
 
 
 def _scenario_stirap_compare(cfg: ScenarioConfig, out: _Outputs) -> None:
-    rows = []
+    # both links run before any file is opened, so a run that fails writes none
+    trajectories, rows = {}, []
     for name, link in _links(cfg).items():
         traj = network.link_channel(link).link_trajectory(cfg.target())
-        out.write_trajectory(f"trajectory_{name}.csv", traj)
+        trajectories[f"trajectory_{name}.csv"] = traj
         # Latency: a pulsed protocol cannot hand off before its window ends;
         # a constant drive is done once its fidelity settles.
         latency = (default_stirap_window(link.schedule)[1] if name == "stirap"
                    else traj.stabilization_time())
         rows.append([name, traj.final_fidelity, latency / US])
+    out.write_trajectories(list(trajectories), list(trajectories.values()))
     out.write_csv("summary.csv", ["protocol", "final_fidelity", "latency_us"], rows)
 
 

@@ -28,10 +28,14 @@ drive's one step matrix gives every chunk the same ones, its powers.
 `evolve` admits a run when its layout is (qubit, modes..., qubit) and its
 initial state lies in that subspace, and raises ValueError otherwise. Such
 states are positive by construction as long as the vacuum refill is, which
-is checked at every step. The trajectory columns follow from the amplitudes
-in closed form, and dense states are built only when read. The module needs
-only numpy. `hamiltonian_terms` and `standard_collapse` build the same model
-as full-space operators by kron embedding. No run uses them; the independent
+is checked at every step. `evolve` steps the span of its initial amplitude
+block, not the block: C0 = V W with V an orthonormal basis of C0's
+columns, so only X = K V steps and C = X W; any qubit on A with the rest in
+vacuum spans one column. A trajectory holds X, W, its times and its
+fidelity; its other columns follow from C in closed form and, with its
+dense states, are computed only when read. The module needs only numpy.
+`hamiltonian_terms` and `standard_collapse` build the same model as
+full-space operators by kron embedding. No run uses them; the independent
 references in tests/conftest.py, the dense RK4 integrator and the oracle
 that exponentiates the column-stacked Liouvillian, are built on them.
 
@@ -53,7 +57,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +78,7 @@ __all__ = [
     "LinkParams",
     "CollapseChannel",
     "Trajectory",
+    "TrajectoryColumns",
     "IntegrationError",
     "standard_collapse",
     "hamiltonian_terms",
@@ -279,25 +285,46 @@ def default_dt(params: LinkParams, schedule: Optional[CouplingSchedule] = None,
     return min(cap, 2.0 * math.pi / (200.0 * fastest)) if fastest > 0 else cap
 
 
+class TrajectoryColumns(NamedTuple):
+    """Populations (sample, site), trace and purity of a range of a trajectory's samples."""
+
+    populations: np.ndarray
+    trace: np.ndarray
+    purity: np.ndarray
+
+
 @dataclass
 class Trajectory:
     """Sampled record of an integration run.
 
-    populations holds one column per site (qubit excitation or mediator
-    photon number expectation); fidelity is present when a target was set.
-    state_at(index) returns the dense sample(s) at an index or slice, built
-    only when read, so states rebuilds the whole stack on every read: read
-    one sample with state_at(i) or final_state.
+    times and fidelity (present when a target was set) are held whole. The
+    other columns, populations (one per site: qubit excitation or mediator
+    photon number expectation), trace and purity, come from columns_at(rows)
+    for a slice of samples, and state_at(index) returns the dense sample(s)
+    at an index or slice; both are computed only when read. So states builds
+    every dense sample again on each read, and so do populations, trace and
+    purity for every column of a long run: read a range of rows with
+    columns_at, one sample with state_at(i) or final_state.
     """
 
     layout: SystemLayout
     times: np.ndarray
     state_at: Callable[[object], np.ndarray] = field(repr=False)
-    populations: np.ndarray
-    trace: np.ndarray
-    purity: np.ndarray
+    columns_at: Callable[[slice], TrajectoryColumns] = field(repr=False)
     fidelity: Optional[np.ndarray] = None
     target: Optional[PureQubitSpec] = None
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self.columns_at(slice(None)).populations
+
+    @property
+    def trace(self) -> np.ndarray:
+        return self.columns_at(slice(None)).trace
+
+    @property
+    def purity(self) -> np.ndarray:
+        return self.columns_at(slice(None)).purity
 
     @property
     def states(self) -> np.ndarray:
@@ -457,7 +484,10 @@ def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
 # factor R0 = sum_i c_i c_i^dag and whose last is u0. The first term is a
 # congruence of rho0, so the state is positive whenever rho0 is and
 # delta >= 0; its smallest eigenvalue is at least min(delta, 0). What is left
-# to admit is the layout, which fixes the sites, and rho0.
+# to admit is the layout, which fixes the sites, and rho0. C0 = V W over an
+# orthonormal basis V of its columns gives C(t) = (K(t) V) W, so only the
+# k <= q columns of V step: for a positive rho0, u0 lies in the range of R0
+# and k is R0's rank.
 
 
 def _one_excitation_sector(layout: SystemLayout, rho0: np.ndarray) -> np.ndarray:
@@ -486,10 +516,14 @@ def _sector_trajectory(
     target: Optional[PureQubitSpec],
     g_hop: float,
 ) -> Trajectory:
-    """evolve on an admitted run: C stepped, then the columns in closed form.
+    """evolve on an admitted run: the span of C0 stepped, then the columns in closed form.
 
     R0 is factored by pivoted Cholesky, not eigh, whose LAPACK code alone adds
     0.4 MB of resident memory; u0 is the Hermitian part, as in dense samples.
+    C0 = [R0's factors, u0] = V W (_span), and only V steps: one column for
+    any qubit on A with the rest in vacuum. The refill Tr R0 - Tr R(t) reads
+    Tr R = Tr(X G X^dag) off the stepped X = K V through G = W_r W_r^dag, W_r
+    the first rank columns of W.
     """
     r = rho[np.ix_(one, one)]
     r = 0.5 * (r + dagger(r))
@@ -502,54 +536,138 @@ def _sector_trajectory(
         r = r - np.outer(columns[-1], columns[-1].conj())
     rank = len(columns)
     c0 = np.column_stack(columns + [0.5 * (rho[one, 0] + rho[0, one].conj())])
+    v, w = _span(c0)
+    gram = w[:, :rank] @ dagger(w[:, :rank])
     generators = link_generators(params, len(one) - 2, g_hop)[None]
-    times, c = _amplitude_run(c0[None], rank, generators, schedule, grid)
+    times, x = _amplitude_run(v[None], gram[None], generators, schedule, grid)
     trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
-    return _amplitude_trajectories(times, c, rank, trace, layout, target)[0]
+    return _FactoredRuns(x, w, rank, trace, layout).trajectories(times, target)[0]
 
 
-def _amplitude_trajectories(times: np.ndarray, c: np.ndarray, rank: int, trace: float,
-                            layout: SystemLayout,
-                            target: Optional[PureQubitSpec]) -> list[Trajectory]:
-    """The trajectory of each run of a stack of amplitude blocks C = [R's factors, u].
+def _span(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and W with C0 = V W, the columns of V an orthonormal basis of C0's column span.
 
-    c is (run, sample, site, column), every run on the same sample times and
-    of the same trace; the columns of all runs come in closed form at once.
-    Populations are diag R, the purity is rho_vv^2 + 2 |u|^2 + Tr R^2 with
-    rho_vv = trace - Tr R, the fidelity reads rho_B off R_BB and u_B under
-    checked_fidelity's rule, and dense states are built only when read.
+    Pivoted Gram-Schmidt, each new column orthogonalized twice; W holds the
+    coefficients taken out of C0, so C0 = V W up to the residual left out: a
+    column whose residual is within 1e-15 of C0's longest column is
+    roundoff. A C0 of zeros gives one zero column, V = 0 and W = 0.
     """
-    d, one = layout.total_dim, _site_states(layout)
-    r, u = c[..., :rank], c[..., -1]
-    r_diag = (r.real**2 + r.imag**2).sum(axis=-1)
-    vacuum = trace - r_diag.sum(axis=-1)
-    gram = r.conj().swapaxes(-1, -2) @ r
-    purity = vacuum**2 + 2.0 * (u.real**2 + u.imag**2).sum(axis=-1)
-    purity += (gram.real**2 + gram.imag**2).sum(axis=(-2, -1))
-    fidelity = None
-    if target is not None:
-        proj = receiver_frame(target.density_matrix())
-        pop_b, u_b = r_diag[..., -1], u[..., -1]
-        fidelity = checked_fidelity(proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
-                                    + 2.0 * (proj[0, 1] * u_b).real)
+    m, q = c0.shape
+    residual = c0.copy()
+    norms = (residual.real**2 + residual.imag**2).sum(axis=0)
+    floor = 1e-30 * norms.max()
+    v, w = np.zeros((m, 0), dtype=complex), np.zeros((0, q), dtype=complex)
+    while len(w) < q:
+        j = int(np.argmax(norms))
+        if norms[j] <= floor:
+            break
+        basis = residual[:, j] / math.sqrt(norms[j])
+        basis -= v @ (dagger(v) @ basis)
+        basis /= math.sqrt((basis.real**2 + basis.imag**2).sum())
+        coefficients = basis.conj() @ residual
+        residual -= np.outer(basis, coefficients)
+        v, w = np.column_stack([v, basis]), np.vstack([w, coefficients])
+        norms = (residual.real**2 + residual.imag**2).sum(axis=0)
+    if not len(w):
+        return np.zeros((m, 1), dtype=complex), np.zeros((1, q), dtype=complex)
+    return v, w
 
-    def trajectory(run: int) -> Trajectory:
-        def state_at(index) -> np.ndarray:
-            r, u = c[run, index][..., :rank], c[run, index][..., -1]
-            states = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
-            states[..., one[:, None], one] = r @ r.conj().swapaxes(-1, -2)
-            states[..., one, 0] = u
-            states[..., 0, one] = u.conj()
-            states[..., 0, 0] = vacuum[run, index]
-            return states
 
-        return Trajectory(
-            layout=layout, times=times, state_at=state_at,
-            populations=r_diag[run], trace=np.full(len(times), trace), purity=purity[run],
-            fidelity=None if fidelity is None else fidelity[run], target=target,
-        )
+# Samples up to which a stack's trajectory columns are computed whole, at
+# most 4096 x (sites + 2) floats per run; a longer run's are computed a
+# range of rows at a time, so that it holds only its amplitudes.
+_WHOLE_SAMPLES = 4096
 
-    return [trajectory(run) for run in range(len(c))]
+
+def _mixed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C = X W of a stack of X, (..., k) to (..., q): a sum of k products, so that one
+    column gives x w exactly."""
+    c = x[..., 0, None] * w[0]
+    for j in range(1, len(w)):
+        c += x[..., j, None] * w[j]
+    return c
+
+
+def _squared(c: np.ndarray) -> np.ndarray:
+    """|c|^2 of a C-contiguous complex array, entry by entry, as c.real**2 + c.imag**2."""
+    square = c.view(float) ** 2
+    return square[..., 0::2] + square[..., 1::2]
+
+
+def _fidelity_column(x_b: np.ndarray, w: np.ndarray, rank: int, trace: float,
+                     target: PureQubitSpec) -> np.ndarray:
+    """The fidelity at every sample from X on site B, (..., sample, k), _WHOLE_SAMPLES rows
+    at a time.
+
+    It reads rho_B off R_BB and u_B under checked_fidelity's rule.
+    """
+    proj = receiver_frame(target.density_matrix())
+    fidelity = np.empty(x_b.shape[:-1])
+    for start in range(0, x_b.shape[-2], _WHOLE_SAMPLES):
+        rows = slice(start, start + _WHOLE_SAMPLES)
+        c_b = _mixed(x_b[..., rows, :], w)
+        pop_b, u_b = _squared(c_b)[..., :rank].sum(axis=-1), c_b[..., -1]
+        fidelity[..., rows] = checked_fidelity(
+            proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
+            + 2.0 * (proj[0, 1] * u_b).real)
+    return fidelity
+
+
+class _FactoredRuns:
+    """A stack of runs in factored form: C_j(t_s) = X_j(t_s) W, from the stepped X_j = K_j V.
+
+    x is (run, sample, site, k), and w (k, q), rank, trace and layout are
+    shared: C's first rank columns factor R = sum_i c_i c_i^dag, its last
+    is u, and trace is Tr rho. Populations are diag R, the purity is
+    rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R. A stack of at
+    most _WHOLE_SAMPLES samples computes every run's columns at once, at the
+    first read, and keeps them; a longer one computes a run's rows as they
+    are read and keeps no column.
+    """
+
+    def __init__(self, x: np.ndarray, w: np.ndarray, rank: int, trace: float,
+                 layout: SystemLayout):
+        self.x, self.w, self.rank, self.trace, self.layout = x, w, rank, trace, layout
+        self._whole: Optional[TrajectoryColumns] = None
+
+    def _columns(self, x: np.ndarray) -> TrajectoryColumns:
+        c = _mixed(x, self.w)
+        square = _squared(c)
+        populations = square[..., :self.rank].sum(axis=-1)
+        vacuum = self.trace - populations.sum(axis=-1)
+        r = c[..., :self.rank]
+        purity = vacuum**2 + 2.0 * square[..., -1].sum(axis=-1)
+        purity += _squared(r.conj().swapaxes(-1, -2) @ r).sum(axis=(-2, -1))
+        return TrajectoryColumns(populations, np.full(purity.shape, self.trace), purity)
+
+    def columns_at(self, run: int, rows: slice) -> TrajectoryColumns:
+        if self.x.shape[1] > _WHOLE_SAMPLES:
+            return self._columns(self.x[run, rows])
+        if self._whole is None:
+            self._whole = self._columns(self.x)
+        return TrajectoryColumns(*(column[run, rows] for column in self._whole))
+
+    def state_at(self, run: int, index) -> np.ndarray:
+        d, one = self.layout.total_dim, _site_states(self.layout)
+        c = _mixed(self.x[run, index], self.w)
+        r, u = c[..., :self.rank], c[..., -1]
+        states = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
+        states[..., one[:, None], one] = r @ r.conj().swapaxes(-1, -2)
+        states[..., one, 0] = u
+        states[..., 0, one] = u.conj()
+        states[..., 0, 0] = self.trace - _squared(c)[..., :self.rank].sum(axis=-1).sum(axis=-1)
+        return states
+
+    def trajectories(self, times: np.ndarray,
+                     target: Optional[PureQubitSpec]) -> list[Trajectory]:
+        """Each run's trajectory, its fidelity column computed for the stack at once."""
+        fidelity = (None if target is None else
+                    _fidelity_column(self.x[:, :, -1], self.w, self.rank, self.trace, target))
+        return [Trajectory(layout=self.layout, times=times,
+                           state_at=partial(self.state_at, run),
+                           columns_at=partial(self.columns_at, run),
+                           fidelity=None if fidelity is None else fidelity[run], target=target)
+                for run in range(len(self.x))]
 
 
 # --- the link's qubit channel ---------------------------------------------------
@@ -594,17 +712,18 @@ class LinkChannel:
 
 def link_trajectories(channels: Sequence[LinkChannel], target: PureQubitSpec,
                       rho_a: Optional[np.ndarray] = None) -> list[Trajectory]:
-    """Each channel's link_trajectory, read off the stack of their amplitudes at once.
+    """Each channel's link_trajectory: its amplitudes as X, with W = (sqrt(p), x*).
 
     The channels must share their sample times and number of sites, as the
-    channels of one link_channels run do.
+    channels of one link_channels run do; they are read as one stack.
     """
     rho_a = target.density_matrix() if rho_a is None else rho_a
-    factors = np.array([math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]])
-    amplitudes = np.stack([channel.amplitudes for channel in channels])
-    return _amplitude_trajectories(channels[0].times, amplitudes[..., None] * factors, 1,
-                                   rho_a.trace().real,
-                                   link_layout(n_mediators=amplitudes.shape[-1] - 2), target)
+    w = np.array([[math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]]])
+    amplitudes = (channels[0].amplitudes[None] if len(channels) == 1
+                  else np.stack([channel.amplitudes for channel in channels]))
+    layout = link_layout(n_mediators=amplitudes.shape[-1] - 2)
+    return _FactoredRuns(amplitudes[..., None], w, 1, rho_a.trace().real,
+                         layout).trajectories(channels[0].times, target)
 
 
 def link_channel(params: LinkParams, schedule: CouplingSchedule, t_final: float,
@@ -640,43 +759,73 @@ def link_channels(params: Sequence[LinkParams], schedule: CouplingSchedule, t_fi
     generators = np.array([link_generators(p, n_mediators, g_hop) for p in params])
     e_a = np.zeros((len(params), n_mediators + 2, 1), dtype=complex)
     e_a[:, 0] = 1.0
-    times, c = _amplitude_run(e_a, 1, generators, schedule, grid)
+    times, c = _amplitude_run(e_a, np.ones((len(params), 1, 1)), generators, schedule, grid)
     return [LinkChannel(times, amplitudes) for amplitudes in c[..., 0]]
 
 
-def _amplitude_run(c0: np.ndarray, rank: int, generators: np.ndarray,
+def _amplitude_run(v0: np.ndarray, gram: np.ndarray, generators: np.ndarray,
                    schedule: CouplingSchedule, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times and C = K C0 at each, for a stack of runs under link_generators.
+    """Sample times and X = K V0 at each, for a stack of runs under link_generators.
 
-    c0 is (run, m, q), m sites, and generators (run, 3, m, m); each run's
-    first rank columns of C0 factor its R0, and C comes as (run, sample, m, q).
-    In the rotating frame the gauge U = diag((-i)^k) over the sites makes
+    v0 is (run, m, k), m sites, and generators (run, 3, m, m); gram (run, k,
+    k) is each run's G = W_r W_r^dag, so that Tr R = Tr(X G X^dag) is the
+    population its refill check reads, and X comes as (run, sample, m, k).
+    In the rotating frame the gauge U = diag((-i)^s) over the sites s makes
     A~ = U* A U real (the couplings -i g become -+g; the decay is real), so
-    C~ = U* C steps as a real m x m system on its real and imaginary parts.
-    It is laid out as (m, 2q) floats with each column's (Re, Im) interleaved:
-    the samples view as C~ with no copy, and C = U C~ is restored in place. A
+    X~ = U* X steps as a real m x m system on its real and imaginary parts.
+    It is laid out as (m, 2k) floats with each column's (Re, Im) interleaved:
+    the samples view as X~ with no copy, and X = U X~ is restored in place. A
     lab-frame link, whose A~ keeps -i omega on its diagonal, steps the
-    realified 2m x 2m form on (Re C; Im C); a stack steps that form if any
+    realified 2m x 2m form on (Re X; Im X); a stack steps that form if any
     of its runs needs it.
     """
-    m, steps = c0.shape[-2], grid.sample_steps()
+    m, steps = v0.shape[-2], grid.sample_steps()
     gauge = _real_gauge(generators)
     if gauge is not None:
         real = (gauge.conj()[:, None] * generators * gauge).real
-        x0 = np.ascontiguousarray(gauge.conj()[:, None] * c0).view(float)
+        x0 = np.ascontiguousarray(gauge.conj()[:, None] * v0).view(float)
     else:
-        real, x0 = _realified(generators), np.concatenate([c0.real, c0.imag], axis=-2)
+        real, x0 = _realified(generators), np.concatenate([v0.real, v0.imag], axis=-2)
     # divergence surfaces as an IntegrationError from the per-step check, so
     # transient overflow warnings from an unstable step are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _step_amplitudes(x0, rank if gauge is None else 2 * rank, real, schedule,
-                                   grid, steps)
+        samples = _step_amplitudes(x0, _excited_population(gram, gauge is not None), real,
+                                   schedule, grid, steps)
     if gauge is not None:
-        c = samples.view(complex)
-        c *= gauge[:, None]
+        x = samples.view(complex)
+        x *= gauge[:, None]
     else:
-        c = samples[..., :m, :] + 1j * samples[..., m:, :]
-    return grid.t0 + steps * grid.h, c
+        x = samples[..., :m, :] + 1j * samples[..., m:, :]
+    return grid.t0 + steps * grid.h, x
+
+
+def _excited_population(gram: np.ndarray,
+                        interleaved: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Tr R = Tr(X G X^dag) of each sample of blocks of real forms of X, as (run, sample).
+
+    blocks are (run, sample, rows, columns): (m, 2k) with each column's (Re,
+    Im) interleaved, or (2m, k) as (Re X; Im X) when not interleaved. With
+    one column Tr R = G |X|^2. Else each of the (m, 2k) rows, x = (Re X_s1,
+    Im X_s1, ...), gives sum_ij X_si G_ij X_sj* = x Q x^T, where Q takes
+    [[Re G_ij, Im G_ij], [-Im G_ij, Re G_ij]] on the pairs of columns i and j.
+    """
+    runs, k = gram.shape[:2]
+    if k == 1:
+        g = gram[:, 0, 0].real[:, None]
+        return lambda blocks: g * np.einsum("pnij,pnij->pn", blocks, blocks)
+    form = np.empty((runs, k, 2, k, 2))
+    form[:, :, 0, :, 0] = form[:, :, 1, :, 1] = gram.real
+    form[:, :, 0, :, 1] = gram.imag
+    form[:, :, 1, :, 0] = -gram.imag
+    form = form.reshape(runs, 1, 2 * k, 2 * k)
+
+    def excited(blocks: np.ndarray) -> np.ndarray:
+        if not interleaved:
+            shape = blocks.shape[:2] + (2, blocks.shape[-2] // 2, k)
+            blocks = np.moveaxis(blocks.reshape(shape), 2, -1).reshape(shape[:2] + (-1, 2 * k))
+        return np.einsum("pnij,pnij->pn", blocks @ form, blocks)
+
+    return excited
 
 
 def _real_gauge(a: np.ndarray) -> Optional[np.ndarray]:
@@ -807,17 +956,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def _step_amplitudes(
     x0: np.ndarray,
-    refill_columns: int,
+    excited: Callable[[np.ndarray], np.ndarray],
     generators: np.ndarray,
     schedule: CouplingSchedule,
     grid: _Grid,
     sample_steps: np.ndarray,
 ) -> np.ndarray:
-    """X at sample_steps for a stack of runs, from real forms X0 of C0.
+    """X at sample_steps for a stack of runs, from real forms X0 of the stepped block.
 
-    x0 is (run, dim, columns), each run's first refill_columns factoring its
-    R0, and generators (run, 3, dim, dim), real forms of each run's A_0, A_A
-    and A_B acting on its X; the samples come as (run, sample, dim, columns). A constant drive takes one exact step S =
+    x0 is (run, dim, columns), excited gives each run's Tr R from blocks
+    (run, n, dim, columns) of its X, and generators (run, 3, dim, dim) are
+    real forms of each run's A_0, A_A and A_B acting on its X; the samples
+    come as (run, sample, dim, columns). A constant drive takes one exact step S =
     exp(h_s A~) per sample spacing h_s, each run its own, and its own
     exponential for a shorter last one; a pulsed drive takes every RK4 step
     of the grid, for one run. Every drive steps _BATCH_STEPS at a time by
@@ -830,7 +980,7 @@ def _step_amplitudes(
     MIN_EIGENVALUE_MIN, raises IntegrationError at the first step that shows
     it, naming the first run in the stack to fail in that batch.
     """
-    excited0 = (x0[..., :refill_columns] ** 2).sum(axis=(-2, -1))
+    excited0 = excited(x0[:, None])[:, 0]
     samples = np.empty((len(x0), len(sample_steps)) + x0.shape[1:])
     samples[:, 0] = x0
     j = 1
@@ -839,8 +989,7 @@ def _step_amplitudes(
         # blocks hold each run's X after grid steps start + stride, ...,
         # start + stride * n, as (run, n, dim, columns)
         nonlocal j
-        r = blocks[..., :refill_columns]
-        delta = excited0[:, None] - np.einsum("pnij,pnij->pn", r, r)
+        delta = excited0[:, None] - excited(blocks)
         # per-step flags only for a batch that holds a non-finite entry
         diverged = np.zeros(delta.shape, dtype=bool)
         if not np.isfinite(blocks).all():

@@ -17,6 +17,7 @@ from qlinksim.dynamics import (
     CollapseChannel,
     IntegrationError,
     Trajectory,
+    TrajectoryColumns,
     default_dt,
     hamiltonian_terms,
     receiver_frame,
@@ -146,10 +147,12 @@ def sampled_trajectory(layout, times, states, target=None) -> Trajectory:
     if target is not None:
         proj = embed(receiver_frame(target.density_matrix()), layout.n_sites - 1, layout)
         fidelity = np.clip(np.einsum("ij,sji->s", proj, states).real, 0.0, 1.0)
+    columns = TrajectoryColumns(populations=diagonals @ pop_vecs.T, trace=diagonals.sum(axis=1),
+                                purity=np.einsum("sij,sji->s", states, states).real)
     return Trajectory(
         layout=layout, times=times, state_at=states.__getitem__,
-        populations=diagonals @ pop_vecs.T, trace=diagonals.sum(axis=1),
-        purity=np.einsum("sij,sji->s", states, states).real, fidelity=fidelity, target=target,
+        columns_at=lambda rows: TrajectoryColumns(*(column[rows] for column in columns)),
+        fidelity=fidelity, target=target,
     )
 
 

@@ -26,7 +26,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinksim import __version__, cli, metrics, network
+from qlinksim import __version__, cli, dynamics, metrics, network
 from qlinksim.cli import (
     _MIN_SLICE_ROWS,
     PRESETS,
@@ -693,6 +693,49 @@ class TestColumnWriter:
         # the whole-table .tolist() this replaced grew 4x with the run length
         assert self.peak_growth((1024, 4 * 1024), 1, tmp_path, monkeypatch) < 16 * 1024
 
+    # A constant one-mediator transfer of |psi> on A holds, per sample, one
+    # stepped complex amplitude per site, its fidelity and its time; every
+    # other column is computed a block at a time where its rows are written.
+    # Measured: 64.01 B per added sample; stepping two columns and holding
+    # whole populations, purity, trace and vacuum arrays gives 168 B.
+    TRANSFER_BYTES_PER_SAMPLE = 3 * 16 + 8 + 8
+
+    def test_transfer_memory_grows_by_its_amplitudes_only(self, tmp_path, monkeypatch):
+        params = build_config({"scenario": "transfer", **WEAK_LOSS}).link_params()
+        target, layout, dt = PureQubitSpec(theta=1.1, phi=0.3), link_layout(), 1e-10
+        rho0 = product_state([target, None, None], layout)
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                traj = evolve(rho0, layout, params, params.constant_schedule(),
+                              (0.0, n_samples * dt), dt, target=target)
+                _Outputs(tmp_path).write_trajectory(f"{n_samples}.csv", traj)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        use_cpus(monkeypatch, 1)
+        peak(1024)  # the text kernel's tables are built at first use, not per run
+        short, long = peak(4 * 1024), peak(16 * 1024)
+        assert long - short < self.TRANSFER_BYTES_PER_SAMPLE * 12 * 1024 + 4096, (short, long)
+
+    def test_transfer_steps_one_column(self, tmp_path, monkeypatch):
+        # any qubit on A with the rest in vacuum spans one column: R0's factor
+        # and the vacuum coherence u0 are both multiples of e_A
+        columns = []
+        amplitude_run = dynamics._amplitude_run
+
+        def counting_run(v0, *args):
+            columns.append(v0.shape[-1])
+            return amplitude_run(v0, *args)
+
+        monkeypatch.setattr(dynamics, "_amplitude_run", counting_run)
+        for theta_deg in (0.0, 60.0, 90.0, 180.0):
+            cfg = build_config(dict(SMALL_SCENARIOS["transfer"], theta_deg=theta_deg))
+            assert run_scenario(cfg, tmp_path / str(theta_deg)) == 0
+        assert columns == [1, 1, 1, 1]
+
     @needs_fork
     def test_memory_stays_flat_in_forked_slices(self, tmp_path, monkeypatch):
         lengths = (2 * _MIN_SLICE_ROWS, 8 * _MIN_SLICE_ROWS)  # two slices each
@@ -922,6 +965,24 @@ class TestFailureHandling:
         assert run_scenario(cfg, out) == 1
         assert [p.name for p in out.glob("*.csv")] == ["earlier.csv"]
         assert (out / "earlier.csv").read_text(encoding="utf-8") == "a,b\n1,2\n"
+
+    def test_stirap_compare_runs_both_links_before_writing(self, tmp_path, monkeypatch):
+        # the constant link is exact at any step; the pulsed one fails at 6 ns,
+        # after the constant one has run and before any file is opened
+        opened = []
+        open_file = _Outputs._open
+
+        def recording_open(outputs, name):
+            opened.append(name)
+            return open_file(outputs, name)
+
+        monkeypatch.setattr(_Outputs, "_open", recording_open)
+        cfg = build_config({"scenario": "stirap-compare", "preset": "fig5-red", "dt_ns": 6.0})
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out) == 1
+        assert opened == []
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+        assert read_result(out)["error"].startswith("vacuum refill")
 
     def test_failing_tune_stirap_grid_point_is_reported_in_the_manifest(self, tmp_path,
                                                                         capsys):

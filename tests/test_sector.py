@@ -287,7 +287,7 @@ def mixed_link_state(layout):
     a, b = (np.ravel_multi_index(tuple(sites[i]), layout.dims) for i in (0, -1))
     coherent, mixed = np.zeros((2, layout.total_dim), dtype=complex)
     coherent[[0, a, b]] = 0.6, 0.64j, 0.48
-    mixed[[a, b]] = 0.8, -0.6j
+    mixed[[a, b]] = 0.8, 0.6j  # not parallel to coherent's excitation, 0.64j A + 0.48 B
     return 0.7 * np.outer(coherent, coherent.conj()) + 0.3 * np.outer(mixed, mixed.conj())
 
 
@@ -342,6 +342,113 @@ def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
     for column in ("populations", "trace", "purity", "fidelity"):
         np.testing.assert_allclose(getattr(traj, column), getattr(reference, column),
                                    rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+
+
+# --- the factored form: only the span of C0 steps -------------------------------
+
+
+def pure_link_state(layout, amplitudes):
+    """|psi><psi|, psi normalized from {site index, or None for the vacuum: amplitude}."""
+    psi = np.zeros(layout.total_dim, dtype=complex)
+    one = dynamics._site_states(layout)
+    for site, amplitude in amplitudes.items():
+        psi[0 if site is None else one[site]] = amplitude
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def on_mediator_state(layout):
+    """An excitation on the first mediator, coherent with the vacuum, mixed with one on A."""
+    return (0.6 * pure_link_state(layout, {None: 0.8, 1: 0.6j})
+            + 0.4 * pure_link_state(layout, {0: 1.0}))
+
+
+def on_b_state(layout):
+    """An excitation on B, coherent with the vacuum, mixed with one on the first mediator
+    and one shared by A and B."""
+    return (0.5 * pure_link_state(layout, {None: 0.6, -1: 0.8})
+            + 0.3 * pure_link_state(layout, {1: 1.0})
+            + 0.2 * pure_link_state(layout, {0: 1.0, -1: -1j}))
+
+
+# (initial state, columns of the span of C0 that step)
+FACTORED_INPUTS = {"rank-2": (mixed_link_state, 2), "on-mediator": (on_mediator_state, 2),
+                   "on-B": (on_b_state, 3)}
+FACTORED_LINKS = {"rotating": (LOW_LOSS, 1, 0.0), "lab-frame-detuned": (LAB_DETUNED, 1, 0.0),
+                  "two-mediators-g-hop": (LOW_LOSS, 2, 3.1 * TWO_PI_MHZ)}
+
+
+@pytest.mark.parametrize("drive", ["constant", "stirap"])
+@pytest.mark.parametrize("link", FACTORED_LINKS)
+@pytest.mark.parametrize("state", FACTORED_INPUTS)
+def test_factored_form_matches_the_dense_reference(state, link, drive, monkeypatch):
+    # C = X W with X = K V: every column and sample read off the stepped span
+    # of C0 against the dense reference, which steps every column of C0 in
+    # the full space (exact for a constant drive, RK4 on the columns for a
+    # pulse pair)
+    initial, span = FACTORED_INPUTS[state]
+    params, n_mediators, g_hop = FACTORED_LINKS[link]
+    schedule = params.constant_schedule() if drive == "constant" else None
+    run = multi_batch_run(params, schedule, n_mediators, g_hop)
+    run["rho0"] = initial(run["layout"])
+    columns = []
+    amplitude_run = dynamics._amplitude_run
+
+    def counting_run(v0, *args):
+        columns.append(v0.shape[-1])
+        return amplitude_run(v0, *args)
+
+    monkeypatch.setattr(dynamics, "_amplitude_run", counting_run)
+    traj = evolve(**run)
+    assert columns == [span]
+    reference = reference_run(run)
+    np.testing.assert_array_equal(traj.times, reference.times)
+    np.testing.assert_allclose(traj.states, reference.states, rtol=0, atol=EQUIVALENCE_TOL)
+    for index in (0, -1, slice(3, 40, 5)):
+        np.testing.assert_allclose(traj.state_at(index), reference.state_at(index), rtol=0,
+                                   atol=EQUIVALENCE_TOL)
+    for column in ("populations", "trace", "purity", "fidelity"):
+        np.testing.assert_allclose(getattr(traj, column), getattr(reference, column),
+                                   rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+    rows = slice(17, 123)
+    for got, whole in zip(traj.columns_at(rows), traj.columns_at(slice(None))):
+        np.testing.assert_array_equal(got, whole[rows])
+    # a long run reads each range of rows as asked, and its fidelity in batches
+    monkeypatch.setattr(dynamics, "_WHOLE_SAMPLES", 16)
+    long = evolve(**run)
+    np.testing.assert_array_equal(long.fidelity, traj.fidelity)
+    for index in (rows, slice(None)):
+        for got, want in zip(long.columns_at(index), traj.columns_at(index)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_refill_reads_tr_r_on_either_real_layout(k):
+    # Tr R = Tr(X G X^dag) from the interleaved (m, 2k) rows of the real gauge
+    # and from the (Re X; Im X) rows of the realified lab-frame form
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(5, 4, k)) + 1j * rng.normal(size=(5, 4, k))
+    w = rng.normal(size=(k, k + 1)) + 1j * rng.normal(size=(k, k + 1))
+    gram = w[:, :k] @ w[:, :k].conj().T
+    want = (np.abs(x @ w[:, :k]) ** 2).sum(axis=(-2, -1))
+    interleaved = np.ascontiguousarray(x).view(float)
+    stacked = np.concatenate([x.real, x.imag], axis=-2)
+    for blocks, is_interleaved in ((interleaved, True), (stacked, False)):
+        got = dynamics._excited_population(gram[None], is_interleaved)(blocks[None])
+        np.testing.assert_allclose(got[0], want, rtol=1e-14)
+
+
+def test_span_of_the_initial_block():
+    # C0 = V W with V orthonormal; a column within 1e-15 of the span of the
+    # others, relative to the longest, is roundoff and adds none to V
+    a, b = np.array([0.3, 0.5j, 0.0, 0.1]), np.array([0.2, -0.4, 0.6j, 0.0])
+    c0 = np.column_stack([a, b, (a - 2j * b) * (1 + 1e-16j), np.zeros(4)])
+    v, w = dynamics._span(c0)
+    assert v.shape == (4, 2)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v @ w, c0, rtol=0, atol=1e-15)
+    v, w = dynamics._span(np.zeros((3, 2), dtype=complex))
+    assert not v.any() and not w.any() and v.shape == (3, 1) and w.shape == (1, 2)
 
 
 # --- the real gauge ------------------------------------------------------------
