@@ -28,12 +28,13 @@ drive's one step matrix gives every chunk the same ones, its powers.
 `evolve` admits a run when its layout is (qubit, modes..., qubit) and its
 initial state lies in that subspace, and raises ValueError otherwise. Such
 states are positive by construction as long as the vacuum refill is, which
-is checked at every step. `evolve` steps the span of its initial amplitude
-block, not the block: C0 = V W with V an orthonormal basis of C0's
-columns, so only X = K V steps and C = X W; any qubit on A with the rest in
-vacuum spans one column. A trajectory holds X, W, its times and its
-fidelity; its other columns follow from C in closed form and, with its
-dense states, are computed only when read. The module needs only numpy.
+is checked at every step. `evolve` steps only an orthonormal basis V of
+the span of rho0's one-excitation block R0 and vacuum coherence u0: with
+G = V^dag R0 V and a = V^dag u0 the run is R = X G X^dag and u = X a, where
+X = K V, and any qubit on A with the rest in vacuum spans one column. A
+trajectory holds X, G, a, its times and its fidelity; its other columns
+and its dense states are read off diag(X G X^dag) and X a only when read.
+The module needs only numpy.
 `hamiltonian_terms` and `standard_collapse` build the same model as
 full-space operators by kron embedding. No run uses them; the independent
 references in tests/conftest.py, the dense RK4 integrator and the oracle
@@ -479,15 +480,15 @@ def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
 # with A = link_generators the drift -i H - sum_j rate_j L_j^dag L_j / 2 on
 # the one-excitation states. So with K(t) the evolution of c' = A c and
 # K~ = 1 (+) K,
-#     rho(t) = K~ rho0 K~^dag + delta |vac><vac|,   delta = Tr R0 - Tr R(t):
-# the run is the m x q amplitude block C(t) = K(t) C0, whose first columns
-# factor R0 = sum_i c_i c_i^dag and whose last is u0. The first term is a
-# congruence of rho0, so the state is positive whenever rho0 is and
-# delta >= 0; its smallest eigenvalue is at least min(delta, 0). What is left
-# to admit is the layout, which fixes the sites, and rho0. C0 = V W over an
-# orthonormal basis V of its columns gives C(t) = (K(t) V) W, so only the
-# k <= q columns of V step: for a positive rho0, u0 lies in the range of R0
-# and k is R0's rank.
+#     rho(t) = K~ rho0 K~^dag + delta |vac><vac|,   delta = Tr R0 - Tr R(t).
+# The first term is a congruence of rho0, so the state is positive whenever
+# rho0 is and delta >= 0; its smallest eigenvalue is at least min(delta, 0).
+# What is left to admit is the layout, which fixes the sites, and rho0. With
+# V an orthonormal basis of the span of R0's columns and u0, R0 = V G V^dag
+# and u0 = V a for G = V^dag R0 V and a = V^dag u0, so
+#     R(t) = X G X^dag,   u(t) = X a,   X = K(t) V,
+# and only the k <= m columns of V step: for a positive rho0, u0 lies in the
+# range of R0 and k is R0's rank.
 
 
 def _one_excitation_sector(layout: SystemLayout, rho0: np.ndarray) -> np.ndarray:
@@ -516,61 +517,46 @@ def _sector_trajectory(
     target: Optional[PureQubitSpec],
     g_hop: float,
 ) -> Trajectory:
-    """evolve on an admitted run: the span of C0 stepped, then the columns in closed form.
+    """evolve on an admitted run: R0 and u0 compressed onto their span V, which steps.
 
-    R0 is factored by pivoted Cholesky, not eigh, whose LAPACK code alone adds
-    0.4 MB of resident memory; u0 is the Hermitian part, as in dense samples.
-    C0 = [R0's factors, u0] = V W (_span), and only V steps: one column for
-    any qubit on A with the rest in vacuum. The refill Tr R0 - Tr R(t) reads
-    Tr R = Tr(X G X^dag) off the stepped X = K V through G = W_r W_r^dag, W_r
-    the first rank columns of W.
+    R0 and u0 are Hermitian parts, as in dense samples. R0 = V G V^dag and
+    u0 = V a hold for every rho0 that evolve admits, the small negative
+    eigenvalues it tolerates included, so the run starts at rho0 and its
+    trace is Tr rho0.
     """
     r = rho[np.ix_(one, one)]
     r = 0.5 * (r + dagger(r))
-    floor, columns = 1e-15 * r.trace().real, []
-    for _ in range(len(one)):  # pivoted Cholesky: R0 = sum_i c_i c_i^dag
-        k = int(np.argmax(r.diagonal().real))
-        if r[k, k].real <= floor:
-            break
-        columns.append(r[:, k] / math.sqrt(r[k, k].real))
-        r = r - np.outer(columns[-1], columns[-1].conj())
-    rank = len(columns)
-    c0 = np.column_stack(columns + [0.5 * (rho[one, 0] + rho[0, one].conj())])
-    v, w = _span(c0)
-    gram = w[:, :rank] @ dagger(w[:, :rank])
+    u = 0.5 * (rho[one, 0] + rho[0, one].conj())
+    v = _span(np.column_stack([r, u]))
+    gram = dagger(v) @ r @ v
     generators = link_generators(params, len(one) - 2, g_hop)[None]
-    times, x = _amplitude_run(v[None], gram[None], generators, schedule, grid)
-    trace = rho[0, 0].real + (np.abs(c0[:, :rank]) ** 2).sum()
-    return _FactoredRuns(x, w, rank, trace, layout).trajectories(times, target)[0]
+    times, x = _amplitude_run(v[None], gram, generators, schedule, grid)
+    trace = rho[0, 0].real + gram.trace().real
+    return _FactoredRuns(x, gram, dagger(v) @ u, trace, layout).trajectories(times, target)[0]
 
 
-def _span(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V and W with C0 = V W, the columns of V an orthonormal basis of C0's column span.
+def _span(c0: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of C0's column span, as the columns of V.
 
-    Pivoted Gram-Schmidt, each new column orthogonalized twice; W holds the
-    coefficients taken out of C0, so C0 = V W up to the residual left out: a
-    column whose residual is within 1e-15 of C0's longest column is
-    roundoff. A C0 of zeros gives one zero column, V = 0 and W = 0.
+    Pivoted Gram-Schmidt, each new column orthogonalized twice; a column
+    whose residual is within 1e-15 of C0's longest column is roundoff. A C0
+    of zeros gives one zero column.
     """
-    m, q = c0.shape
     residual = c0.copy()
     norms = (residual.real**2 + residual.imag**2).sum(axis=0)
     floor = 1e-30 * norms.max()
-    v, w = np.zeros((m, 0), dtype=complex), np.zeros((0, q), dtype=complex)
-    while len(w) < q:
+    v = np.zeros((len(c0), 0), dtype=complex)
+    for _ in range(min(c0.shape)):
         j = int(np.argmax(norms))
         if norms[j] <= floor:
             break
         basis = residual[:, j] / math.sqrt(norms[j])
         basis -= v @ (dagger(v) @ basis)
         basis /= math.sqrt((basis.real**2 + basis.imag**2).sum())
-        coefficients = basis.conj() @ residual
-        residual -= np.outer(basis, coefficients)
-        v, w = np.column_stack([v, basis]), np.vstack([w, coefficients])
+        residual -= np.outer(basis, basis.conj() @ residual)
+        v = np.column_stack([v, basis])
         norms = (residual.real**2 + residual.imag**2).sum(axis=0)
-    if not len(w):
-        return np.zeros((m, 1), dtype=complex), np.zeros((1, q), dtype=complex)
-    return v, w
+    return v if v.shape[1] else np.zeros((len(c0), 1), dtype=complex)
 
 
 # Samples up to which a stack's trajectory columns are computed whole, at
@@ -579,65 +565,57 @@ def _span(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _WHOLE_SAMPLES = 4096
 
 
-def _mixed(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """C = X W of a stack of X, (..., k) to (..., q): a sum of k products, so that one
-    column gives x w exactly."""
-    c = x[..., 0, None] * w[0]
-    for j in range(1, len(w)):
-        c += x[..., j, None] * w[j]
-    return c
+def _product(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """X G of a stack of X, (..., k) by (k, q): a sum of k broadcast products.
 
-
-def _squared(c: np.ndarray) -> np.ndarray:
-    """|c|^2 of a C-contiguous complex array, entry by entry, as c.real**2 + c.imag**2."""
-    square = c.view(float) ** 2
-    return square[..., 0::2] + square[..., 1::2]
-
-
-def _fidelity_column(x_b: np.ndarray, w: np.ndarray, rank: int, trace: float,
-                     target: PureQubitSpec) -> np.ndarray:
-    """The fidelity at every sample from X on site B, (..., sample, k), _WHOLE_SAMPLES rows
-    at a time.
-
-    It reads rho_B off R_BB and u_B under checked_fidelity's rule.
+    numpy's batched matmul over the samples costs several times more on
+    these small shapes: (1, 1024, 3, 1) @ (1, 1) takes 29 us against 4.9 us
+    (one BLAS thread, a shared 2-vCPU x86-64 machine).
     """
-    proj = receiver_frame(target.density_matrix())
-    fidelity = np.empty(x_b.shape[:-1])
-    for start in range(0, x_b.shape[-2], _WHOLE_SAMPLES):
-        rows = slice(start, start + _WHOLE_SAMPLES)
-        c_b = _mixed(x_b[..., rows, :], w)
-        pop_b, u_b = _squared(c_b)[..., :rank].sum(axis=-1), c_b[..., -1]
-        fidelity[..., rows] = checked_fidelity(
-            proj[0, 0].real * (trace - pop_b) + proj[1, 1].real * pop_b
-            + 2.0 * (proj[0, 1] * u_b).real)
-    return fidelity
+    y = x[..., 0, None] * g[0]
+    for j in range(1, len(g)):
+        y += x[..., j, None] * g[j]
+    return y
+
+
+def _populations(x: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """diag(X G X^dag) of a stack of X, (..., m, k) to (..., m): Re sum_j (X G)_ij X_ij*.
+
+    Every population the module reads comes from here: the refill checks'
+    Tr R, the population, trace and purity columns, the fidelity and the
+    dense states.
+    """
+    return np.einsum("...ij,...ij->...i", _product(x, gram).view(float), x.view(float))
 
 
 class _FactoredRuns:
-    """A stack of runs in factored form: C_j(t_s) = X_j(t_s) W, from the stepped X_j = K_j V.
+    """A stack of runs in factored form: R_j = X_j G X_j^dag and u_j = X_j a, X_j = K_j V.
 
-    x is (run, sample, site, k), and w (k, q), rank, trace and layout are
-    shared: C's first rank columns factor R = sum_i c_i c_i^dag, its last
-    is u, and trace is Tr rho. Populations are diag R, the purity is
-    rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R. A stack of at
-    most _WHOLE_SAMPLES samples computes every run's columns at once, at the
-    first read, and keeps them; a longer one computes a run's rows as they
-    are read and keeps no column.
+    x is (run, sample, site, k); gram G (k, k), coherence a (k,), trace and
+    layout are shared, trace being Tr rho. Populations are diag R, and the
+    purity is rho_vv^2 + 2 |u|^2 + Tr R^2 with rho_vv = trace - Tr R and
+    Tr R^2 = Tr N^2 for N = X^dag X G. A stack of at most _WHOLE_SAMPLES
+    samples computes every run's columns at once, at the first read, and
+    keeps them; a longer one computes a run's rows as they are read and
+    keeps no column.
     """
 
-    def __init__(self, x: np.ndarray, w: np.ndarray, rank: int, trace: float,
+    def __init__(self, x: np.ndarray, gram: np.ndarray, coherence: np.ndarray, trace: float,
                  layout: SystemLayout):
-        self.x, self.w, self.rank, self.trace, self.layout = x, w, rank, trace, layout
+        self.x, self.gram, self.trace, self.layout = x, gram, trace, layout
+        self.coherence = coherence[:, None]
         self._whole: Optional[TrajectoryColumns] = None
 
+    def _u(self, x: np.ndarray) -> np.ndarray:
+        """u = X a of a stack of X, (..., m, k) to (..., m)."""
+        return _product(x, self.coherence)[..., 0]
+
     def _columns(self, x: np.ndarray) -> TrajectoryColumns:
-        c = _mixed(x, self.w)
-        square = _squared(c)
-        populations = square[..., :self.rank].sum(axis=-1)
+        populations = _populations(x, self.gram)
         vacuum = self.trace - populations.sum(axis=-1)
-        r = c[..., :self.rank]
-        purity = vacuum**2 + 2.0 * square[..., -1].sum(axis=-1)
-        purity += _squared(r.conj().swapaxes(-1, -2) @ r).sum(axis=(-2, -1))
+        u, n = self._u(x), _product(np.einsum("...ij,...il->...jl", x.conj(), x), self.gram)
+        purity = vacuum**2 + 2.0 * np.einsum("...i,...i->...", u.view(float), u.view(float))
+        purity += np.einsum("...jl,...lj->...", n, n).real
         return TrajectoryColumns(populations, np.full(purity.shape, self.trace), purity)
 
     def columns_at(self, run: int, rows: slice) -> TrajectoryColumns:
@@ -649,20 +627,34 @@ class _FactoredRuns:
 
     def state_at(self, run: int, index) -> np.ndarray:
         d, one = self.layout.total_dim, _site_states(self.layout)
-        c = _mixed(self.x[run, index], self.w)
-        r, u = c[..., :self.rank], c[..., -1]
+        x = self.x[run, index]
+        u = self._u(x)
         states = np.zeros(u.shape[:-1] + (d, d), dtype=complex)
-        states[..., one[:, None], one] = r @ r.conj().swapaxes(-1, -2)
+        states[..., one[:, None], one] = _product(x, self.gram) @ x.conj().swapaxes(-1, -2)
         states[..., one, 0] = u
         states[..., 0, one] = u.conj()
-        states[..., 0, 0] = self.trace - _squared(c)[..., :self.rank].sum(axis=-1).sum(axis=-1)
+        states[..., 0, 0] = self.trace - _populations(x, self.gram).sum(axis=-1)
         return states
+
+    def fidelity(self, target: PureQubitSpec) -> np.ndarray:
+        """Every run's fidelity at every sample, _WHOLE_SAMPLES rows at a time.
+
+        It reads rho_B off R_BB and u_B under checked_fidelity's rule.
+        """
+        proj = receiver_frame(target.density_matrix())
+        fidelity = np.empty(self.x.shape[:2])
+        for start in range(0, self.x.shape[1], _WHOLE_SAMPLES):
+            x_b = self.x[:, start:start + _WHOLE_SAMPLES, -1:]
+            pop_b, u_b = _populations(x_b, self.gram)[..., 0], self._u(x_b)[..., 0]
+            fidelity[:, start:start + _WHOLE_SAMPLES] = checked_fidelity(
+                proj[0, 0].real * (self.trace - pop_b) + proj[1, 1].real * pop_b
+                + 2.0 * (proj[0, 1] * u_b).real)
+        return fidelity
 
     def trajectories(self, times: np.ndarray,
                      target: Optional[PureQubitSpec]) -> list[Trajectory]:
         """Each run's trajectory, its fidelity column computed for the stack at once."""
-        fidelity = (None if target is None else
-                    _fidelity_column(self.x[:, :, -1], self.w, self.rank, self.trace, target))
+        fidelity = None if target is None else self.fidelity(target)
         return [Trajectory(layout=self.layout, times=times,
                            state_at=partial(self.state_at, run),
                            columns_at=partial(self.columns_at, run),
@@ -712,17 +704,17 @@ class LinkChannel:
 
 def link_trajectories(channels: Sequence[LinkChannel], target: PureQubitSpec,
                       rho_a: Optional[np.ndarray] = None) -> list[Trajectory]:
-    """Each channel's link_trajectory: its amplitudes as X, with W = (sqrt(p), x*).
+    """Each channel's link_trajectory: its amplitudes as X, with G = [[p]] and a = [x*].
 
     The channels must share their sample times and number of sites, as the
     channels of one link_channels run do; they are read as one stack.
     """
     rho_a = target.density_matrix() if rho_a is None else rho_a
-    w = np.array([[math.sqrt(max(rho_a[1, 1].real, 0.0)), rho_a[1, 0]]])
     amplitudes = (channels[0].amplitudes[None] if len(channels) == 1
                   else np.stack([channel.amplitudes for channel in channels]))
     layout = link_layout(n_mediators=amplitudes.shape[-1] - 2)
-    return _FactoredRuns(amplitudes[..., None], w, 1, rho_a.trace().real,
+    return _FactoredRuns(amplitudes[..., None], np.array([[rho_a[1, 1].real]]),
+                         np.array([rho_a[1, 0]]), rho_a.trace().real,
                          layout).trajectories(channels[0].times, target)
 
 
@@ -759,7 +751,7 @@ def link_channels(params: Sequence[LinkParams], schedule: CouplingSchedule, t_fi
     generators = np.array([link_generators(p, n_mediators, g_hop) for p in params])
     e_a = np.zeros((len(params), n_mediators + 2, 1), dtype=complex)
     e_a[:, 0] = 1.0
-    times, c = _amplitude_run(e_a, np.ones((len(params), 1, 1)), generators, schedule, grid)
+    times, c = _amplitude_run(e_a, np.ones((1, 1)), generators, schedule, grid)
     return [LinkChannel(times, amplitudes) for amplitudes in c[..., 0]]
 
 
@@ -767,21 +759,21 @@ def _amplitude_run(v0: np.ndarray, gram: np.ndarray, generators: np.ndarray,
                    schedule: CouplingSchedule, grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """Sample times and X = K V0 at each, for a stack of runs under link_generators.
 
-    v0 is (run, m, k), m sites, and generators (run, 3, m, m); gram (run, k,
-    k) is each run's G = W_r W_r^dag, so that Tr R = Tr(X G X^dag) is the
-    population its refill check reads, and X comes as (run, sample, m, k).
-    In the rotating frame the gauge U = diag((-i)^s) over the sites s makes
-    A~ = U* A U real (the couplings -i g become -+g; the decay is real), so
-    X~ = U* X steps as a real m x m system on its real and imaginary parts.
-    It is laid out as (m, 2k) floats with each column's (Re, Im) interleaved:
-    the samples view as X~ with no copy, and X = U X~ is restored in place. A
-    lab-frame link, whose A~ keeps -i omega on its diagonal, steps the
-    realified 2m x 2m form on (Re X; Im X); a stack steps that form if any
-    of its runs needs it.
+    v0 is (run, m, k), m sites, and generators (run, 3, m, m); gram (k, k) is
+    the runs' G, so that Tr R = Tr(X G X^dag) is the population each refill
+    check reads, and X comes as (run, sample, m, k). In the rotating frame
+    the gauge U = diag((-i)^s) over the sites s makes A~ = U* A U real (the
+    couplings -i g become -+g; the decay is real), so X~ = U* X steps as a
+    real m x m system on its real and imaginary parts. It is laid out as
+    (m, 2k) floats with each column's (Re, Im) interleaved: the samples view
+    as X~ with no copy, and X = U X~ is restored in place. A lab-frame link,
+    whose A~ keeps -i omega on its diagonal, steps the realified 2m x 2m form
+    on (Re X; Im X); a stack steps that form if any of its runs needs it.
     """
-    m, steps = v0.shape[-2], grid.sample_steps()
+    steps = grid.sample_steps()
     gauge = _real_gauge(generators)
-    if gauge is not None:
+    interleaved = gauge is not None
+    if interleaved:
         real = (gauge.conj()[:, None] * generators * gauge).real
         x0 = np.ascontiguousarray(gauge.conj()[:, None] * v0).view(float)
     else:
@@ -789,43 +781,33 @@ def _amplitude_run(v0: np.ndarray, gram: np.ndarray, generators: np.ndarray,
     # divergence surfaces as an IntegrationError from the per-step check, so
     # transient overflow warnings from an unstable step are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _step_amplitudes(x0, _excited_population(gram, gauge is not None), real,
+        samples = _step_amplitudes(x0, _excited_population(gram, interleaved), real,
                                    schedule, grid, steps)
-    if gauge is not None:
-        x = samples.view(complex)
+    x = _complex_form(samples, interleaved)
+    if interleaved:
         x *= gauge[:, None]
-    else:
-        x = samples[..., :m, :] + 1j * samples[..., m:, :]
     return grid.t0 + steps * grid.h, x
+
+
+def _complex_form(blocks: np.ndarray, interleaved: bool) -> np.ndarray:
+    """The complex X of real forms (..., rows, columns): a view of (m, 2k) blocks with each
+    column's (Re, Im) interleaved, else Re + i Im of (2m, k) blocks (Re X; Im X)."""
+    if interleaved:
+        return blocks.view(complex)
+    m = blocks.shape[-2] // 2
+    return blocks[..., :m, :] + 1j * blocks[..., m:, :]
 
 
 def _excited_population(gram: np.ndarray,
                         interleaved: bool) -> Callable[[np.ndarray], np.ndarray]:
     """Tr R = Tr(X G X^dag) of each sample of blocks of real forms of X, as (run, sample).
 
-    blocks are (run, sample, rows, columns): (m, 2k) with each column's (Re,
-    Im) interleaved, or (2m, k) as (Re X; Im X) when not interleaved. With
-    one column Tr R = G |X|^2. Else each of the (m, 2k) rows, x = (Re X_s1,
-    Im X_s1, ...), gives sum_ij X_si G_ij X_sj* = x Q x^T, where Q takes
-    [[Re G_ij, Im G_ij], [-Im G_ij, Re G_ij]] on the pairs of columns i and j.
+    blocks are (run, sample, rows, columns), read by _complex_form. In the
+    real gauge the interleaved blocks view as X~ = U* X; U is a diagonal
+    unitary, so diag(X~ G X~^dag) = diag(X G X^dag) and the populations are
+    X's. Tr R is their sum, as the trajectory's columns read it.
     """
-    runs, k = gram.shape[:2]
-    if k == 1:
-        g = gram[:, 0, 0].real[:, None]
-        return lambda blocks: g * np.einsum("pnij,pnij->pn", blocks, blocks)
-    form = np.empty((runs, k, 2, k, 2))
-    form[:, :, 0, :, 0] = form[:, :, 1, :, 1] = gram.real
-    form[:, :, 0, :, 1] = gram.imag
-    form[:, :, 1, :, 0] = -gram.imag
-    form = form.reshape(runs, 1, 2 * k, 2 * k)
-
-    def excited(blocks: np.ndarray) -> np.ndarray:
-        if not interleaved:
-            shape = blocks.shape[:2] + (2, blocks.shape[-2] // 2, k)
-            blocks = np.moveaxis(blocks.reshape(shape), 2, -1).reshape(shape[:2] + (-1, 2 * k))
-        return np.einsum("pnij,pnij->pn", blocks @ form, blocks)
-
-    return excited
+    return lambda blocks: _populations(_complex_form(blocks, interleaved), gram).sum(axis=-1)
 
 
 def _real_gauge(a: np.ndarray) -> Optional[np.ndarray]:

@@ -6,6 +6,7 @@ single pass/fail line (run with `pytest -s` to see them on success).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ def test_01_oracle_equivalence():
         "1 oracle equivalence",
         diff < 1e-6 and elapsed < 10.0,
         f"max|evolve - expm| = {diff:.3e} (tol 1e-6), runtime {elapsed:.2f} s (< 10 s)",
+    )
+
+
+def _transfer_oracle_gap(engine: LinkParams) -> float:
+    """max|evolve - expm| at fig4 over its first transfer time, 21 samples, with evolve run
+    at engine's rates and the oracle at fig4's."""
+    params = preset_params("fig4")
+    layout = link_layout()
+    rho0 = product_state([EQUATOR, None, None], layout)
+    t_star = transfer_time(params)
+    traj = evolve(rho0, layout, engine, engine.constant_schedule(), (0.0, t_star), t_star / 20)
+    h = hamiltonian_at(0.0, params, params.constant_schedule(), layout)
+    expected = propagator_oracle(rho0, h, standard_collapse(params, layout), traj.times)
+    return float(np.abs(traj.states - expected).max())
+
+
+def test_01_companion_oracle_equivalence_over_a_transfer():
+    # test_01 compares at 10 us, where the state is the vacuum to 1e-44, so
+    # wrong rates pass it too; over the first transfer time |c| is O(1), and
+    # an engine run at wrong rates misses the oracle by far more than 1e-6
+    params = preset_params("fig4")
+    gap = _transfer_oracle_gap(params)
+    wrong = {
+        "half g_a": replace(params, g_a=params.g_a / 2),
+        "kappa x10": replace(params, kappa=params.kappa * 10),
+        "gamma x1/2": replace(params, gamma_a=params.gamma_a / 2, gamma_b=params.gamma_b / 2),
+    }
+    misses = {name: _transfer_oracle_gap(engine) for name, engine in wrong.items()}
+    report(
+        "1 (companion) oracle equivalence over a transfer",
+        gap < 1e-6 and all(miss > 1e-6 for miss in misses.values()),
+        f"max|evolve - expm| = {gap:.3e} (tol 1e-6) at 21 samples over t* = "
+        f"{transfer_time(params) / US:.4f} us; wrong engines miss by "
+        + ", ".join(f"{name} {miss:.3f}" for name, miss in misses.items()) + " (each > 1e-6)",
     )
 
 
@@ -178,6 +213,23 @@ def test_05_stirap_improvement():
         f"red set: stirap F {red['stirap'][0]:.6f} >= constant F {red['constant'][0]:.6f}"
         f" - 1e-9; stirap latency {red['stirap'][1] / US:.3f} us > "
         f"constant settle {red['constant'][1] / US:.3f} us",
+    )
+
+
+def test_05_companion_stirap_beats_constant_above_the_floor(tmp_path):
+    # test_05 compares fidelities at the 0.5 floor, where B never gets the
+    # excitation; at fig4's coupling and cavity loss with 1000x weaker qubit
+    # decay both protocols lift B well above it
+    cfg = build_config({"scenario": "stirap-compare", "g0_2pi_mhz": 5.8,
+                        "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006})
+    assert run_scenario(cfg, tmp_path) == 0
+    lines = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+    fidelity = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
+    report(
+        "5 (companion) pulsed-protocol improvement above the floor",
+        fidelity["stirap"] - fidelity["constant"] > 0.1,
+        f"weak-loss stirap F {fidelity['stirap']:.4f} > constant F "
+        f"{fidelity['constant']:.4f} + 0.1",
     )
 
 

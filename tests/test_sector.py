@@ -344,7 +344,7 @@ def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
                                    rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
 
 
-# --- the factored form: only the span of C0 steps -------------------------------
+# --- the factored form: only the span of R0 and u0 steps -----------------------
 
 
 def pure_link_state(layout, amplitudes):
@@ -371,7 +371,7 @@ def on_b_state(layout):
             + 0.2 * pure_link_state(layout, {0: 1.0, -1: -1j}))
 
 
-# (initial state, columns of the span of C0 that step)
+# (initial state, columns of the span of R0 and u0 that step)
 FACTORED_INPUTS = {"rank-2": (mixed_link_state, 2), "on-mediator": (on_mediator_state, 2),
                    "on-B": (on_b_state, 3)}
 FACTORED_LINKS = {"rotating": (LOW_LOSS, 1, 0.0), "lab-frame-detuned": (LAB_DETUNED, 1, 0.0),
@@ -382,10 +382,10 @@ FACTORED_LINKS = {"rotating": (LOW_LOSS, 1, 0.0), "lab-frame-detuned": (LAB_DETU
 @pytest.mark.parametrize("link", FACTORED_LINKS)
 @pytest.mark.parametrize("state", FACTORED_INPUTS)
 def test_factored_form_matches_the_dense_reference(state, link, drive, monkeypatch):
-    # C = X W with X = K V: every column and sample read off the stepped span
-    # of C0 against the dense reference, which steps every column of C0 in
-    # the full space (exact for a constant drive, RK4 on the columns for a
-    # pulse pair)
+    # R = X G X^dag and u = X a with X = K V: every column and sample read
+    # off the stepped span of R0 and u0 against the dense reference, which
+    # steps every column of R0's factors and u0 in the full space (exact for
+    # a constant drive, RK4 on the columns for a pulse pair)
     initial, span = FACTORED_INPUTS[state]
     params, n_mediators, g_hop = FACTORED_LINKS[link]
     schedule = params.constant_schedule() if drive == "constant" else None
@@ -425,30 +425,34 @@ def test_factored_form_matches_the_dense_reference(state, link, drive, monkeypat
 @pytest.mark.parametrize("k", [1, 3])
 def test_refill_reads_tr_r_on_either_real_layout(k):
     # Tr R = Tr(X G X^dag) from the interleaved (m, 2k) rows of the real gauge
-    # and from the (Re X; Im X) rows of the realified lab-frame form
+    # and from the (Re X; Im X) rows of the realified lab-frame form, bit for
+    # bit the sum of the populations the trajectory's columns read off X
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 4, k)) + 1j * rng.normal(size=(5, 4, k))
     w = rng.normal(size=(k, k + 1)) + 1j * rng.normal(size=(k, k + 1))
     gram = w[:, :k] @ w[:, :k].conj().T
     want = (np.abs(x @ w[:, :k]) ** 2).sum(axis=(-2, -1))
+    runs = dynamics._FactoredRuns(x[None], gram, w[:, -1], 1.0, link_layout(n_mediators=2))
+    populations = runs.columns_at(0, slice(None)).populations
     interleaved = np.ascontiguousarray(x).view(float)
     stacked = np.concatenate([x.real, x.imag], axis=-2)
     for blocks, is_interleaved in ((interleaved, True), (stacked, False)):
-        got = dynamics._excited_population(gram[None], is_interleaved)(blocks[None])
+        got = dynamics._excited_population(gram, is_interleaved)(blocks[None])
         np.testing.assert_allclose(got[0], want, rtol=1e-14)
+        np.testing.assert_array_equal(got[0], populations.sum(axis=-1))
 
 
 def test_span_of_the_initial_block():
-    # C0 = V W with V orthonormal; a column within 1e-15 of the span of the
-    # others, relative to the longest, is roundoff and adds none to V
+    # V is an orthonormal basis of C0's columns; a column within 1e-15 of the
+    # span of the others, relative to the longest, is roundoff and adds none
     a, b = np.array([0.3, 0.5j, 0.0, 0.1]), np.array([0.2, -0.4, 0.6j, 0.0])
     c0 = np.column_stack([a, b, (a - 2j * b) * (1 + 1e-16j), np.zeros(4)])
-    v, w = dynamics._span(c0)
+    v = dynamics._span(c0)
     assert v.shape == (4, 2)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(v @ w, c0, rtol=0, atol=1e-15)
-    v, w = dynamics._span(np.zeros((3, 2), dtype=complex))
-    assert not v.any() and not w.any() and v.shape == (3, 1) and w.shape == (1, 2)
+    np.testing.assert_allclose(v @ (v.conj().T @ c0), c0, rtol=0, atol=1e-15)
+    v = dynamics._span(np.zeros((3, 2), dtype=complex))
+    assert not v.any() and v.shape == (3, 1)
 
 
 # --- the real gauge ------------------------------------------------------------
@@ -699,6 +703,24 @@ def test_initial_state_is_checked_at_step_0(rho0, message):
     assert err.value.t == 1e-7
     assert str(err.value) == (f"{message} at t = 1.000000e-07 s (step 0 of 100, "
                               "dt = 1.000000e-09 s, sample_every = 10)")
+
+
+def test_run_starts_at_rho0_with_its_tolerated_negative_eigenvalue():
+    # evolve admits rho0 down to an eigenvalue of MIN_EIGENVALUE_MIN; the run
+    # starts at rho0 itself, its negative part on W included, so its first
+    # sample is rho0 and its trace Tr rho0, to roundoff (a factor of R0's
+    # positive part alone put 5e-6 of trace on the vacuum that rho0 does not
+    # hold)
+    layout = link_layout()
+    w = dynamics._site_states(layout)[1]
+    rho0 = product_state([PureQubitSpec(theta=1.1, phi=0.7), None, None], layout)
+    rho0[0, 0] += 5e-6
+    rho0[w, w] -= 5e-6
+    assert np.linalg.eigvalsh(rho0).min() == pytest.approx(-5e-6)
+    traj = evolve(rho0, layout, FIG4, FIG4.constant_schedule(), (0.0, 1e-7), 1e-9,
+                  sample_every=10)
+    np.testing.assert_allclose(traj.state_at(0), rho0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(traj.trace, np.trace(rho0).real, rtol=0, atol=1e-15)
 
 
 # --- CSV output -------------------------------------------------------------
