@@ -181,7 +181,8 @@ class ScenarioConfig:
         width = self.pulse_width_us * US if self.pulse_width_us > 0 else self.adiabaticity / g0
         if not 0 < width < math.inf:
             raise ConfigError("adiabaticity must give a finite pulse width > 0 for the stirap "
-                              f"protocol unless pulse_width_us is set, got {self.adiabaticity!r}")
+                              f"protocol unless pulse_width_us is set, got {self.adiabaticity!r} "
+                              f"over {_PEAK_COUPLING} of {g0!r} rad/s")
         delay = self.t_delay_us * US if self.t_delay_us > 0 else self.delay_ratio * width
         if not 0 < delay < math.inf:
             raise ConfigError("delay_ratio must give a finite pulse delay > 0 for the stirap "
@@ -221,6 +222,9 @@ _ZERO_VALID_SENTINEL_KEYS = {"g0_a_2pi_mhz", "g0_b_2pi_mhz", "gamma_2pi_mhz", "t
 _SENTINEL_KEYS = _ZERO_VALID_SENTINEL_KEYS | {
     "pulse_width_us", "t_delay_us", "t_final_us", "dt_ns", "hop_time_us", "sample_every",
 }
+# The factor to the SI unit a key runs in, by the end of its name: rad/s (per km for a loss), s
+_SI_FACTORS = {"_2pi_mhz": TWO_PI_MHZ, "_2pi_mhz_per_km": TWO_PI_MHZ, "_us": US, "_ns": NS}
+_PEAK_COUPLING = "the peak coupling (g0_a_2pi_mhz, g0_b_2pi_mhz; g0_2pi_mhz where unset)"
 
 
 def _is_int(value) -> bool:
@@ -346,6 +350,11 @@ def _validate(cfg: ScenarioConfig) -> None:
         if value != -1 and not (math.isfinite(value) and (value > 0 or zero_valid and value == 0)):
             bound = ">=" if zero_valid else ">"
             raise ConfigError(f"{key} must be {bound} 0 (or -1 for the default), got {value!r}")
+    for key in _KEY_TYPES:
+        factor = next((f for end, f in _SI_FACTORS.items() if key.endswith(end)), 0.0)
+        for value in getattr(cfg, key) if key in _LIST_KEYS else [getattr(cfg, key)]:
+            if factor and value and not 0 < abs(value * factor) < math.inf:
+                raise ConfigError(f"{key} = {_fmt(value)} leaves the float range in SI units")
     for key in ("gamma_a_2pi_mhz", "gamma_b_2pi_mhz"):
         if cfg.gamma_2pi_mhz >= 0 and getattr(cfg, key) != 0:
             raise ConfigError(f"{key} = {getattr(cfg, key)!r} would be ignored: gamma_2pi_mhz = "
@@ -362,8 +371,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     for key in _LIST_KEYS:
         if not getattr(cfg, key):
             raise ConfigError(f"{key} must list at least one value")
-    if not all(math.isfinite(v) and v >= 0 for v in cfg.lengths_km):
-        raise ConfigError(f"lengths_km entries must be finite and >= 0, got {cfg.lengths_km!r}")
+    if not all(0 <= v * 1000.0 < math.inf for v in cfg.lengths_km):
+        raise ConfigError(f"lengths_km entries must be finite (in m) and >= 0: {cfg.lengths_km!r}")
     for key in ("tune_widths_us", "tune_delays_us"):
         if not all(math.isfinite(v) and v > 0 for v in getattr(cfg, key)):
             raise ConfigError(f"{key} entries must be finite and > 0, got {getattr(cfg, key)!r}")
@@ -415,13 +424,12 @@ def _check_schedules(cfg: ScenarioConfig) -> None:
         raise
     except ValueError as err:  # a stirap link that ends inside its pulse window
         raise ConfigError(f"{key} = {getattr(cfg, key)!r} us is too short: {err}") from None
+    if cfg.scenario == "sweep-distance":
+        _sweep_kappas(cfg)
     if cfg.scenario == "tune-stirap":  # its grid builds its own windows
         for width, delay in product(cfg.tune_widths_us, cfg.tune_delays_us):
             point = f"grid point tune_widths_us = {width!r}, tune_delays_us = {delay!r}"
-            try:
-                pulses = StirapSchedule(cfg.g0_a(), cfg.g0_b(), width * US, delay * US)
-            except ValueError as err:  # a width or delay that underflows to 0 s
-                raise ConfigError(f"{point}: {err}") from None
+            pulses = StirapSchedule(cfg.g0_a(), cfg.g0_b(), width * US, delay * US)
             _step_count(default_stirap_window(pulses)[1], cfg, f"the window of {point}")
 
 
@@ -1006,11 +1014,16 @@ def _trajectory_table(traj: dynamics.Trajectory) -> _Table:
 
 
 def _sweep_kappas(cfg: ScenarioConfig) -> list[float]:
-    """Mediator loss rate of every sweep point over the resolved hop time."""
+    """Mediator loss rate of every sweep point over the resolved hop time, each finite."""
+    points = list(product(cfg.media, cfg.lengths_km))
     with warnings.catch_warnings():  # distance_sweep warns of an underflow itself
         warnings.simplefilter("ignore", RuntimeWarning)
-        return [network.effective_kappa(cfg.medium(kind, length_km * 1000.0), cfg.hop_time_us * US)
-                for kind in cfg.media for length_km in cfg.lengths_km]
+        kappas = [network.effective_kappa(cfg.medium(kind, length_km * 1000.0),
+                                          cfg.hop_time_us * US) for kind, length_km in points]
+    for (kind, km), kappa in zip(points, kappas):
+        if kappa == math.inf:
+            raise ConfigError(f"the {kind} point at lengths_km = {km!r} has an infinite loss rate")
+    return kappas
 
 
 def _horizon_key(scenario: str) -> str:
@@ -1027,6 +1040,8 @@ def resolve_defaults(cfg: ScenarioConfig) -> ScenarioConfig:
         if transfers:  # bare transfer times pi/(sqrt(2) g0)
             g0 = max(cfg.g0_a(), cfg.g0_b())
             horizon_us = transfers * math.pi / (math.sqrt(2.0) * g0) / US if g0 > 0 else 1.0
+            if horizon_us == math.inf:
+                raise ConfigError(f"{key}'s default overflows at {_PEAK_COUPLING} of {g0!r} rad/s")
         else:  # stirap-compare's is its pulse window
             horizon_us = {"transfer": 100.0, "chain": 20.0}.get(cfg.scenario, 0.0)
         if cfg.protocol == "stirap" or cfg.scenario == "stirap-compare":  # to the window's end

@@ -26,14 +26,15 @@ steps the 2m x 2m real form of its complex generators. Every drive reaches
 its steps by prefix products of its step matrices in chunks; a constant
 drive's one step matrix gives every chunk the same ones, its powers.
 `evolve` admits a run when its layout is (qubit, modes..., qubit) and its
-initial state lies in that subspace, and raises ValueError otherwise. Such
-states are positive by construction as long as the vacuum refill is, which
-is checked at every step. `evolve` steps only an orthonormal basis V of
-the span of rho0's one-excitation block R0 and vacuum coherence u0: with
-G = V^dag R0 V and a = V^dag u0 the run is R = X G X^dag and u = X a, where
-X = K V, and any qubit on A with the rest in vacuum spans one column. A
-trajectory holds X, G, a, its times and its fidelity; its other columns
-and its dense states are read off diag(X G X^dag) and X a only when read.
+initial state lies in that subspace, else ValueError; one check on rho0's
+sector block admits its trace and positivity, and the states stay positive
+as long as the vacuum refill is, which is checked at every step. `evolve`
+steps only an orthonormal basis V, from an SVD, of the span of the block's
+one-excitation part R0 and vacuum coherence u0: with G = V^dag R0 V and
+a = V^dag u0 the run is R = X G X^dag and u = X a, where X = K V, and any
+qubit on A with the rest in vacuum spans one column. A trajectory holds X,
+G, a, its times and its fidelity; its other columns and its dense states
+are read off diag(X G X^dag) and X a only when read.
 The module needs only numpy.
 `hamiltonian_terms` and `standard_collapse` build the same model as
 full-space operators by kron embedding. No run uses them; the independent
@@ -440,30 +441,34 @@ def evolve(
     IntegrationError naming the quantity, its value, the step and the grid.
 
     The layout must be (qubit, mode(s)..., qubit) and rho0 must lie in
-    vacuum (+) one excitation, else ValueError names which fails. rho0 is
-    checked once for trace drift and negative eigenvalues; after that the
-    states are positive whenever the vacuum refill is, which is checked at
-    every step.
+    vacuum (+) one excitation, else ValueError names which fails. The checks
+    of rho0 run in this order: non-finite entries, layout, support, then one
+    check on its sector block for trace drift and negative eigenvalues. After
+    that the states are positive whenever the vacuum refill is, which is
+    checked at every step.
     """
     rho, grid = _checked_run(rho0, layout, t_span, dt, sample_every)
-    _check_initial_state(0.5 * (rho + dagger(rho)), grid)
-    one = _one_excitation_sector(layout, rho)
-    return _sector_trajectory(rho, one, params, schedule, grid, layout, target, g_hop)
+    if not np.isfinite(rho).all():  # before the support scan, which reads nan as nonzero
+        raise IntegrationError(f"state diverged (non-finite entries) {grid.where(0)}", t=grid.t0)
+    sector = np.append(0, _one_excitation_sector(layout, rho))
+    block = rho[np.ix_(sector, sector)]
+    block = 0.5 * (block + dagger(block))
+    _check_initial_state(block, grid)
+    return _sector_trajectory(block, params, schedule, grid, layout, target, g_hop)
 
 
-def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
-    """Raise IntegrationError at step 0 unless rho0 is finite, unit-trace and positive.
+def _check_initial_state(block: np.ndarray, grid: _Grid) -> None:
+    """Raise IntegrationError at step 0 unless rho0's sector block is unit-trace and positive.
 
-    The checks, in this order, are non-finite entries, trace drift beyond
-    TRACE_DRIFT_MAX and an eigenvalue below MIN_EIGENVALUE_MIN.
+    The checks, in this order, are trace drift beyond TRACE_DRIFT_MAX and an
+    eigenvalue below MIN_EIGENVALUE_MIN. rho0 vanishes outside the block, so
+    its trace is the block's and its other eigenvalues are 0.
     """
     where, t = grid.where(0), grid.t0
-    if not np.isfinite(rho).all():
-        raise IntegrationError(f"state diverged (non-finite entries) {where}", t=t)
-    trace = float(rho.trace().real)
+    trace = float(block.trace().real)
     if abs(trace - 1.0) > TRACE_DRIFT_MAX:
         raise IntegrationError(f"trace drifted to {trace:.9f} {where}", t=t)
-    lam_min = float(np.linalg.eigvalsh(rho).min())
+    lam_min = float(np.linalg.eigvalsh(block).min())
     if lam_min < MIN_EIGENVALUE_MIN:
         raise IntegrationError(f"eigenvalue {lam_min:.3e} below {MIN_EIGENVALUE_MIN:g} {where}",
                                t=t)
@@ -483,9 +488,10 @@ def _check_initial_state(rho: np.ndarray, grid: _Grid) -> None:
 #     rho(t) = K~ rho0 K~^dag + delta |vac><vac|,   delta = Tr R0 - Tr R(t).
 # The first term is a congruence of rho0, so the state is positive whenever
 # rho0 is and delta >= 0; its smallest eigenvalue is at least min(delta, 0).
-# What is left to admit is the layout, which fixes the sites, and rho0. With
-# V an orthonormal basis of the span of R0's columns and u0, R0 = V G V^dag
-# and u0 = V a for G = V^dag R0 V and a = V^dag u0, so
+# What is left to admit is the layout, which fixes the sites, and rho0: one
+# check on its sector block. With V an orthonormal basis of the span of R0's
+# columns and u0, from their SVD, R0 = V G V^dag and u0 = V a for
+# G = V^dag R0 V and a = V^dag u0, so
 #     R(t) = X G X^dag,   u(t) = X a,   X = K(t) V,
 # and only the k <= m columns of V step: for a positive rho0, u0 lies in the
 # range of R0 and k is R0's rank.
@@ -507,56 +513,34 @@ def _one_excitation_sector(layout: SystemLayout, rho0: np.ndarray) -> np.ndarray
     return one
 
 
-def _sector_trajectory(
-    rho: np.ndarray,
-    one: np.ndarray,
-    params: LinkParams,
-    schedule: CouplingSchedule,
-    grid: _Grid,
-    layout: SystemLayout,
-    target: Optional[PureQubitSpec],
-    g_hop: float,
-) -> Trajectory:
+def _sector_trajectory(block: np.ndarray, params: LinkParams, schedule: CouplingSchedule,
+                       grid: _Grid, layout: SystemLayout, target: Optional[PureQubitSpec],
+                       g_hop: float) -> Trajectory:
     """evolve on an admitted run: R0 and u0 compressed onto their span V, which steps.
 
-    R0 and u0 are Hermitian parts, as in dense samples. R0 = V G V^dag and
-    u0 = V a hold for every rho0 that evolve admits, the small negative
-    eigenvalues it tolerates included, so the run starts at rho0 and its
-    trace is Tr rho0.
+    block is rho0's Hermitian part on the sector, vacuum first: R0 = block[1:, 1:]
+    and u0 = block[1:, 0], as in dense samples. R0 = V G V^dag and u0 = V a hold
+    for every rho0 that evolve admits, the small negative eigenvalues it
+    tolerates included, so the run starts at rho0 and its trace is Tr rho0.
     """
-    r = rho[np.ix_(one, one)]
-    r = 0.5 * (r + dagger(r))
-    u = 0.5 * (rho[one, 0] + rho[0, one].conj())
+    r, u = block[1:, 1:], block[1:, 0]
     v = _span(np.column_stack([r, u]))
     gram = dagger(v) @ r @ v
-    generators = link_generators(params, len(one) - 2, g_hop)[None]
+    generators = link_generators(params, len(r) - 2, g_hop)[None]
     times, x = _amplitude_run(v[None], gram, generators, schedule, grid)
-    trace = rho[0, 0].real + gram.trace().real
+    trace = block[0, 0].real + gram.trace().real
     return _FactoredRuns(x, gram, dagger(v) @ u, trace, layout).trajectories(times, target)[0]
 
 
 def _span(c0: np.ndarray) -> np.ndarray:
     """An orthonormal basis of C0's column span, as the columns of V.
 
-    Pivoted Gram-Schmidt, each new column orthogonalized twice; a column
-    whose residual is within 1e-15 of C0's longest column is roundoff. A C0
-    of zeros gives one zero column.
+    C0's left singular vectors (numpy's SVD) with singular values above 1e-15
+    of the largest, the rest being roundoff; a C0 of zeros gives one zero column.
     """
-    residual = c0.copy()
-    norms = (residual.real**2 + residual.imag**2).sum(axis=0)
-    floor = 1e-30 * norms.max()
-    v = np.zeros((len(c0), 0), dtype=complex)
-    for _ in range(min(c0.shape)):
-        j = int(np.argmax(norms))
-        if norms[j] <= floor:
-            break
-        basis = residual[:, j] / math.sqrt(norms[j])
-        basis -= v @ (dagger(v) @ basis)
-        basis /= math.sqrt((basis.real**2 + basis.imag**2).sum())
-        residual -= np.outer(basis, basis.conj() @ residual)
-        v = np.column_stack([v, basis])
-        norms = (residual.real**2 + residual.imag**2).sum(axis=0)
-    return v if v.shape[1] else np.zeros((len(c0), 1), dtype=complex)
+    u, s, _ = np.linalg.svd(c0, full_matrices=False)
+    rank = int((s > 1e-15 * s[0]).sum())
+    return u[:, :rank] if rank else np.zeros((len(c0), 1), dtype=complex)
 
 
 # Samples up to which a stack's trajectory columns are computed whole, at

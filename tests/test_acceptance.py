@@ -2,9 +2,14 @@
 
 Each test exercises one headline guarantee at a pinned tolerance and prints a
 single pass/fail line (run with `pytest -s` to see them on success).
+
+A criterion that passes only shows something if it can fail: each is rerun on
+a wrong engine (dynamics.link_generators perturbed) and must report FAIL, or
+is named, with the reason, as one that no such engine is run against.
 """
 
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -12,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import hamiltonian_at, make_link_run, propagator_oracle
-from qlinksim import network
+from qlinksim import dynamics, network
 from qlinksim.cli import PRESETS, build_config, run_scenario
 from qlinksim.dynamics import (
     LinkParams,
@@ -353,12 +358,13 @@ def test_10_media_crossover():
         b <= a + 1e-12 for series in (cavity, combined) for a, b in zip(series, series[1:])
     )
     cavity_wins_short = cavity[0] > combined[0]
-    crossover = any(c > v for c, v in zip(combined, cavity))
+    wins = [length for length, c, v in zip(lengths, combined, cavity) if c > v]
+    crossover = bool(wins)
     report(
         "10 media crossover",
         non_increasing and cavity_wins_short and crossover,
         f"cavity F {cavity[0]:.6f} > combined F {combined[0]:.6f} at 1 m; "
-        f"combined wins by {lengths[next(i for i, (c, v) in enumerate(zip(combined, cavity)) if c > v)]:g} m; "
+        f"combined wins by {f'{wins[0]:g} m' if wins else 'no length'}; "
         f"both series non-increasing",
     )
 
@@ -389,3 +395,70 @@ def test_11_determinism_and_performance(tmp_path):
         f"re-run CSVs byte-identical: {identical}; "
         f"100 us trajectory on a 100000-step grid in {elapsed:.1f} s (< 30 s)",
     )
+
+
+# --- discrimination: each criterion fails on some wrong engine, or says why not
+
+def _scale_couplings(a):
+    a[1:] *= 0.9
+
+
+def _scale_decays(factor):
+    def perturb(a):
+        a[0].flat[:: a.shape[-1] + 1] += (factor - 1.0) * a[0].diagonal().real
+    return perturb
+
+
+def _swap_couplings(a):
+    a[[1, 2]] = a[[2, 1]]
+
+
+def _leaky_coupling(a):
+    a[1, 1, 0] *= 0.9  # W <- A only: A_A no longer anti-Hermitian
+
+
+# A wrong engine per criterion: dynamics.link_generators with its A_0
+# (decay on the diagonal), A_A or A_B perturbed, as every run reads them.
+# Decays x1.01 leave criterion 10's ordering as it is; a lossless engine does not.
+WRONG_ENGINES = {
+    "2": (test_02_analytic_rabi_transfer, "couplings x0.9", _scale_couplings),
+    "3": (test_03_exponential_decay_law, "decays x1.01", _scale_decays(1.01)),
+    "4": (test_04_cptp_invariants, "A_A's W <- A entry x0.9", _leaky_coupling),
+    "6": (test_06_dark_state_property, "A_A and A_B swapped", _swap_couplings),
+    "9": (test_09_coherent_information_properties, "couplings x0.9", _scale_couplings),
+    "10": (test_10_media_crossover, "no loss", _scale_decays(0.0)),
+}
+# The criteria no wrong engine is run against here, with the reason.
+NOT_DISCRIMINATED = {
+    "1": "reads the vacuum to 1e-44 at 10 us; its companion check fails on wrong rates",
+    "5": "compares fidelities at the 0.5 floor; its companion check runs above it",
+    "7": "the standing failure: the link delivers nothing at fig6a's rates",
+    "8": "the Haar identity (2 F_e + 1) / 3 holds for any qubit channel",
+    "11": "determinism and runtime hold for any deterministic engine",
+}
+
+
+@pytest.mark.parametrize("number", sorted(WRONG_ENGINES, key=int))
+def test_criterion_fails_on_a_wrong_engine(number, monkeypatch, capsys):
+    criterion, what, perturb = WRONG_ENGINES[number]
+    link_generators = dynamics.link_generators
+
+    def wrong(*args, **kwargs):
+        a = link_generators(*args, **kwargs)
+        perturb(a)
+        return a
+
+    monkeypatch.setattr(dynamics, "link_generators", wrong)
+    with pytest.raises(AssertionError):
+        criterion()
+    out = capsys.readouterr().out
+    assert out.startswith(f"[FAIL] {number} "), f"wrong engine ({what}): {out}"
+
+
+def test_every_criterion_is_discriminated_or_named():
+    numbered = {name.split("_")[1].lstrip("0") for name in globals()
+                if re.fullmatch(r"test_\d\d_[a-z_]+", name) and "companion" not in name}
+    assert numbered == set(WRONG_ENGINES) | set(NOT_DISCRIMINATED)
+    assert not set(WRONG_ENGINES) & set(NOT_DISCRIMINATED)
+    for number, why in sorted(NOT_DISCRIMINATED.items(), key=lambda item: int(item[0])):
+        print(f"    criterion {number} has no wrong engine here: {why}")

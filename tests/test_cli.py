@@ -1195,6 +1195,30 @@ class TestConfigDataclass:
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_config(values)
 
+    @pytest.mark.parametrize("value", [1e303, 5e-324], ids=["huge", "subnormal"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(ScenarioConfig)
+                                     if f.type in ("float", "tuple[float, ...]")])
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_float_at_the_ends_of_the_range_is_built_or_refused_by_name(
+            self, scenario, key, value, tmp_path, capsys):
+        # 1e303 x 2 pi MHz overflows and 5e-324 us underflows to 0 s, and
+        # either can take a rate or a default horizon derived from it past the
+        # float range: build_config refuses such a config as a ConfigError that
+        # names the key (a pulse window moved past a set horizon is no
+        # overflow, and names the horizon), and main exits with status 2.
+        # Nothing runs
+        for base in ({"scenario": scenario}, SMALL_SCENARIOS[scenario]):
+            values = {**base, key: (value,) if key in cli._LIST_KEYS else value}
+            try:
+                build_config(values)
+            except ConfigError as err:
+                assert key in str(err) or "shorter than the pulse window" in str(err), str(err)
+                config = tmp_path / "extreme.ini"
+                config.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in values.items()),
+                                  encoding="utf-8")
+                assert main(["--config", str(config)]) == 2
+                assert capsys.readouterr().err == f"config error: {err}\n"
+
     def test_negative_non_sentinel_rejected(self):
         with pytest.raises(ConfigError, match="t_final_us"):
             build_config({"scenario": "transfer", "t_final_us": -2.0})

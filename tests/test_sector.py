@@ -723,6 +723,54 @@ def test_run_starts_at_rho0_with_its_tolerated_negative_eigenvalue():
     np.testing.assert_allclose(traj.trace, np.trace(rho0).real, rtol=0, atol=1e-15)
 
 
+def test_initial_state_is_checked_on_its_sector_block(monkeypatch):
+    # evolve eigendecomposes rho0's (1 + m) x (1 + m) block on vacuum (+) one
+    # excitation, never the whole space: 6 x 6 of d = 864 here
+    layout = link_layout(n_mediators=3, mode_dim=6)
+    rho0 = product_state([PureQubitSpec(theta=1.1, phi=0.7)] + [None] * 4, layout)
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    evolve(rho0, layout, FIG4, FIG4.constant_schedule(), (0.0, 1e-8), 1e-9)
+    assert layout.total_dim == 864
+    assert shapes and max(shapes) == (6, 6)
+
+
+def _state_on(sites, excited_sites=(), scale=1.0, nan=False):
+    """scale |s><s| on the layout of sites, s with excited_sites excited; one nan entry if asked."""
+    layout = SystemLayout(sites)
+    excited = PureQubitSpec(theta=math.pi)
+    rho = scale * product_state([excited if i in excited_sites else None
+                                 for i in range(len(sites))], layout)
+    if nan:
+        rho[0, 1] = rho[1, 0] = math.nan
+    return layout, rho
+
+
+@pytest.mark.parametrize("case, error, message", [
+    (_state_on((Qubit(), Qubit()), nan=True), IntegrationError,
+     "state diverged (non-finite entries)"),
+    (_state_on((Qubit(), Qubit(), Qubit()), excited_sites=(0, 2)), ValueError,
+     "link layout needs contiguous mediator modes"),
+    (_state_on((Qubit(), Mode(), Qubit()), excited_sites=(0, 2), scale=2.0), ValueError,
+     "the initial state lies outside vacuum (+) one excitation"),
+    ((link_layout(), sector_state(1.2, -0.1)), IntegrationError,
+     "trace drifted to 1.100000000"),
+], ids=["nan-before-layout", "layout-before-support", "support-before-trace",
+        "trace-before-eigenvalue"])
+def test_initial_state_checks_run_in_order(case, error, message):
+    # each rho0 fails two adjacent checks and gets the first one's error:
+    # non-finite, layout, support, trace, eigenvalue
+    layout, rho0 = case
+    with pytest.raises(error) as err:
+        evolve(rho0, layout, FIG4, FIG4.constant_schedule(), (0.0, 1e-8), 1e-9)
+    assert str(err.value).startswith(message)
+
+
 # --- CSV output -------------------------------------------------------------
 
 

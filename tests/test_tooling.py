@@ -15,6 +15,10 @@ must also read byte for byte as the last row of the trajectory it stands for.
 Every fidelity follows qspace's one rule: no other module reads
 FIDELITY_SLACK or clips a value.
 
+Every module-level private function or class is read somewhere in the
+package outside its own definition, so that a helper left orphaned, or one
+only tests call, fails.
+
 Every ```python block in README.md runs, and every ```ini block builds a
 config, so that an API change cannot leave an example stale. README.md's
 table of the keys each scenario reads is the declaration in cli.py.
@@ -216,6 +220,28 @@ def test_one_module_holds_the_fidelity_rule():
                     or isinstance(node, ast.alias) and node.name in ("FIDELITY_SLACK", "clip")):
                 others.append(f"{path.name}:{node.lineno}")
     assert others == []
+
+
+def _unused_private_helpers(package: Path) -> list[str]:
+    """Module-level _functions and _Classes that no code in package reads outside their own
+    definitions, as module:name; names are matched whatever module or object they are read on."""
+    trees = list(_module_trees(package))
+    helpers = [(path.name, node) for path, tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    reads: dict[str, list] = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            reads.setdefault(name, []).append(node)
+    return [f"{module}:{helper.name}" for module, helper in helpers
+            if set(reads.get(helper.name, [])) <= set(ast.walk(helper))]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a private helper read only by its own body, or only by tests, is dead
+    # code the package carries
+    assert _unused_private_helpers(PACKAGE) == []
 
 
 COLD_START = """
