@@ -423,7 +423,13 @@ def _check_schedules(cfg: ScenarioConfig) -> None:
     except ConfigError:
         raise
     except ValueError as err:  # a stirap link that ends inside its pulse window
-        raise ConfigError(f"{key} = {getattr(cfg, key)!r} us is too short: {err}") from None
+        message = f"{key} = {getattr(cfg, key)!r} us is too short: {err}"
+        moved = [f"{f.name} = {_fmt(getattr(cfg, f.name))}" for f in fields(cfg)
+                 if f.name in _PULSE_KEYS and _fmt(getattr(cfg, f.name)) != _fmt(f.default)]
+        if moved:  # name the keys that moved the window, not only the horizon
+            end_us = default_stirap_window(replace(cfg, protocol="stirap").schedule())[1] / US
+            message += f"; the pulse window ends at {end_us!r} us with {', '.join(moved)}"
+        raise ConfigError(message) from None
     if cfg.scenario == "sweep-distance":
         _sweep_kappas(cfg)
     if cfg.scenario == "tune-stirap":  # its grid builds its own windows

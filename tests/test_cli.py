@@ -1195,6 +1195,31 @@ class TestConfigDataclass:
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_config(values)
 
+    HOP_IN_WINDOW = "hop_time_us = 2.0 us is too short: hop_time = 2e-06 s is shorter than the "
+
+    @pytest.mark.parametrize("pulses, window", [
+        ({"pulse_width_us": 1e303}, "7.200000000000001e+297 s; the pulse window ends at "
+         "7.200000000000001e+303 us with pulse_width_us = 1e+303"),
+        ({"t_delay_us": 1e303}, "1e+297 s; the pulse window ends at 1e+303 us with "
+         "t_delay_us = 1e+303"),
+        ({"t_center_us": 1e303}, "1e+297 s; the pulse window ends at 1e+303 us with "
+         "t_center_us = 1e+303"),
+        ({"pulse_width_us": 0.5, "t_delay_us": 0.6}, "3.6000000000000003e-06 s; the pulse "
+         "window ends at 3.6000000000000005 us with pulse_width_us = 0.5, t_delay_us = 0.6"),
+    ], ids=["pulse-width", "t-delay", "t-center", "two-keys"])
+    def test_pulse_keys_that_move_the_window_past_the_hop_are_named(self, pulses, window):
+        # the hop is refused, but a pulse key moved the window's end past it:
+        # the message names each such key and where the window now ends
+        with pytest.raises(ConfigError) as err:
+            build_config({"scenario": "chain", "hop_time_us": 2.0, **pulses})
+        assert str(err.value) == f"{self.HOP_IN_WINDOW}pulse window, which ends at {window}"
+
+    def test_hop_inside_the_default_window_names_only_the_horizon(self):
+        with pytest.raises(ConfigError) as err:
+            build_config({"scenario": "chain", "hop_time_us": 2.0})
+        assert str(err.value) == (f"{self.HOP_IN_WINDOW}pulse window, which ends at "
+                                  "1.9757165349338734e-05 s")
+
     @pytest.mark.parametrize("value", [1e303, 5e-324], ids=["huge", "subnormal"])
     @pytest.mark.parametrize("key", [f.name for f in fields(ScenarioConfig)
                                      if f.type in ("float", "tuple[float, ...]")])
@@ -1205,7 +1230,8 @@ class TestConfigDataclass:
         # either can take a rate or a default horizon derived from it past the
         # float range: build_config refuses such a config as a ConfigError that
         # names the key (a pulse window moved past a set horizon is no
-        # overflow, and names the horizon), and main exits with status 2.
+        # overflow: it names the horizon, and any pulse key that moved the
+        # window), and main exits with status 2.
         # Nothing runs
         for base in ({"scenario": scenario}, SMALL_SCENARIOS[scenario]):
             values = {**base, key: (value,) if key in cli._LIST_KEYS else value}

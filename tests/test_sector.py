@@ -206,7 +206,7 @@ FIG5_RED_WIDTH = default_stirap(FIG5_RED_G).pulse_width
 def test_pulsed_failure_is_reported_at_the_references_step(run, refill, where):
     # fig5-red where RK4 turns unstable under its default STIRAP with a 6 ns
     # step: mid-pulse, and with the pulse pair centred after the first batch.
-    # The engine reaches its steps through chunked prefix products, and must
+    # The engine reaches its steps through a product tree per batch, and must
     # still stop at the first step whose refill breaks the bound, at every
     # cadence; |1> on A makes the refill the link's own
     step, h, reference_refill = first_refill_failure(run)
@@ -271,8 +271,8 @@ def test_verdict_does_not_depend_on_the_sampling_cadence(sample_every):
 
 
 def test_constant_drive_powers_match_the_step_by_step_product():
-    # the dense-output benchmark's 23,200 steps at a cadence of 1000: powers
-    # of the one exact step matrix, chunk by chunk, against the exponential
+    # the dense-output benchmark's 23,200 steps at a cadence of 1000: the
+    # squarings of the one exact step matrix, as a tree, against the exponential
     # of the Liouvillian at every sample
     run = dict(link_run(LOW_LOSS, LOW_LOSS.constant_schedule(), 20e-6,
                         dynamics.default_dt(LOW_LOSS)), sample_every=1000)
@@ -291,8 +291,8 @@ def mixed_link_state(layout):
     return 0.7 * np.outer(coherent, coherent.conj()) + 0.3 * np.outer(mixed, mixed.conj())
 
 
-# Every run steps in batches; two batches and a ragged third, whose last
-# chunk is ragged too
+# Every run steps in batches; two batches and a ragged third, of a length
+# that is no power of two
 MULTI_BATCH_STEPS = 2 * dynamics._BATCH_STEPS + 37
 LAB_DETUNED = LinkParams(g_a=5.8 * TWO_PI_MHZ, g_b=5.8 * TWO_PI_MHZ, omega_q=24.1 * TWO_PI_MHZ,
                          omega_w=25.3 * TWO_PI_MHZ, kappa=0.34 * TWO_PI_MHZ,
@@ -333,7 +333,7 @@ def multi_batch_run(params, schedule=None, n_mediators=1, g_hop=0.0):
 def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
     # rotating-frame links step in the real gauge, lab-frame ones in the
     # realified form; a constant drive steps exactly, one step per sample, and
-    # its chunks all share one set of powers
+    # its batches all share one set of squarings
     traj = evolve(**run)
     reference = reference_run(run)
     assert len(traj.times) == MULTI_BATCH_STEPS // 7 + 2
@@ -342,6 +342,98 @@ def test_multi_batch_pulsed_runs_match_the_step_by_step_reference(run):
     for column in ("populations", "trace", "purity", "fidelity"):
         np.testing.assert_allclose(getattr(traj, column), getattr(reference, column),
                                    rtol=0, atol=EQUIVALENCE_TOL, err_msg=column)
+
+
+# --- the product tree: each batch's steps from one up-sweep and one down-sweep ---
+
+TREE_STEPS = [1, 2, 3, 1023, 1024, 1025, MULTI_BATCH_STEPS]
+LAB_DETUNED_STIRAP = StirapSchedule(g0_a=LAB_DETUNED.g_a, g0_b=LAB_DETUNED.g_b,
+                                    pulse_width=0.5e-6, t_delay=0.6e-6)
+
+
+def real_forms(params, schedule):
+    """The real generators (3, dim, dim) that the engine steps, and its pulsed step."""
+    a = link_generators(params)
+    gauge = dynamics._real_gauge(a)
+    real = (dynamics._realified(a) if gauge is None
+            else (gauge.conj()[:, None] * a * gauge).real)
+    return real, dynamics.default_dt(params, schedule)
+
+
+def tree_case(case, n):
+    """x0 (run, dim, 2), generators (run, 3, dim, dim), the schedule, the grid of n
+    steps from 1.2 us, in the pulses, and each run's step matrices (run, n, dim, dim)."""
+    if case == "stacked-constant":  # two links, each with its own exact step S
+        links = [LOW_LOSS, replace(LOW_LOSS, kappa=3 * LOW_LOSS.kappa, gamma_a=0.0)]
+        generators = np.stack([real_forms(params, None)[0] for params in links])
+        h, schedule = dynamics.default_dt(LOW_LOSS), LOW_LOSS.constant_schedule()
+        a = generators[:, 0] + schedule.g0_a * generators[:, 1] + schedule.g0_b * generators[:, 2]
+        steps = np.stack([np.broadcast_to(dynamics._expm(h * a_run), (n,) + a_run.shape)
+                          for a_run in a])
+    else:
+        params, schedule = {"real-gauge-pulsed": (LOW_LOSS, LOW_LOSS_STIRAP),
+                            "realified-lab-frame-pulsed": (LAB_DETUNED, LAB_DETUNED_STIRAP)}[case]
+        generators, h = real_forms(params, schedule)
+        lattice = 1.2e-6 + np.arange(2 * n + 1) * (0.5 * h)
+        steps = dynamics._rk4_step_matrices(generators, h, *schedule.couplings(lattice))[None]
+        generators = generators[None]
+    x0 = np.stack([np.eye(generators.shape[-1])[:, :2] + 0.3] * len(generators))
+    return x0, generators, schedule, dynamics._Grid(1.2e-6, h, n, 1), steps
+
+
+@pytest.mark.parametrize("n", TREE_STEPS)
+@pytest.mark.parametrize("case", ["real-gauge-pulsed", "realified-lab-frame-pulsed",
+                                  "stacked-constant"])
+def test_product_tree_matches_the_sequential_product_at_every_step(case, n):
+    # the tree multiplies each batch's step matrices in another order than
+    # one after another: every X it gives, across batches and for a length
+    # that is no power of two, is the sequential product's to roundoff
+    x0, generators, schedule, grid, steps = tree_case(case, n)
+    samples = dynamics._step_amplitudes(x0, lambda blocks: np.zeros(blocks.shape[:2]),
+                                        generators, schedule, grid, grid.sample_steps())
+    reference = np.empty_like(samples)
+    reference[:, 0] = x0
+    for i in range(n):
+        reference[:, i + 1] = steps[:, i] @ reference[:, i]
+    error = np.linalg.norm(samples - reference, axis=(-2, -1))
+    assert (error <= 1e-13 * np.linalg.norm(reference, axis=(-2, -1))).all(), error.max()
+
+
+class NanAtOneTime:
+    """A schedule's couplings with nan at the lattice time nearest to t_nan."""
+
+    def __init__(self, schedule, t_nan, h):
+        self.schedule, self.t_nan, self.h = schedule, t_nan, h
+
+    def couplings(self, times):
+        g_a, g_b = self.schedule.couplings(times)
+        g_a[np.abs(times - self.t_nan) < 0.25 * self.h] = math.nan
+        return g_a, g_b
+
+
+@pytest.mark.parametrize("sample_every", [1, 10])
+def test_nan_coupling_fails_at_its_step_and_leaves_the_steps_before_finite(sample_every,
+                                                                          monkeypatch):
+    # the weak-loss short pulse over its window, 2088 steps: a nan coupling at
+    # 1.5 us enters the step that ends there, step 870, through its K4, and
+    # the next one through its K1. The tree's products that hold it give no
+    # X before that step
+    t_final = default_stirap_window(LOW_LOSS_STIRAP)[1]
+    h = t_final / 2088
+    batches = []
+    down_sweep = dynamics._down_sweep
+    monkeypatch.setattr(dynamics, "_down_sweep",
+                        lambda *args: batches.append(down_sweep(*args)) or batches[-1])
+    run = dict(link_run(LOW_LOSS, NanAtOneTime(LOW_LOSS_STIRAP, 1.5e-6, h), t_final, h),
+               sample_every=sample_every)
+    with pytest.raises(IntegrationError) as err:
+        evolve(**run)
+    assert err.value.t == pytest.approx(870 * h, rel=1e-12)
+    assert str(err.value) == ("state diverged (non-finite entries) at t = 1.500000e-06 s "
+                              f"(step 870 of 2088, dt = {h:.6e} s, sample_every = {sample_every})")
+    (blocks,) = batches  # X after steps 1, ..., 1024
+    assert np.isfinite(blocks[:, :869]).all()
+    assert not np.isfinite(blocks[:, 869]).all()
 
 
 # --- the factored form: only the span of R0 and u0 steps -----------------------

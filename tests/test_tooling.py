@@ -32,7 +32,9 @@ A distance sweep runs its constant-drive points as one stacked amplitude run
 and formats their files as one row stream, in full blocks across the files'
 edges; a pulsed sweep runs each point alone. The number of runs and of
 formatted blocks is held here, so that a change that falls back to one run or
-one file at a time fails.
+one file at a time fails. A pulsed run reads its drive once per batch of
+steps and steps each batch by one product tree; the calls and the tree's
+levels are held too, so that a fall-back to per-chunk or per-step loops fails.
 
 A long trajectory is formatted by forked processes; a fresh interpreter under
 -X dev -W error, with its BLAS library held to one thread so that it may
@@ -66,6 +68,7 @@ from conftest import SMALL_SCENARIOS
 import qlinksim
 from qlinksim import cli, dynamics
 from qlinksim.cli import SCENARIOS, ScenarioConfig, build_config, parse_config_text
+from qlinksim.protocols import StirapSchedule, default_stirap_window
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -191,7 +194,7 @@ ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_no_module_reads_the_environment():
-    # the engine's batch and chunk sizes are module constants: no run's
+    # the engine's batch size is a module constant: no run's
     # result or cost may hang on a variable of the calling shell
     reads = []
     for path, tree in _module_trees(PACKAGE):
@@ -329,6 +332,31 @@ def test_sweep_stacks_its_constant_points(protocol, tmp_path, monkeypatch):
     else:
         assert runs.call_count == points  # pulsed links run one at a time
     assert blocks.call_count == math.ceil(rows / cli._CSV_BLOCK_ROWS)
+
+
+def test_pulsed_run_steps_each_batch_by_one_product_tree(monkeypatch):
+    # a pulsed run of two full batches and a ragged third: the drive is read
+    # once per batch, on the batch's 2n + 1 half-step times, and the batch's
+    # n step matrices make one tree of floor(log2 n) + 1 levels, each level
+    # half the blocks of the one below, and one down-sweep
+    n_steps, batches = 2 * dynamics._BATCH_STEPS + 37, [dynamics._BATCH_STEPS] * 2 + [37]
+    params = dynamics.LinkParams(g_a=3.6e7, g_b=3.6e7, kappa=2.1e6, gamma_a=3.8e4,
+                                 gamma_b=3.8e4)
+    schedule = StirapSchedule(g0_a=params.g_a, g0_b=params.g_b, pulse_width=0.5e-6,
+                              t_delay=0.6e-6)
+    t_final = default_stirap_window(schedule)[1]
+    drive, trees = [], []
+    couplings, up_sweep = StirapSchedule.couplings, dynamics._up_sweep
+    monkeypatch.setattr(StirapSchedule, "couplings",
+                        lambda self, times: drive.append(times.shape) or couplings(self, times))
+    monkeypatch.setattr(dynamics, "_up_sweep",
+                        lambda steps: trees.append(up_sweep(steps)) or trees[-1])
+    with mock.patch.object(dynamics, "_down_sweep", wraps=dynamics._down_sweep) as down:
+        dynamics.link_channel(params, schedule, t_final, t_final / n_steps)
+    assert drive == [(2 * n + 1,) for n in batches]
+    assert [[level.shape[1] for level in tree] for tree in trees] == \
+        [[n >> level for level in range(n.bit_length())] for n in batches]
+    assert down.call_count == len(batches)
 
 
 # cells the float kernel leaves to repr or decides at an edge: signed zeros,
