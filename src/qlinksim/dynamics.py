@@ -316,7 +316,6 @@ class Trajectory:
     state_at: Callable[[object], np.ndarray] = field(repr=False)
     columns_at: Callable[[slice], TrajectoryColumns] = field(repr=False)
     fidelity: Optional[np.ndarray] = None
-    target: Optional[PureQubitSpec] = None
 
     @property
     def populations(self) -> np.ndarray:
@@ -644,7 +643,7 @@ class _FactoredRuns:
         return [Trajectory(layout=self.layout, times=times,
                            state_at=partial(self.state_at, run),
                            columns_at=partial(self.columns_at, run),
-                           fidelity=None if fidelity is None else fidelity[run], target=target)
+                           fidelity=None if fidelity is None else fidelity[run])
                 for run in range(len(self.x))]
 
 

@@ -259,8 +259,9 @@ def distance_sweep(
         raise ValueError("lengths must be >= 0")
     medium = link_template.medium if link_template.medium is not None else MediumModel()
     combinations = [(kind, length) for kind in kinds for length in lengths]
-    params = [replace(link_template, medium=replace(medium, kind=kind, length=length))
-              .effective_params() for kind, length in combinations]
+    params = [replace(link_template.params, kappa=effective_kappa(
+        replace(medium, kind=kind, length=length), link_template.hop_time))
+        for kind, length in combinations]
     rho = target.density_matrix()
     check_density_matrix(rho)
     # points that share a step share a run under a constant drive; a pulsed

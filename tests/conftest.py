@@ -152,7 +152,7 @@ def sampled_trajectory(layout, times, states, target=None) -> Trajectory:
     return Trajectory(
         layout=layout, times=times, state_at=states.__getitem__,
         columns_at=lambda rows: TrajectoryColumns(*(column[rows] for column in columns)),
-        fidelity=fidelity, target=target,
+        fidelity=fidelity,
     )
 
 

@@ -298,7 +298,7 @@ class TestScenarioRuns:
         rho0 = product_state([None] * 5, layout)
         traj = evolve(rho0, layout, params, params.constant_schedule(),
                       (0.0, 1e-8), 1e-10, sample_every=10, g_hop=1e7)
-        _Outputs(tmp_path).write_trajectory("trajectory.csv", traj)
+        _Outputs(tmp_path).write_trajectories(["trajectory.csv"], [traj])
         header, rows = read_csv(tmp_path / "trajectory.csv")
         assert header == [
             "t_us", "pop_A", "pop_W", "pop_W2", "pop_W3", "pop_B",
@@ -631,7 +631,7 @@ class TestColumnWriter:
         header = ["t_us", "a", "b", "c"]
         columns = edge_columns(n_rows, len(header))
         forks = use_cpus(monkeypatch, n_cpus)
-        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
+        _Outputs(tmp_path).write_tables(["columns.csv"], header, [columns])
         text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
         assert text.split("\n") == per_cell_lines(header, columns)
         assert os.listdir(tmp_path) == ["columns.csv"]
@@ -649,10 +649,14 @@ class TestColumnWriter:
         assert self.write_edge_columns(n_rows, 3, tmp_path, monkeypatch) == slices - 1
         assert_no_child_left()
 
-    # tables written as one stream: empty ones, one row, within a block and
-    # across blocks; on three CPUs one child formats rows of the long table
-    # alone and another its end and the tables after it
-    TABLE_ROWS = [0, 1, 255, 0, 513, 3 * _MIN_SLICE_ROWS, 300, 0]
+    # tables written as one stream, by the row each ends before: one row, rows
+    # within a block and across blocks, and a 1-row table on each side of a
+    # block's edge (512) and of both edges of the three slices a 3-CPU write
+    # makes of the 13357 rows (4096 and 8704). So a block (rows 0-511) and a
+    # forked slice (4096-8703) each end on a file's last row, and the next
+    # file opens with the next row.
+    TABLE_ENDS = [1, 256, 511, 512, 513, 4095, 4096, 4097, 8703, 8704, 8705, 13357]
+    TABLE_ROWS = np.diff([0] + TABLE_ENDS).tolist()
 
     @pytest.mark.parametrize("n_cpus", [1, pytest.param(3, marks=needs_fork)])
     def test_tables_match_per_cell_rows(self, n_cpus, tmp_path, monkeypatch):
@@ -660,6 +664,9 @@ class TestColumnWriter:
         tables = [edge_columns(n_rows, len(header)) for n_rows in self.TABLE_ROWS]
         names = [f"table{i}.csv" for i in range(len(tables))]
         forks = use_cpus(monkeypatch, n_cpus)
+        if n_cpus == 3:
+            assert cli._row_slices(self.TABLE_ENDS[-1]) == [(0, 4096), (4096, 8704),
+                                                            (8704, 13357)]
         _Outputs(tmp_path).write_tables(names, header, tables)
         assert len(forks) == n_cpus - 1
         for name, columns in zip(names, tables):
@@ -668,9 +675,17 @@ class TestColumnWriter:
         assert sorted(os.listdir(tmp_path)) == sorted(names)
         assert_no_child_left()
 
-    def test_mismatched_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="expected 2 1-D columns of 3 rows"):
-            _Outputs(tmp_path).write_columns("bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+    # columns of unequal length, and a table with no rows after one with a row
+    @pytest.mark.parametrize("tables, message", [
+        ([[np.zeros(3), np.zeros(2)]], "bad0.csv: expected 2 1-D columns of 3 rows"),
+        ([[np.zeros(1), np.zeros(1)], [np.zeros(0), np.zeros(0)]],
+         "bad1.csv: a table needs at least one row"),
+    ], ids=["mismatched", "empty"])
+    def test_bad_tables_rejected_before_any_file_opens(self, tables, message, tmp_path):
+        names = [f"bad{i}.csv" for i in range(len(tables))]
+        with pytest.raises(ValueError, match=message):
+            _Outputs(tmp_path).write_tables(names, ["a", "b"], tables)
+        assert os.listdir(tmp_path) == []
 
     def peak_growth(self, lengths, n_cpus, tmp_path, monkeypatch):
         """Growth of the tracemalloc peak of a write from the shorter length to the longer."""
@@ -679,7 +694,7 @@ class TestColumnWriter:
             outputs = _Outputs(tmp_path)
             tracemalloc.start()
             try:
-                outputs.write_columns(f"{n_rows}.csv", list("abcdefg"), columns)
+                outputs.write_tables([f"{n_rows}.csv"], list("abcdefg"), [columns])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -710,7 +725,7 @@ class TestColumnWriter:
             try:
                 traj = evolve(rho0, layout, params, params.constant_schedule(),
                               (0.0, n_samples * dt), dt, target=target)
-                _Outputs(tmp_path).write_trajectory(f"{n_samples}.csv", traj)
+                _Outputs(tmp_path).write_trajectories([f"{n_samples}.csv"], [traj])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -791,7 +806,7 @@ def child_growth_kb(n_rows):
     columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
     with open("/proc/self/statm") as fh:
         resident_kb = int(fh.read().split()[1]) * resource.getpagesize() // 1024
-    _Outputs(Path(sys.argv[1])).write_columns(f"{n_rows}.csv", list("abcdefg"), columns)
+    _Outputs(Path(sys.argv[1])).write_tables([f"{n_rows}.csv"], list("abcdefg"), [columns])
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert usage.ru_maxrss > 0, "no child was forked"
     return usage.ru_maxrss - resident_kb
@@ -816,7 +831,7 @@ class TestForkedWriteFailures:
 
         monkeypatch.setattr(cli, "_csv_blocks", failing_blocks)
         columns = [np.arange(self.N_ROWS, dtype=float)] * 3
-        _Outputs(tmp_path).write_columns("columns.csv", ["a", "b", "c"], columns)
+        _Outputs(tmp_path).write_tables(["columns.csv"], ["a", "b", "c"], [columns])
 
     def test_child_that_raises(self, tmp_path, monkeypatch, capfd):
         with pytest.raises(OSError, match=r"cannot write .*columns\.csv: process \d+ "
@@ -851,7 +866,7 @@ class TestForkedWriteFailures:
         monkeypatch.setattr(module, call, limited)
         header = ["t_us", "a", "b"]
         columns = edge_columns(self.N_ROWS + 257, len(header))
-        _Outputs(tmp_path).write_columns("columns.csv", header, columns)
+        _Outputs(tmp_path).write_tables(["columns.csv"], header, [columns])
         text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
         assert text.split("\n") == per_cell_lines(header, columns)
         assert len(forks) == (fails_at - 1 if call == "fork" else 0)
@@ -1026,6 +1041,47 @@ class TestFailureHandling:
         assert result["status"] == "invalid-state"
         assert result["error"].startswith(error)
         assert error in capsys.readouterr().err
+
+    def test_write_failure_removes_csvs_and_reports(self, tmp_path, monkeypatch, capsys):
+        # a rerun into an ok run's directory that runs out of space in its
+        # first trajectory block: the trajectory it truncated goes, the
+        # earlier summary it never opened stays, and the manifest is its own
+        out = tmp_path / "out"
+        assert run_scenario(load_config(write_config(tmp_path, FAST_TRANSFER)), out) == 0
+        summary = (out / "summary.csv").read_bytes()
+
+        def full_disk(block):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_block_text", full_disk)
+        cfg = load_config(write_config(tmp_path, FAST_TRANSFER), {"t_final_us": 0.6})
+        assert run_scenario(cfg, out) == 1
+        assert [p.name for p in out.glob("*.csv")] == ["summary.csv"]
+        assert (out / "summary.csv").read_bytes() == summary
+        result = read_result(out)
+        assert result["status"] == "write-failure"
+        assert re.fullmatch(r"cannot write .*trajectory\.csv: \[Errno 28\] No space left on "
+                            r"device", result["error"]), result["error"]
+        assert load_config(out / "manifest.txt").t_final_us == 0.6
+        assert f"error: {result['error']}" in capsys.readouterr().err
+
+    def test_file_in_the_way_is_a_write_failure(self, tmp_path):
+        # a directory where a CSV goes: the run fails and leaves it alone
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        assert run_scenario(load_config(write_config(tmp_path, FAST_TRANSFER)), out) == 1
+        assert (out / "trajectory.csv").is_dir()
+        assert read_result(out)["status"] == "write-failure"
+
+    def test_out_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"out_path = {re.escape(str(taken))} cannot be "
+                                              "made a directory: .*File exists"):
+            run_scenario(load_config(write_config(tmp_path, FAST_TRANSFER)), taken)
+        assert main(["transfer", "--out", str(taken)]) == 2
+        assert "config error: out_path = " in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         bad = write_config(tmp_path, "scenario = transfer\nbogus_key = 1\n")

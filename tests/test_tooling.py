@@ -15,9 +15,10 @@ must also read byte for byte as the last row of the trajectory it stands for.
 Every fidelity follows qspace's one rule: no other module reads
 FIDELITY_SLACK or clips a value.
 
-Every module-level private function or class is read somewhere in the
-package outside its own definition, so that a helper left orphaned, or one
-only tests call, fails.
+Every module-level private function or class, every private method and
+every method of a private class is read somewhere in the package outside its
+own definition, so that a helper left orphaned, or one only tests call,
+fails.
 
 Every ```python block in README.md runs, and every ```ini block builds a
 config, so that an API change cannot leave an example stale. README.md's
@@ -226,24 +227,37 @@ def test_one_module_holds_the_fidelity_rule():
 
 
 def _unused_private_helpers(package: Path) -> list[str]:
-    """Module-level _functions and _Classes that no code in package reads outside their own
-    definitions, as module:name; names are matched whatever module or object they are read on."""
+    """Private helpers that no code in package reads outside their own definitions, as
+    module:name. A helper is a module-level _function or _Class, a class's _method, or any
+    other method of a _Class but a dunder. Names are matched whatever module or object they
+    are read on, but a _Class's public method only in its module: names such as copy and
+    where are numpy's too."""
     trees = list(_module_trees(package))
-    helpers = [(path.name, node) for path, tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    helpers = []  # (module, name, definition, the module its reads must be in or None)
+    for path, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                helpers.append((path.name, node.name, node, None))
+            if isinstance(node, ast.ClassDef):
+                helpers += [(path.name, f"{node.name}.{method.name}", method,
+                             None if method.name.startswith("_") else path.name)
+                            for method in node.body if isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("__")
+                            and (method.name.startswith("_") or node.name.startswith("_"))]
     reads: dict[str, list] = {}
-    for _, tree in trees:
+    for path, tree in trees:
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else None)
-            reads.setdefault(name, []).append(node)
-    return [f"{module}:{helper.name}" for module, helper in helpers
-            if set(reads.get(helper.name, [])) <= set(ast.walk(helper))]
+            reads.setdefault(name, []).append((path.name, node))
+    return [f"{module}:{name}" for module, name, helper, scope in helpers
+            if {node for where, node in reads.get(helper.name, []) if scope in (None, where)}
+            <= set(ast.walk(helper))]
 
 
 def test_every_private_helper_is_read_in_the_package():
-    # a private helper read only by its own body, or only by tests, is dead
-    # code the package carries
+    # a private helper or method read only by its own body, or only by tests,
+    # is dead code the package carries
     assert _unused_private_helpers(PACKAGE) == []
 
 
@@ -375,8 +389,8 @@ if cpus == "one":
 status = main(["transfer", "--config", config, "--out", out])
 forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
 cells = json.loads(edges)
-_Outputs(Path(out)).write_columns("edges.csv", ["x", "minus_x", "shifted"],
-                                  [cells, [-x for x in cells], cells[3:] + cells[:3]])
+_Outputs(Path(out)).write_tables(["edges.csv"], ["x", "minus_x", "shifted"],
+                                 [[cells, [-x for x in cells], cells[3:] + cells[:3]]])
 print(json.dumps({"status": status, "forked": forked}))
 """
 
