@@ -131,6 +131,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys):
+        # a directory and a file that is not UTF-8: exit 2, no traceback
+        undecodable = tmp_path / "bad.cfg"
+        undecodable.write_bytes(b"scenario = transfer\n\xff\n")
+        for path, reason in [(tmp_path, "Is a directory"),
+                             (undecodable, "'utf-8' codec can't decode byte 0xff in position 20: "
+                                           "invalid start byte")]:
+            assert main(["--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: cannot read config file {path}: {reason}\n")
+
     def test_validation_messages_name_field_and_constraint(self):
         with pytest.raises(ConfigError, match="theta_deg"):
             build_config({"scenario": "transfer", "theta_deg": 270.0})
@@ -908,13 +919,13 @@ class TestFloatText:
         values = values[:values.size // 7 * 7].reshape(-1, 7)
         for first in range(0, len(values), cli._CSV_BLOCK_ROWS):
             block = values[first:first + cli._CSV_BLOCK_ROWS]
-            assert cli._block_text(block) == repr_rows(block)
+            assert cli._block_text(block) == repr_rows(block).encode()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1, max_size=8))
     def test_rows_of_any_floats_match_repr(self, rows):
         block = np.array(rows, dtype=float)
-        assert cli._block_text(block) == repr_rows(block)
+        assert cli._block_text(block) == repr_rows(block).encode()
 
     def test_only_the_undecided_cells_reach_repr(self, monkeypatch):
         # smooth trajectory-like columns never fall back to repr; the kernel
@@ -930,12 +941,12 @@ class TestFloatText:
         decay = np.exp(-t / 3.0)
         smooth = np.stack([t, decay, 1.0 - decay, decay ** 20, np.ones_like(t), -np.sin(t),
                            np.sin(t) ** 2 * 1e-12], axis=1)
-        assert cli._block_text(smooth) == repr_rows(smooth)
+        assert cli._block_text(smooth) == repr_rows(smooth).encode()
         assert sent == []
         edges = np.array([[0.0, -0.0, 1.0, 0.5, 1e16, 1e-5, 123.0],
                           [math.nan, math.inf, 5e-324, 1e17, 2.0 ** -30, 1000000000000000.25,
                            9e-29]])
-        assert cli._block_text(edges) == repr_rows(edges)
+        assert cli._block_text(edges) == repr_rows(edges).encode()
         assert [repr(x) for x in sent] == ["nan", "inf", "5e-324", "1e+17",
                                            "9.313225746154785e-10", "1000000000000000.2",
                                            "9e-29"]
@@ -1064,6 +1075,29 @@ class TestFailureHandling:
                             r"device", result["error"]), result["error"]
         assert load_config(out / "manifest.txt").t_final_us == 0.6
         assert f"error: {result['error']}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, run_errors", [
+        (FAST_TRANSFER, []),
+        ("scenario = transfer\npreset = fig5-red\nprotocol = stirap\nt_final_us = 1.2\n"
+         "dt_ns = 6.0\n",
+         ["error: vacuum refill Tr R0 - Tr R = -2.220e+00 below -1e-05, a lower bound on the "
+          "smallest eigenvalue at t = 5.520000e-07 s (step 92 of 200, dt = 6.000000e-09 s, "
+          "sample_every = 1)"]),
+    ], ids=["ok-run", "failed-run"])
+    def test_manifest_that_cannot_be_written_removes_the_csvs(self, tmp_path, capsys, config,
+                                                              run_errors):
+        # a directory where the manifest goes: no CSV is left without one, and a
+        # failed run's own error comes before the manifest's
+        out = tmp_path / "out"
+        manifest = out / "manifest.txt"
+        manifest.mkdir(parents=True)
+        assert main(["--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == [manifest]
+        assert manifest.is_dir()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            *run_errors, f"error: cannot write {manifest}: Is a directory"]
 
     def test_file_in_the_way_is_a_write_failure(self, tmp_path):
         # a directory where a CSV goes: the run fails and leaves it alone

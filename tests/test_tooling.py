@@ -38,14 +38,16 @@ steps and steps each batch by one product tree; the calls and the tree's
 levels are held too, so that a fall-back to per-chunk or per-step loops fails.
 
 A long trajectory is formatted by forked processes; a fresh interpreter under
--X dev -W error, with its BLAS library held to one thread so that it may
-fork, shows that doing so leaves no warning behind and writes the same bytes
-as a run held to one CPU, for one file and for a sweep's many. The same interpreter writes a table of the cells
-the CSV float kernel leaves to repr or decides at an edge (signed zeros,
-infinities, nan, subnormal, huge and tiny values, a power of two that needs
-16 digits, 1.0 and an exact 17-digit tie), so a RuntimeWarning from a lane
-the kernel computes and then discards fails the test too, and that table's
-bytes must be repr's per cell.
+-X dev -X warn_default_encoding -W error, with its BLAS library held to one
+thread so that it may fork, shows that doing so leaves no warning behind (a
+text-mode open that relies on the default encoding among them) and writes
+the same bytes as a run held to one CPU, for one file and for a sweep's
+many. The same interpreter writes a table of the cells the CSV float kernel
+leaves to repr or decides at an edge (signed zeros, infinities, nan,
+subnormal, huge and tiny values, a power of two that needs 16 digits, 1.0
+and an exact 17-digit tie), so a RuntimeWarning from a lane the kernel
+computes and then discards fails the test too, and that table's bytes must
+be repr's per cell.
 """
 
 import ast
@@ -409,7 +411,8 @@ def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
     runs = {}
     for cpus in ("all", "one"):
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_TRANSFER,
+            [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
+             "-c", FORKING_TRANSFER,
              str(config), str(tmp_path / cpus), cpus, json.dumps(KERNEL_EDGES)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -453,7 +456,8 @@ def test_forked_sweep_files_match_one_cpu_under_dev_mode(tmp_path):
     runs = {}
     for cpus in ("all", "one"):
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_SWEEP,
+            [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
+             "-c", FORKING_SWEEP,
              str(config), str(tmp_path / cpus), cpus],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
