@@ -207,7 +207,6 @@ class ScenarioConfig:
         )
 
 
-
 # --- config file handling -------------------------------------------------
 
 _NONNEGATIVE_KEYS = {

@@ -726,12 +726,13 @@ def link_channels(params: Sequence[LinkParams], schedule: CouplingSchedule, t_fi
     Under a constant drive each link takes its own exact step matrices and
     its own per-step checks. A failed check raises the IntegrationError of
     the first link in the stack that fails in that batch of steps, as that
-    link's own run raises it. A pulsed drive runs one link at a time
-    (ValueError for more): RK4 on pulsed links in lockstep costs more per
-    link and step than separate runs.
+    link's own run raises it. Under a pulsed drive the links run one at a
+    time, in stack order, as RK4 on pulsed links in lockstep costs more per
+    link and step than separate runs; the first link that fails raises.
     """
-    if not isinstance(schedule, ConstantSchedule) and len(params) != 1:
-        raise ValueError(f"a pulsed drive runs one link at a time, got {len(params)}")
+    if not isinstance(schedule, ConstantSchedule) and len(params) > 1:
+        return [link_channels([p], schedule, t_final, dt, sample_every=sample_every,
+                              n_mediators=n_mediators, g_hop=g_hop)[0] for p in params]
     grid = _checked_grid((0.0, t_final), dt, sample_every)
     generators = np.array([link_generators(p, n_mediators, g_hop) for p in params])
     e_a = np.zeros((len(params), n_mediators + 2, 1), dtype=complex)
@@ -929,14 +930,15 @@ def _step_amplitudes(
     x0 is (run, dim, columns), excited gives each run's Tr R from blocks
     (run, n, dim, columns) of its X, and generators (run, 3, dim, dim) are
     real forms of each run's A_0, A_A and A_B acting on its X; the samples
-    come as (run, sample, dim, columns). A constant drive takes one exact step S =
-    exp(h_s A~) per sample spacing h_s, each run its own, and its own
-    exponential for a shorter last one; a pulsed drive takes every RK4 step
-    of the grid, for one run. Every drive steps _BATCH_STEPS at a time by one
-    product tree (_down_sweep): a pulsed batch's from its RK4 step matrices
-    (_up_sweep), on the drive read once on the batch's 2n + 1 half-step
-    times, and a constant drive's from S, S^2, S^4, ... (_squarings), built
-    once to the depth its batches need. On a weak-loss STIRAP run in the real
+    come as (run, sample, dim, columns). A constant drive, its couplings read
+    once at the grid's start, takes one exact step S = exp(h_s A~) per sample
+    spacing h_s, each run its own, and its own exponential for a shorter last
+    one; a pulsed drive takes every RK4 step of the grid, for one run. Every
+    drive steps _BATCH_STEPS at a time by one product tree (_down_sweep): a
+    pulsed batch's from its RK4 step matrices (_up_sweep), on the drive read
+    once on the batch's 2n + 1 half-step times, and a constant drive's from
+    S, S^2, S^4, ... (_squarings), built once to the depth its batches need.
+    On a weak-loss STIRAP run in the real
     gauge (4176 steps, one BLAS thread, a shared 2-vCPU x86-64 machine) a
     pulsed step costs 0.46-0.49 us, against 1.03-1.18 us in the realified
     6 x 6 form. Every step of every run is checked: an entry that is not
@@ -974,7 +976,8 @@ def _step_amplitudes(
     h, x, stride = grid.h, x0, 1
     constant = isinstance(schedule, ConstantSchedule)
     if constant:  # one step per sample, and one tree for every batch
-        a = generators[:, 0] + schedule.g0_a * generators[:, 1] + schedule.g0_b * generators[:, 2]
+        g_a, g_b = schedule.couplings(grid.t0)
+        a = generators[:, 0] + g_a * generators[:, 1] + g_b * generators[:, 2]
         stride = grid.sample_every
         levels = _squarings(np.stack([_expm(stride * h * a_run) for a_run in a]),
                             min(grid.n_steps // stride, _BATCH_STEPS))

@@ -39,6 +39,7 @@ __all__ = [
     "average_fidelity",
 ]
 
+
 def transfer_fidelity(rho_b: np.ndarray, target: PureQubitSpec) -> float:
     """Overlap <psi_t| rho_B |psi_t> with the intended pure state."""
     rho_b = np.asarray(rho_b, dtype=complex)

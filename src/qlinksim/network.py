@@ -7,10 +7,10 @@ hop reads its received state and its trajectory off the channel in closed
 form. B's received state (no residual entanglement carried along) is the next
 hop's input, and a hop's or a sweep point's fidelity is its trajectory's last
 sample. A chain runs each distinct link once, however many hops use it. A
-distance sweep runs the links of its points that share a step under a
-constant drive as one stacked amplitude run (dynamics.link_channels), and
-reads their trajectories off the stack at once; under a pulsed drive each
-point runs alone.
+distance sweep runs the links of its points that share a step as one stack
+(dynamics.link_channels: one amplitude run under a constant drive, a run
+per link under a pulsed one), and reads their trajectories off the stack at
+once.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
 distance loses photons linearly in length; a fiber's end-to-end survival
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .protocols import ConstantSchedule, CouplingSchedule, StirapSchedule, default_stirap_window
+from .protocols import CouplingSchedule, StirapSchedule, default_stirap_window
 from .qspace import InvalidStateError, PureQubitSpec, check_density_matrix
 
 __all__ = [
@@ -246,9 +246,9 @@ def distance_sweep(
 
     Each point is a hop of target through the template's link over its
     medium, as run_hop sends it. Points that share a step (the template's dt,
-    or each point's default_dt where that is None) run as one stacked
-    amplitude run of their links under a constant drive; under a pulsed
-    drive each point runs alone. Per-point integration failures are recorded
+    or each point's default_dt where that is None) run as one stack of their
+    links (dynamics.link_channels, which steps a pulsed stack one link at a
+    time). Per-point integration failures are recorded
     and the sweep continues: a stack that fails a check is redone point by
     point, so each point records, or raises, what its own run gives. Results
     are sorted by (kind, length).
@@ -264,17 +264,14 @@ def distance_sweep(
         for kind, length in combinations]
     rho = target.density_matrix()
     check_density_matrix(rho)
-    # points that share a step share a run under a constant drive; a pulsed
-    # point runs alone, as lockstep RK4 costs more per link-step than separate runs
-    constant = isinstance(link_template.schedule, ConstantSchedule)
-    groups: dict[tuple[float, int], list[int]] = {}
+    groups: dict[float, list[int]] = {}  # points that share a step share a run
     for i, p in enumerate(params):
         dt = link_template.dt
         if dt is None:
             dt = dynamics.default_dt(p, link_template.schedule, link_template.g_hop)
-        groups.setdefault((dt, -1 if constant else i), []).append(i)
+        groups.setdefault(dt, []).append(i)
     outcomes: list = [None] * len(params)
-    for (dt, _), members in groups.items():
+    for dt, members in groups.items():
         runs = _sweep_runs(link_template, [params[i] for i in members], dt, rho, target)
         for i, outcome in zip(members, runs):
             outcomes[i] = outcome
@@ -295,7 +292,7 @@ def distance_sweep(
 def _sweep_runs(template: LinkSpec, params: Sequence[dynamics.LinkParams], dt: float,
                 rho: np.ndarray, target: PureQubitSpec) -> list:
     """The trajectory of rho sent through the template's link at each of params, from one
-    stacked run, or the error its own run raises.
+    run of their stack, or the error its own run raises.
 
     A stack whose run raises IntegrationError, or whose received states or
     fidelities raise InvalidStateError, is redone one link at a time.

@@ -1,10 +1,13 @@
 """Time-dependent coupling schedules: constant drive and counterintuitive
 Gaussian pulse pairs for adiabatic (dark-state) transfer.
 
-The pulse pair is ordered so the receiver-side coupling g_B peaks first
-(at t_center) and the sender-side coupling g_A peaks t_delay later; adiabatic
-following of the resulting dark state keeps the lossy mediator nearly empty.
-The grid tuner scores each (width, delay) pair on one run of the link's channel.
+A schedule is evaluated only on an array of times, by its couplings method:
+dynamics reads a pulsed drive on each batch's half-step times and a constant
+one once per run. The pulse pair is ordered so the receiver-side coupling g_B
+peaks first (at t_center) and the sender-side coupling g_A peaks t_delay
+later; adiabatic following of the resulting dark state keeps the lossy
+mediator nearly empty. The grid tuner scores each (width, delay) pair on one
+run of the link's channel.
 """
 
 from __future__ import annotations
@@ -51,12 +54,6 @@ class ConstantSchedule:
     def __post_init__(self) -> None:
         _check_peaks(self)
 
-    def g_a_at(self, t: float) -> float:
-        return self.g0_a
-
-    def g_b_at(self, t: float) -> float:
-        return self.g0_b
-
     def couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(g_A, g_B) at every entry of an array of times."""
         return np.full(np.shape(times), self.g0_a), np.full(np.shape(times), self.g0_b)
@@ -87,16 +84,8 @@ class StirapSchedule:
         if self.t_center < 0:
             object.__setattr__(self, "t_center", 3.0 * self.pulse_width)
 
-    def g_a_at(self, t: float) -> float:
-        x = (t - self.t_center - self.t_delay) / self.pulse_width
-        return self.g0_a * math.exp(-x * x)
-
-    def g_b_at(self, t: float) -> float:
-        x = (t - self.t_center) / self.pulse_width
-        return self.g0_b * math.exp(-x * x)
-
     def couplings(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(g_A, g_B) at every entry of an array of times, as g_a_at and g_b_at."""
+        """(g_A, g_B) at every entry of an array of times."""
         x_a = (times - self.t_center - self.t_delay) / self.pulse_width
         x_b = (times - self.t_center) / self.pulse_width
         return self.g0_a * np.exp(-x_a * x_a), self.g0_b * np.exp(-x_b * x_b)
@@ -112,16 +101,13 @@ def default_stirap(
     delay_ratio: float = DEFAULT_DELAY_RATIO,
     g0_b: float | None = None,
 ) -> StirapSchedule:
-    """Pulse pair with width T = adiabaticity/g0 and delay = delay_ratio*T."""
+    """Pulse pair of peaks g0 (on A) and g0_b (default g0), with width
+    T = adiabaticity / max(g0, g0_b) and delay = delay_ratio*T."""
     if g0 <= 0:
         raise ValueError("g0 must be > 0")
-    width = adiabaticity / g0
-    return StirapSchedule(
-        g0_a=g0,
-        g0_b=g0 if g0_b is None else g0_b,
-        pulse_width=width,
-        t_delay=delay_ratio * width,
-    )
+    g0_b = g0 if g0_b is None else g0_b
+    width = adiabaticity / max(g0, g0_b)
+    return StirapSchedule(g0_a=g0, g0_b=g0_b, pulse_width=width, t_delay=delay_ratio * width)
 
 
 def default_stirap_window(schedule: StirapSchedule) -> tuple[float, float]:

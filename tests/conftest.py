@@ -53,7 +53,7 @@ def make_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def hamiltonian_at(t, params, schedule, layout, g_hop=0.0):
     """Full Hamiltonian matrix at time t (Hermitian by construction)."""
     terms = hamiltonian_terms(params, layout, g_hop=g_hop)
-    return terms.at(schedule.g_a_at(t), schedule.g_b_at(t))
+    return terms.at(*schedule.couplings(t))
 
 
 def lindblad_rhs(rho, h, collapse):
@@ -189,7 +189,8 @@ def evolve_dense(rho0, layout, params, schedule, t_span, dt, sample_every=1, tar
         jump = jump_dag = None
 
     def rhs(t: float, r: np.ndarray) -> np.ndarray:
-        m = m_static + schedule.g_a_at(t) * m_a + schedule.g_b_at(t) * m_b
+        g_a, g_b = schedule.couplings(t)
+        m = m_static + g_a * m_a + g_b * m_b
         out = m @ r + r @ dagger(m)
         if jump is not None:
             out += (jump @ r @ jump_dag).sum(axis=0)
@@ -305,7 +306,7 @@ def rk4_columns(terms, collapse, schedule, x0, t_span, dt, sample_every=1):
                 np.zeros_like(terms.h_static))
 
     def drift(t):
-        return -1j * terms.at(schedule.g_a_at(t), schedule.g_b_at(t)) - decay
+        return -1j * terms.at(*schedule.couplings(t)) - decay
 
     x = np.array(x0, dtype=complex)
     times, columns = [t0], [x]

@@ -84,8 +84,9 @@ class TestHamiltonian:
         sched = default_stirap(g0)
         t = sched.t_center + 0.3 * sched.pulse_width
         h = hamiltonian_at(t, params, sched, LAYOUT)
-        assert h[idx(1, 0, 0), idx(0, 1, 0)] == pytest.approx(sched.g_a_at(t))
-        assert h[idx(0, 0, 1), idx(0, 1, 0)] == pytest.approx(sched.g_b_at(t))
+        g_a, g_b = sched.couplings(t)
+        assert h[idx(1, 0, 0), idx(0, 1, 0)] == pytest.approx(g_a)
+        assert h[idx(0, 0, 1), idx(0, 1, 0)] == pytest.approx(g_b)
 
     def test_hermitian_by_construction(self, rng):
         for _ in range(10):

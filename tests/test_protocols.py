@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qlinksim.cli import build_config
 from qlinksim.dynamics import LinkParams, default_dt, evolve
 from qlinksim.protocols import (
     ConstantSchedule,
@@ -21,9 +22,10 @@ US = 1e-6
 class TestConstantSchedule:
     def test_constant_for_all_times(self):
         sched = ConstantSchedule(g0_a=3.0, g0_b=4.0)
-        for t in [-1.0, 0.0, 1e-6, 5.0]:
-            assert sched.g_a_at(t) == 3.0
-            assert sched.g_b_at(t) == 4.0
+        times = np.array([-1.0, 0.0, 1e-6, 5.0])
+        g_a, g_b = sched.couplings(times)
+        np.testing.assert_array_equal(g_a, np.full(4, 3.0))
+        np.testing.assert_array_equal(g_b, np.full(4, 4.0))
 
     def test_rejects_negative_amplitudes(self):
         with pytest.raises(ValueError):
@@ -37,17 +39,19 @@ class TestStirapSchedule:
         )
 
     def test_peak_values(self):
-        assert self.sched.g_b_at(3e-6) == pytest.approx(5.0)
-        assert self.sched.g_a_at(3e-6 + 1.5e-6) == pytest.approx(2.0)
+        g_a, g_b = self.sched.couplings(np.array([3e-6, 3e-6 + 1.5e-6]))
+        assert g_b[0] == pytest.approx(5.0)
+        assert g_a[1] == pytest.approx(2.0)
 
     def test_receiver_pulse_precedes_sender_pulse(self):
         # counterintuitive ordering: g_B peaks before g_A
-        assert self.sched.g_b_at(3e-6) > self.sched.g_a_at(3e-6)
+        g_a, g_b = self.sched.couplings(np.array([3e-6]))
+        assert g_b[0] > g_a[0]
 
     def test_width_is_one_over_e_point(self):
         peak_t = 3e-6 + 1.5e-6
-        for sign in (-1, 1):
-            assert self.sched.g_a_at(peak_t + sign * 1e-6) == pytest.approx(2.0 / math.e)
+        g_a, _ = self.sched.couplings(np.array([peak_t - 1e-6, peak_t + 1e-6]))
+        assert list(g_a) == pytest.approx([2.0 / math.e] * 2)
 
     def test_window_arithmetic(self):
         assert default_stirap_window(self.sched) == (0.0, 7.5e-6)
@@ -55,8 +59,9 @@ class TestStirapSchedule:
     def test_window_boundary_envelope_is_negligible(self):
         t0, t1 = default_stirap_window(self.sched)
         bound = math.exp(-9.0)
-        assert self.sched.g_b_at(t0) <= bound * self.sched.g0_b
-        assert self.sched.g_a_at(t1) <= bound * self.sched.g0_a
+        g_a, g_b = self.sched.couplings(np.array([t0, t1]))
+        assert g_b[0] <= bound * self.sched.g0_b
+        assert g_a[1] <= bound * self.sched.g0_a
 
     def test_window_ordered_for_tiny_delay(self):
         sched = StirapSchedule(g0_a=1.0, g0_b=1.0, pulse_width=1e-6, t_delay=1e-12)
@@ -69,13 +74,13 @@ class TestStirapSchedule:
 
     def test_mirror_symmetry_with_equal_peaks(self):
         sched = StirapSchedule(g0_a=3.0, g0_b=3.0, pulse_width=1e-6, t_delay=1.2e-6)
-        for s in np.linspace(-4e-6, 4e-6, 41):
-            left = sched.g_a_at(sched.t_center + sched.t_delay + s)
-            right = sched.g_b_at(sched.t_center - s)
-            assert left == pytest.approx(right, rel=1e-9)
+        s = np.linspace(-4e-6, 4e-6, 41)
+        left, _ = sched.couplings(sched.t_center + sched.t_delay + s)
+        _, right = sched.couplings(sched.t_center - s)
+        np.testing.assert_allclose(left, right, rtol=1e-9)
 
     def test_pure_function_of_time(self):
-        values = [self.sched.g_a_at(2.7e-6) for _ in range(5)]
+        values = [self.sched.couplings(np.array([2.7e-6]))[0][0] for _ in range(5)]
         assert len(set(values)) == 1
 
     def test_validation(self):
@@ -97,6 +102,15 @@ class TestDefaultStirap:
         assert sched.t_delay == pytest.approx(1.2 * sched.pulse_width)
         assert sched.g0_a == g0
         assert sched.g0_b == g0
+
+    def test_width_from_the_larger_peak_as_the_cli_sets_it(self):
+        # g0_a = 3, g0_b = 6 (x 2pi MHz): T = 100 / max(g0_a, g0_b) = 2.653 us
+        sched = default_stirap(3 * TWO_PI_MHZ, g0_b=6 * TWO_PI_MHZ)
+        cfg = build_config({"scenario": "transfer", "protocol": "stirap",
+                            "g0_a_2pi_mhz": 3.0, "g0_b_2pi_mhz": 6.0})
+        assert sched == cfg.schedule()
+        assert sched.pulse_width == pytest.approx(100.0 / (6 * TWO_PI_MHZ))
+        assert (sched.g0_a, sched.g0_b) == (3 * TWO_PI_MHZ, 6 * TWO_PI_MHZ)
 
     def test_rejects_zero_coupling(self):
         with pytest.raises(ValueError):

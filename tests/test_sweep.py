@@ -1,17 +1,18 @@
 """A distance sweep's stacked runs against its points run one by one.
 
-network.distance_sweep runs every point that shares a step under a constant
-drive as one stacked amplitude run (dynamics.link_channels) and reads their
-trajectories off the stack at once; the CLI writes their files as one row
-stream (cli._Outputs.write_tables). Each point must come out as its own run
-gives it: value for value through the library, byte for byte through the CLI
-(files and summary). A stack that fails a check is redone point by point, so
-a failing point records, or raises, what its own run gives, and the others
-do not move.
+network.distance_sweep runs every point that shares a step as one stack
+(dynamics.link_channels: one amplitude run under a constant drive, a run per
+link under a pulsed one) and reads their trajectories off the stack at once;
+the CLI writes their files as one row stream (cli._Outputs.write_tables).
+Each point must come out as its own run gives it: value for value through
+the library, byte for byte through the CLI (files and summary). A stack that
+fails a check is redone point by point, so a failing point records, or
+raises, what its own run gives, and the others do not move.
 """
 
 import math
 import os
+import warnings
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -124,9 +125,17 @@ def test_stacked_sweep_equals_its_points_run_one_by_one(case):
         assert len(steps) > 2
 
 
-def test_pulsed_links_run_one_at_a_time():
-    with pytest.raises(ValueError, match="a pulsed drive runs one link at a time, got 2"):
-        link_channels([WEAK, LAB], STIRAP, 1e-6, 1e-9)
+def test_a_pulsed_stack_equals_its_links_run_alone():
+    # link_channels steps a pulsed stack one link at a time, in stack order
+    links = [WEAK, LAB, replace(WEAK, kappa=3 * WEAK.kappa)]
+    t_final = default_stirap_window(STIRAP)[1]
+    with counting_runs() as runs:
+        stacked = link_channels(links, STIRAP, t_final, 2e-9, sample_every=50)
+    assert runs.call_count == len(links)
+    for params, channel in zip(links, stacked):
+        (alone,) = link_channels([params], STIRAP, t_final, 2e-9, sample_every=50)
+        assert channel.times.tobytes() == alone.times.tobytes()
+        assert channel.amplitudes.tobytes() == alone.amplitudes.tobytes()
 
 
 # --- failures: each point as its own run would fail -----------------------------
@@ -232,4 +241,27 @@ def test_stacked_sweep_files_match_one_run_per_point(case, tmp_path, monkeypatch
         assert n_rows > 1 and rows in (None, n_rows)
         summary += (out / "summary.csv").read_text(encoding="utf-8").splitlines(True)[1:]
     assert sorted(p.name for p in (tmp_path / "stacked").glob("*.csv")) == sorted(names)
+    assert (tmp_path / "stacked" / "summary.csv").read_text(encoding="utf-8") == "".join(summary)
+
+
+def test_a_pulsed_point_that_fails_at_a_user_dt_ns_records_its_own_error(tmp_path):
+    # at dt_ns = 10 RK4 is unstable on the 1000 km cavity's loss, and only there
+    cfg = build_config({"scenario": "sweep-distance", "protocol": "stirap", **WEAK_LOSS,
+                        "dt_ns": 10.0, "lengths_km": (0.03, 1000.0)})
+    with pytest.warns(RuntimeWarning) as stacked:
+        assert run_scenario(cfg, tmp_path / "stacked") == 0
+    summary, errors = ["kind,length_km,fidelity\n"], []
+    for kind, length_km in sorted(product(cfg.media, cfg.lengths_km)):
+        out = tmp_path / f"{kind}-{length_km}"
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            assert run_scenario(replace(cfg, media=(kind,), lengths_km=(length_km,)), out) == 0
+        errors += [str(w.message).replace("1 of 1 ", "1 of 4 ") for w in alone]
+        summary += (out / "summary.csv").read_text(encoding="utf-8").splitlines(True)[1:]
+        for path in out.glob("trajectory_*.csv"):
+            assert (tmp_path / "stacked" / path.name).read_bytes() == path.read_bytes()
+    assert [str(w.message) for w in stacked] == errors
+    assert errors[0].startswith("1 of 4 sweep points failed and read nan: cavity at 1000 km: ")
+    assert summary[2] == "cavity,1000.0,nan\n"
+    assert len(list((tmp_path / "stacked").glob("trajectory_*.csv"))) == 3
     assert (tmp_path / "stacked" / "summary.csv").read_text(encoding="utf-8") == "".join(summary)

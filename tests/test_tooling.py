@@ -34,8 +34,10 @@ and formats their files as one row stream, in full blocks across the files'
 edges; a pulsed sweep runs each point alone. The number of runs and of
 formatted blocks is held here, so that a change that falls back to one run or
 one file at a time fails. A pulsed run reads its drive once per batch of
-steps and steps each batch by one product tree; the calls and the tree's
-levels are held too, so that a fall-back to per-chunk or per-step loops fails.
+steps and steps each batch by one product tree, and a constant run reads its
+drive once, through the same method; the calls and the tree's levels are
+held too, so that a fall-back to per-chunk or per-step loops, or a drive
+read past its schedule's couplings, fails.
 
 A long trajectory is formatted by forked processes; a fresh interpreter under
 -X dev -X warn_default_encoding -W error, with its BLAS library held to one
@@ -71,7 +73,7 @@ from conftest import SMALL_SCENARIOS
 import qlinksim
 from qlinksim import cli, dynamics
 from qlinksim.cli import SCENARIOS, ScenarioConfig, build_config, parse_config_text
-from qlinksim.protocols import StirapSchedule, default_stirap_window
+from qlinksim.protocols import ConstantSchedule, StirapSchedule, default_stirap_window
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -373,6 +375,22 @@ def test_pulsed_run_steps_each_batch_by_one_product_tree(monkeypatch):
     assert [[level.shape[1] for level in tree] for tree in trees] == \
         [[n >> level for level in range(n.bit_length())] for n in batches]
     assert down.call_count == len(batches)
+
+
+def test_constant_run_reads_its_drive_once(monkeypatch):
+    # two full batches of sample spacings, a ragged third and a shorter last
+    # spacing: the couplings are read once, at the grid's start, through the
+    # method a pulsed run reads
+    sample_every = 3
+    n_steps = sample_every * (2 * dynamics._BATCH_STEPS + 37) + 2
+    params = dynamics.LinkParams(g_a=3.6e7, g_b=3.6e7, kappa=2.1e6)
+    drive = []
+    couplings = ConstantSchedule.couplings
+    monkeypatch.setattr(ConstantSchedule, "couplings",
+                        lambda self, times: drive.append(times) or couplings(self, times))
+    dynamics.link_channel(params, params.constant_schedule(), 1e-9 * n_steps, 1e-9,
+                          sample_every=sample_every)
+    assert drive == [0.0]
 
 
 # cells the float kernel leaves to repr or decides at an edge: signed zeros,
