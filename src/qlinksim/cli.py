@@ -25,17 +25,13 @@ version) follows the config as comment lines, so a config holds only inputs.
 from __future__ import annotations
 
 import argparse
-import io
 import math
-import os
-import shutil
 import sys
-import tempfile
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -499,12 +495,6 @@ def _result_text(status: str, failed_at_us: float = -1.0, error: str = "") -> st
 # kernel's work arrays at once, so this bounds the memory a long
 # trajectory's file costs.
 _CSV_BLOCK_ROWS = 512
-# Fewest rows a forked process formats. Forking a 40-50 MB interpreter and
-# reaping the child takes about 3.5 ms, and copying 4096 rows of its text
-# back about 0.4 ms: 40 % of the 10 ms that _block_text takes to format them
-# (8 columns, 2-vCPU x86-64 VM, Python 3.11). So two slices of 4096 rows (7
-# columns) still write in 16 % less time than one process: 15.9 against 19.0 ms.
-_MIN_SLICE_ROWS = 4096
 
 # --- CSV float text ---------------------------------------------------------
 #
@@ -717,8 +707,9 @@ class _Table(NamedTuple):
     """n_rows rows of width float columns, read a range of rows at a time.
 
     read(start, stop) gives each column's values for rows start..stop. It
-    runs in the process that formats those rows, parent or forked child, so
-    a table's columns need not exist whole anywhere.
+    is called once per block, as that block is formatted (one process
+    formats every block), so a table's columns need not exist whole
+    anywhere.
     """
 
     n_rows: int
@@ -732,8 +723,8 @@ def _column_table(columns: Sequence[np.ndarray]) -> _Table:
                   lambda start, stop: [column[start:stop] for column in columns])
 
 
-def _csv_blocks(tables: Sequence[_Table], start: int, stop: int):
-    """Text of rows start..stop of tables of float columns, one after the other, block by block.
+def _csv_blocks(tables: Sequence[_Table]):
+    """Rows of tables of float columns, one after the other, as (rows, text) block by block.
 
     Every table has the same width. Each block of _CSV_BLOCK_ROWS rows is
     read into one reused array, across the tables' edges, one read per
@@ -741,9 +732,9 @@ def _csv_blocks(tables: Sequence[_Table], start: int, stop: int):
     ",".join(map(repr, row)) gives each row, as ASCII bytes.
     """
     ends = list(accumulate(table.n_rows for table in tables))
-    block = np.empty((min(_CSV_BLOCK_ROWS, max(stop - start, 0)), tables[0].width))
-    for first in range(start, stop, _CSV_BLOCK_ROWS):
-        rows = block[:min(_CSV_BLOCK_ROWS, stop - first)]
+    block = np.empty((min(_CSV_BLOCK_ROWS, ends[-1]), tables[0].width))
+    for first in range(0, ends[-1], _CSV_BLOCK_ROWS):
+        rows = block[:min(_CSV_BLOCK_ROWS, ends[-1] - first)]
         row, t = first, bisect_right(ends, first)
         while row < first + len(rows):
             n = min(ends[t], first + len(rows)) - row
@@ -751,106 +742,7 @@ def _csv_blocks(tables: Sequence[_Table], start: int, stop: int):
             for j, column in enumerate(tables[t].read(offset, offset + n)):
                 rows[row - first:row - first + n, j] = column
             row, t = row + n, t + 1
-        yield _block_text(rows)
-
-
-def _single_threaded() -> bool:
-    """Whether this process runs one OS thread, so that forking it is safe.
-
-    It counts the threads the kernel sees, not only Python's: numpy's
-    OpenBLAS starts worker threads at import unless OPENBLAS_NUM_THREADS=1,
-    and from Python 3.12 os.fork warns in any multi-threaded process.
-    """
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc: the threads cannot be counted
-        return False
-
-
-def _row_slices(n_rows: int) -> list[tuple[int, int]]:
-    """Contiguous row slices of a table, one per process that formats it.
-
-    There is more than one only where forking is safe and pays for itself:
-    os.fork and os.sched_getaffinity exist, more than one CPU is usable, the
-    process runs one OS thread, and every slice has _MIN_SLICE_ROWS rows.
-    Slices start on block boundaries.
-    """
-    k = n_rows // _MIN_SLICE_ROWS
-    if k < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                     and _single_threaded()):
-        return [(0, n_rows)]
-    k = min(k, len(os.sched_getaffinity(0)))
-    if k < 2:
-        return [(0, n_rows)]
-    edges = [i * n_rows // k // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS for i in range(k)]
-    return list(zip(edges, edges[1:] + [n_rows]))
-
-
-def _format_slice_and_exit(tmp, tables, start: int, stop: int):
-    """Body of a forked child: write rows start..stop to tmp and exit.
-
-    It leaves through os._exit, so no buffer inherited from the parent is
-    flushed and no frame of the caller runs; a failure is reported on
-    standard error and by the exit status.
-    """
-    status = 1
-    try:
-        tmp.writelines(_csv_blocks(tables, start, stop))
-        tmp.flush()
-        status = 0
-    except BaseException:  # even an interrupt must end in os._exit, never unwind
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
-def _write_blocks(files: "_TableFiles", tables, start: int, stop: int) -> None:
-    """Format rows start..stop, the next rows to write, in this process, block by block."""
-    for first, block in zip(range(start, stop, _CSV_BLOCK_ROWS), _csv_blocks(tables, start, stop)):
-        files.write_rows(io.BytesIO(block), min(_CSV_BLOCK_ROWS, stop - first))
-
-
-def _write_slices(files: "_TableFiles", tables, slices, directory: Path) -> None:
-    """Write slices[0] of the tables' rows to their files while forked children format the others.
-
-    Each child streams its slice into an unlinked temporary file in
-    directory; the parent then reaps the children in row order and appends
-    their text to the files. Where a temporary file or a fork cannot be had
-    (a process or memory limit), the parent formats that slice and the rest
-    itself. Every child is reaped and every temporary file closed, also when
-    a write fails. With one slice nothing is forked.
-    """
-    temps, pids = [], []
-    try:
-        for start, stop in slices[1:]:
-            try:
-                temps.append(tempfile.TemporaryFile(dir=directory))
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                _format_slice_and_exit(temps[-1], tables, start, stop)
-            pids.append(pid)
-        forked = slices[1:len(pids) + 1]
-        rest = slices[len(pids)][1]  # first row no child formats
-        _write_blocks(files, tables, *slices[0])
-        for (start, stop), tmp in zip(forked, temps):
-            pid = pids[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pids[0]  # reaped
-            if status != 0:
-                raise ChildProcessError(f"process {pid} formatting rows {start}-{stop} "
-                                        f"exited with status {status}")
-            tmp.seek(0)
-            files.write_rows(tmp, stop - start)
-        _write_blocks(files, tables, rest, slices[-1][1])
-    finally:
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for tmp in temps:
-            tmp.close()
+        yield len(rows), _block_text(rows)
 
 
 class _TableFiles:
@@ -883,19 +775,20 @@ class _TableFiles:
         self.fh = self.outputs._open(self.names[self.table])
         self.fh.write(self.header)
 
-    def write_rows(self, src, n_rows: int) -> None:
-        """Write the next n_rows rows, the rest of the binary stream src, each to its table's
-        file: a piece that ends with src is copied whole, an earlier one line by line."""
-        stop = self.row + n_rows
+    def write_rows(self, text: bytes, n_rows: int) -> None:
+        """Write the next n_rows rows, a block's text, each to its table's file."""
+        stop, start = self.row + n_rows, 0
         while self.row < stop:
             if self.row == self.ends[self.table]:
                 self._next_file()
             n = min(self.ends[self.table], stop) - self.row
-            if self.row + n == stop:
-                shutil.copyfileobj(src, self.fh)
-            else:
-                self.fh.writelines(islice(src, n))
-            self.row += n
+            end = len(text)
+            if self.row + n < stop:  # the table ends inside the block, after n more lines
+                end = start
+                for _ in range(n):
+                    end = text.index(b"\n", end) + 1
+            self.fh.write(text[start:end])
+            start, self.row = end, self.row + n
 
 
 class _Outputs:
@@ -910,19 +803,9 @@ class _Outputs:
     and memory does not grow with the run length.
     write_trajectories writes trajectories the same way, but no column but
     times and fidelity exists whole: each block's populations, trace and
-    purity are computed from the trajectory's amplitudes by the process that
-    formats that block, so a long trajectory costs its amplitudes and one
-    block. Every table has at least one row.
-
-    Long tables are formatted over their total rows in contiguous slices by
-    forked processes, one per usable CPU. The parent's blocks and each
-    child's bytes, in row order, go through _TableFiles.write_rows, which
-    splits them at the files' edges: every file is byte identical to the
-    serial one. Slicing engages only where os.fork and os.sched_getaffinity
-    exist (Linux), more than one CPU is usable, the process runs one OS
-    thread (no other Python thread, no BLAS worker threads), and there are
-    at least _MIN_SLICE_ROWS rows per slice; otherwise one process writes
-    every block.
+    purity are computed from the trajectory's amplitudes as that block is
+    formatted, so a long trajectory costs its amplitudes and one block. One
+    process formats every block. Every table has at least one row.
     """
 
     def __init__(self, path: Path):
@@ -942,9 +825,9 @@ class _Outputs:
     def write_tables(self, names: Sequence[str], header: Sequence[str], tables) -> None:
         """Write each table of equal-length float columns to its file under one header.
 
-        The tables are formatted as one, in blocks across their edges and in
-        row slices over their total rows, and each row's text goes to its
-        table's file: every file is byte identical to its table written alone.
+        The tables are formatted as one, in blocks across their edges, and
+        each row's text goes to its table's file: every file is byte
+        identical to its table written alone.
         A table with no rows is refused before any file opens.
         """
         tables = [[np.asarray(column, dtype=float) for column in columns] for columns in tables]
@@ -962,7 +845,8 @@ class _Outputs:
         ends = list(accumulate(table.n_rows for table in tables))
         with _TableFiles(self, names, (",".join(header) + "\n").encode(), ends) as files:
             try:
-                _write_slices(files, tables, _row_slices(ends[-1]), self.path)
+                for n_rows, text in _csv_blocks(tables):
+                    files.write_rows(text, n_rows)
             except OSError as err:
                 raise OSError(f"cannot write {self.path / names[files.table]}: {err}") from err
 

@@ -7,10 +7,10 @@ hop reads its received state and its trajectory off the channel in closed
 form. B's received state (no residual entanglement carried along) is the next
 hop's input, and a hop's or a sweep point's fidelity is its trajectory's last
 sample. A chain runs each distinct link once, however many hops use it. A
-distance sweep runs the links of its points that share a step as one stack
-(dynamics.link_channels: one amplitude run under a constant drive, a run
-per link under a pulsed one), and reads their trajectories off the stack at
-once.
+distance sweep under a constant drive runs the links of its points that
+share a step as one stack (dynamics.link_channels: one amplitude run), and
+reads their trajectories off the stack at once; under a pulsed drive each
+point runs alone.
 
 Media enter through an effective mediator loss rate. A cavity spanning the
 distance loses photons linearly in length; a fiber's end-to-end survival
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .protocols import CouplingSchedule, StirapSchedule, default_stirap_window
+from .protocols import ConstantSchedule, CouplingSchedule, StirapSchedule, default_stirap_window
 from .qspace import InvalidStateError, PureQubitSpec, check_density_matrix
 
 __all__ = [
@@ -247,8 +247,8 @@ def distance_sweep(
     Each point is a hop of target through the template's link over its
     medium, as run_hop sends it. Points that share a step (the template's dt,
     or each point's default_dt where that is None) run as one stack of their
-    links (dynamics.link_channels, which steps a pulsed stack one link at a
-    time). Per-point integration failures are recorded
+    links (dynamics.link_channels) under a constant drive, and one link at a
+    time under a pulsed one. Per-point integration failures are recorded
     and the sweep continues: a stack that fails a check is redone point by
     point, so each point records, or raises, what its own run gives. Results
     are sorted by (kind, length).
@@ -295,15 +295,20 @@ def _sweep_runs(template: LinkSpec, params: Sequence[dynamics.LinkParams], dt: f
     run of their stack, or the error its own run raises.
 
     A stack whose run raises IntegrationError, or whose received states or
-    fidelities raise InvalidStateError, is redone one link at a time.
+    fidelities raise InvalidStateError, is redone one link at a time. Under a
+    pulsed drive each link runs alone from the start, as link_channels steps
+    a pulsed stack one link at a time anyway: a link that fails then costs no
+    second run of the links before it.
     """
-    try:
-        channels = dynamics.link_channels(
-            params, template.schedule, template.hop_time, dt, sample_every=template.sample_every,
-            n_mediators=template.n_mediators, g_hop=template.g_hop)
-        check_density_matrix(np.stack([channel.received_state(rho) for channel in channels]))
-        return dynamics.link_trajectories(channels, target, rho)
-    except (dynamics.IntegrationError, InvalidStateError) as err:
-        if len(params) == 1:
-            return [err]
+    if len(params) == 1 or isinstance(template.schedule, ConstantSchedule):
+        try:
+            channels = dynamics.link_channels(
+                params, template.schedule, template.hop_time, dt,
+                sample_every=template.sample_every, n_mediators=template.n_mediators,
+                g_hop=template.g_hop)
+            check_density_matrix(np.stack([channel.received_state(rho) for channel in channels]))
+            return dynamics.link_trajectories(channels, target, rho)
+        except (dynamics.IntegrationError, InvalidStateError) as err:
+            if len(params) == 1:
+                return [err]
     return [_sweep_runs(template, [p], dt, rho, target)[0] for p in params]

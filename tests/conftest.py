@@ -1,9 +1,8 @@
 import math
 import os
 
-# One BLAS thread, as perfbench/run.py pins, set before numpy is imported: a
-# process that holds BLAS worker threads writes long CSVs serially, and the
-# tests of the forked writer need a process that may fork.
+# One BLAS thread, as perfbench/run.py pins, set before numpy is imported: the
+# matrices here are tiny, so BLAS worker threads add only overhead and noise.
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -75,25 +74,6 @@ def lindblad_rhs(rho, h, collapse):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
-
-
-def use_cpus(monkeypatch, n_cpus):
-    """Make the CSV writer see n_cpus usable CPUs, and count the processes it forks.
-
-    Patched where os lacks either call too, so that the one-CPU case runs on
-    every platform.
-    """
-    forks = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
-    if hasattr(os, "fork"):
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
 
 
 # --- small configs of the six CLI scenarios, each well under a second -----------

@@ -1,17 +1,11 @@
 import errno
-import json
 import math
 import os
 import re
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +15,12 @@ from conftest import (
     choi_entanglement_fidelity,
     make_link_run,
     run_choi_probe,
-    use_cpus,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinksim import __version__, cli, dynamics, metrics, network
 from qlinksim.cli import (
-    _MIN_SLICE_ROWS,
     PRESETS,
     ConfigError,
     ScenarioConfig,
@@ -52,7 +44,6 @@ from qlinksim.protocols import (
 from qlinksim.qspace import InvalidStateError, PureQubitSpec, link_layout, product_state
 
 TWO_PI_MHZ = 2 * math.pi * 1e6
-SRC = Path(__file__).resolve().parents[1] / "src"
 WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
 WEAK_LOSS_TEXT = "".join(f"{key} = {value}\n" for key, value in WEAK_LOSS.items())
 # links the pulsed scenarios are checked against dense runs on: the benchmark's
@@ -598,27 +589,9 @@ class TestScenarioRuns:
 EDGE_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# The forked path runs only where both calls exist (Linux) and the process
-# runs one OS thread; conftest pins the BLAS libraries to one thread.
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="needs os.fork and os.sched_getaffinity")
-
-
-# (rows, slices on 3 CPUs): within one block, around two and three slices of
-# _MIN_SLICE_ROWS, and a table whose thirds fall inside a block, so that its
-# slice edges are rounded down to block edges
-ROW_COUNTS = [
-    (1, 1), (255, 1), (256, 1), (257, 1), (2 * 256 + 1, 1),
-    (2 * _MIN_SLICE_ROWS - 1, 1), (2 * _MIN_SLICE_ROWS, 2), (2 * _MIN_SLICE_ROWS + 1, 2),
-    (3 * _MIN_SLICE_ROWS - 1, 2), (3 * _MIN_SLICE_ROWS, 3), (3 * _MIN_SLICE_ROWS + 1, 3),
-    (3 * _MIN_SLICE_ROWS + 257, 3),
-]
+# rows: within one block, on either side of a block's edge, and across many
+# blocks, ending on a block's edge, one row past it and inside a block
+ROW_COUNTS = [1, 255, 256, 257, 2 * 256 + 1, 8191, 8192, 8193, 12287, 12288, 12289, 12545]
 
 
 def edge_columns(n_rows, n_columns):
@@ -637,54 +610,37 @@ def per_cell_lines(header, columns):
 
 
 class TestColumnWriter:
-    def write_edge_columns(self, n_rows, n_cpus, tmp_path, monkeypatch):
-        """Write edge-value columns with n_cpus usable; return the number of forks."""
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS, ids=[str(n) for n in ROW_COUNTS])
+    def test_blocks_match_per_cell_rows(self, n_rows, tmp_path):
         header = ["t_us", "a", "b", "c"]
         columns = edge_columns(n_rows, len(header))
-        forks = use_cpus(monkeypatch, n_cpus)
         _Outputs(tmp_path).write_tables(["columns.csv"], header, [columns])
         text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
         assert text.split("\n") == per_cell_lines(header, columns)
         assert os.listdir(tmp_path) == ["columns.csv"]
-        return len(forks)
-
-    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
-    def test_blocks_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
-        # one usable CPU: the serial path, on every platform
-        assert self.write_edge_columns(n_rows, 1, tmp_path, monkeypatch) == 0
-
-    @needs_fork
-    @pytest.mark.parametrize("n_rows, slices", ROW_COUNTS, ids=[str(n) for n, _ in ROW_COUNTS])
-    def test_slices_match_per_cell_rows(self, n_rows, slices, tmp_path, monkeypatch):
-        # three usable CPUs: three slices where the table is long enough
-        assert self.write_edge_columns(n_rows, 3, tmp_path, monkeypatch) == slices - 1
-        assert_no_child_left()
 
     # tables written as one stream, by the row each ends before: one row, rows
-    # within a block and across blocks, and a 1-row table on each side of a
-    # block's edge (512) and of both edges of the three slices a 3-CPU write
-    # makes of the 13357 rows (4096 and 8704). So a block (rows 0-511) and a
-    # forked slice (4096-8703) each end on a file's last row, and the next
-    # file opens with the next row.
+    # within a block and across blocks, and a 1-row table on each side of
+    # three blocks' edges (512, 4096 and 8704). So a block (rows 0-511)
+    # ends on a file's last row, and the next file opens with the next row.
     TABLE_ENDS = [1, 256, 511, 512, 513, 4095, 4096, 4097, 8703, 8704, 8705, 13357]
     TABLE_ROWS = np.diff([0] + TABLE_ENDS).tolist()
 
-    @pytest.mark.parametrize("n_cpus", [1, pytest.param(3, marks=needs_fork)])
-    def test_tables_match_per_cell_rows(self, n_cpus, tmp_path, monkeypatch):
+    def test_tables_match_per_cell_rows(self, tmp_path, monkeypatch):
+        # with three usable CPUs, one process still formats every row
+        forks = []
+        fork = getattr(os, "fork", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork(), raising=False)
         header = ["t_us", "a", "b"]
         tables = [edge_columns(n_rows, len(header)) for n_rows in self.TABLE_ROWS]
         names = [f"table{i}.csv" for i in range(len(tables))]
-        forks = use_cpus(monkeypatch, n_cpus)
-        if n_cpus == 3:
-            assert cli._row_slices(self.TABLE_ENDS[-1]) == [(0, 4096), (4096, 8704),
-                                                            (8704, 13357)]
         _Outputs(tmp_path).write_tables(names, header, tables)
-        assert len(forks) == n_cpus - 1
+        assert forks == []
         for name, columns in zip(names, tables):
             text = (tmp_path / name).read_text(encoding="utf-8")
             assert text.split("\n") == per_cell_lines(header, columns), name
         assert sorted(os.listdir(tmp_path)) == sorted(names)
-        assert_no_child_left()
 
     # columns of unequal length, and a table with no rows after one with a row
     @pytest.mark.parametrize("tables, message", [
@@ -698,8 +654,8 @@ class TestColumnWriter:
             _Outputs(tmp_path).write_tables(names, ["a", "b"], tables)
         assert os.listdir(tmp_path) == []
 
-    def peak_growth(self, lengths, n_cpus, tmp_path, monkeypatch):
-        """Growth of the tracemalloc peak of a write from the shorter length to the longer."""
+    def test_memory_stays_flat_in_the_run_length(self, tmp_path):
+        # the whole-table .tolist() this replaced grew 4x with the run length
         def peak(n_rows):
             columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
             outputs = _Outputs(tmp_path)
@@ -710,14 +666,8 @@ class TestColumnWriter:
             finally:
                 tracemalloc.stop()
 
-        forks = use_cpus(monkeypatch, n_cpus)
-        short, long = map(peak, lengths)
-        assert len(forks) == 2 * (n_cpus - 1)
-        return long - short
-
-    def test_memory_stays_flat_in_the_run_length(self, tmp_path, monkeypatch):
-        # the whole-table .tolist() this replaced grew 4x with the run length
-        assert self.peak_growth((1024, 4 * 1024), 1, tmp_path, monkeypatch) < 16 * 1024
+        short, long = peak(1024), peak(4 * 1024)
+        assert long - short < 16 * 1024
 
     # A constant one-mediator transfer of |psi> on A holds, per sample, one
     # stepped complex amplitude per site, its fidelity and its time; every
@@ -726,7 +676,7 @@ class TestColumnWriter:
     # whole populations, purity, trace and vacuum arrays gives 168 B.
     TRANSFER_BYTES_PER_SAMPLE = 3 * 16 + 8 + 8
 
-    def test_transfer_memory_grows_by_its_amplitudes_only(self, tmp_path, monkeypatch):
+    def test_transfer_memory_grows_by_its_amplitudes_only(self, tmp_path):
         params = build_config({"scenario": "transfer", **WEAK_LOSS}).link_params()
         target, layout, dt = PureQubitSpec(theta=1.1, phi=0.3), link_layout(), 1e-10
         rho0 = product_state([target, None, None], layout)
@@ -741,7 +691,6 @@ class TestColumnWriter:
             finally:
                 tracemalloc.stop()
 
-        use_cpus(monkeypatch, 1)
         peak(1024)  # the text kernel's tables are built at first use, not per run
         short, long = peak(4 * 1024), peak(16 * 1024)
         assert long - short < self.TRANSFER_BYTES_PER_SAMPLE * 12 * 1024 + 4096, (short, long)
@@ -761,129 +710,6 @@ class TestColumnWriter:
             cfg = build_config(dict(SMALL_SCENARIOS["transfer"], theta_deg=theta_deg))
             assert run_scenario(cfg, tmp_path / str(theta_deg)) == 0
         assert columns == [1, 1, 1, 1]
-
-    @needs_fork
-    def test_memory_stays_flat_in_forked_slices(self, tmp_path, monkeypatch):
-        lengths = (2 * _MIN_SLICE_ROWS, 8 * _MIN_SLICE_ROWS)  # two slices each
-        assert self.peak_growth(lengths, 2, tmp_path, monkeypatch) < 16 * 1024
-
-    @needs_fork
-    def test_another_thread_keeps_the_write_serial(self, monkeypatch):
-        # any second OS thread, such as a BLAS worker, rules out forking
-        use_cpus(monkeypatch, 3)
-        assert len(cli._row_slices(3 * _MIN_SLICE_ROWS)) == 3
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert cli._row_slices(3 * _MIN_SLICE_ROWS) == [(0, 3 * _MIN_SLICE_ROWS)]
-        finally:
-            release.set()
-            thread.join()
-        # the kernel drops the thread shortly after join returns
-        deadline = time.monotonic() + 5.0
-        while not cli._single_threaded() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert cli._single_threaded()
-
-    @needs_fork
-    def test_forked_children_stream_their_slices(self, tmp_path):
-        # A child's peak RSS shows only in RUSAGE_CHILDREN, so a fresh interpreter
-        # reads it against its own resident size before the write, at two lengths.
-        # RUSAGE_SELF would not do: the parent's peak can be set at import (66 MB
-        # with OpenBLAS threads), not by the columns. A child that held its
-        # slice's text in memory grew 12.8 MB more from 32k to 128k rows; a
-        # streaming child does not grow.
-        env = dict(os.environ, **ONE_BLAS_THREAD)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", CHILD_RSS, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        short, long = json.loads(proc.stdout)
-        assert long - short < 2048, (short, long)  # kB
-
-
-# a process with BLAS worker threads writes serially and forks nothing
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-CHILD_RSS = """
-import json, os, resource, sys
-from pathlib import Path
-import numpy as np
-from qlinksim.cli import _MIN_SLICE_ROWS, _Outputs
-os.sched_getaffinity = lambda pid: {0, 1}  # two slices, however many CPUs there are
-
-def child_growth_kb(n_rows):
-    columns = [np.random.default_rng(0).random(n_rows) for _ in range(7)]
-    with open("/proc/self/statm") as fh:
-        resident_kb = int(fh.read().split()[1]) * resource.getpagesize() // 1024
-    _Outputs(Path(sys.argv[1])).write_tables([f"{n_rows}.csv"], list("abcdefg"), [columns])
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    assert usage.ru_maxrss > 0, "no child was forked"
-    return usage.ru_maxrss - resident_kb
-
-print(json.dumps([child_growth_kb(n) for n in (8 * _MIN_SLICE_ROWS, 32 * _MIN_SLICE_ROWS)]))
-"""
-
-
-@needs_fork
-class TestForkedWriteFailures:
-    N_ROWS = 3 * _MIN_SLICE_ROWS
-
-    def write(self, tmp_path, monkeypatch, fail_slice):
-        """Write three slices where formatting the slice starting at fail_slice fails."""
-        use_cpus(monkeypatch, 3)
-        blocks = cli._csv_blocks
-
-        def failing_blocks(columns, start, stop):
-            if start == fail_slice:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return blocks(columns, start, stop)
-
-        monkeypatch.setattr(cli, "_csv_blocks", failing_blocks)
-        columns = [np.arange(self.N_ROWS, dtype=float)] * 3
-        _Outputs(tmp_path).write_tables(["columns.csv"], ["a", "b", "c"], [columns])
-
-    def test_child_that_raises(self, tmp_path, monkeypatch, capfd):
-        with pytest.raises(OSError, match=r"cannot write .*columns\.csv: process \d+ "
-                                          r"formatting rows 4096-8192 exited with status 1"):
-            self.write(tmp_path, monkeypatch, fail_slice=_MIN_SLICE_ROWS)
-        assert "No space left on device" in capfd.readouterr().err  # the child's traceback
-        assert_no_child_left()
-        assert os.listdir(tmp_path) == ["columns.csv"]
-
-    def test_parent_that_raises_mid_write(self, tmp_path, monkeypatch):
-        with pytest.raises(OSError, match=r"cannot write .*columns\.csv: .*No space left"):
-            self.write(tmp_path, monkeypatch, fail_slice=0)
-        assert_no_child_left()
-        assert os.listdir(tmp_path) == ["columns.csv"]
-
-    # a process limit hit at the first or the second fork, and no temporary file
-    @pytest.mark.parametrize("call, fails_at", [("fork", 1), ("fork", 2),
-                                                ("TemporaryFile", 1)])
-    def test_parent_formats_the_slices_it_cannot_fork(self, call, fails_at, tmp_path,
-                                                      monkeypatch):
-        forks = use_cpus(monkeypatch, 3)
-        module = os if call == "fork" else cli.tempfile
-        real = getattr(module, call)
-        calls = []
-
-        def limited(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == fails_at:
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, call, limited)
-        header = ["t_us", "a", "b"]
-        columns = edge_columns(self.N_ROWS + 257, len(header))
-        _Outputs(tmp_path).write_tables(["columns.csv"], header, [columns])
-        text = (tmp_path / "columns.csv").read_text(encoding="utf-8")
-        assert text.split("\n") == per_cell_lines(header, columns)
-        assert len(forks) == (fails_at - 1 if call == "fork" else 0)
-        assert_no_child_left()
-        assert os.listdir(tmp_path) == ["columns.csv"]
-
 
 def repr_rows(block):
     """The text ",".join(map(repr, row)) gives each row of a float array."""

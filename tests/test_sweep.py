@@ -1,9 +1,10 @@
 """A distance sweep's stacked runs against its points run one by one.
 
 network.distance_sweep runs every point that shares a step as one stack
-(dynamics.link_channels: one amplitude run under a constant drive, a run per
-link under a pulsed one) and reads their trajectories off the stack at once;
-the CLI writes their files as one row stream (cli._Outputs.write_tables).
+under a constant drive (dynamics.link_channels: one amplitude run) and reads
+their trajectories off the stack at once; under a pulsed drive each point
+runs alone. The CLI writes their files as one row stream
+(cli._Outputs.write_tables).
 Each point must come out as its own run gives it: value for value through
 the library, byte for byte through the CLI (files and summary). A stack that
 fails a check is redone point by point, so a failing point records, or
@@ -11,7 +12,6 @@ raises, what its own run gives, and the others do not move.
 """
 
 import math
-import os
 import warnings
 from dataclasses import replace
 from itertools import product
@@ -19,7 +19,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import use_cpus
 
 from qlinksim import cli, dynamics
 from qlinksim.cli import build_config, run_scenario
@@ -204,30 +203,24 @@ def test_failing_received_states_raise_as_the_first_point_in_order(monkeypatch):
 # --- the CLI: the stacked run's files against one run per point -----------------
 
 WEAK_LOSS = {"g0_2pi_mhz": 5.8, "kappa_2pi_mhz": 0.34, "gamma_2pi_mhz": 0.006}
-# by case: config values, the CPUs the stacked run may use and the rows of
-# each file, where they matter. The default sweep has 14 points of 61.0 ns; at
-# 0.2 ns a point is 306 rows, so its files straddle 512-row blocks, and at
-# 0.1 ns 611, 8554 rows in all: two slices of 4096 and 4458 rows, whose edge
-# falls inside the seventh file.
+# by case: config values and the rows of each file, where they matter. The
+# default sweep has 14 points of 61.0 ns; at 0.2 ns a point is 306 rows, so its
+# files straddle 512-row blocks, and at 0.1 ns 611, 8554 rows in all: 17
+# blocks, each edge between them inside a file.
 CLI_CASES = {
-    "block-edges": ({"dt_ns": 0.2, "sample_every": 1}, 1, 306),
-    "forked": ({"dt_ns": 0.1, "sample_every": 1}, 2, 611),
+    "block-edges": ({"dt_ns": 0.2, "sample_every": 1}, 306),
+    "many-blocks": ({"dt_ns": 0.1, "sample_every": 1}, 611),
     "lab-frame": ({"omega_q_2pi_mhz": 24.1, "omega_w_2pi_mhz": 25.3, "dt_ns": 0.05,
-                   "sample_every": 3}, 1, None),
-    "stirap": ({"protocol": "stirap", "dt_ns": 1.0, "lengths_km": (0.001, 1.0)}, 1, None),
+                   "sample_every": 3}, None),
+    "stirap": ({"protocol": "stirap", "dt_ns": 1.0, "lengths_km": (0.001, 1.0)}, None),
 }
 
 
 @pytest.mark.parametrize("case", list(CLI_CASES))
-def test_stacked_sweep_files_match_one_run_per_point(case, tmp_path, monkeypatch):
-    values, n_cpus, rows = CLI_CASES[case]
-    if n_cpus > 1 and not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        pytest.skip("needs os.fork and os.sched_getaffinity")
+def test_stacked_sweep_files_match_one_run_per_point(case, tmp_path):
+    values, rows = CLI_CASES[case]
     cfg = build_config({"scenario": "sweep-distance", **WEAK_LOSS, **values})
-    with monkeypatch.context() as patch:
-        forks = use_cpus(patch, n_cpus)
-        assert run_scenario(cfg, tmp_path / "stacked") == 0
-    assert len(forks) == n_cpus - 1
+    assert run_scenario(cfg, tmp_path / "stacked") == 0
     summary = ["kind,length_km,fidelity\n"]
     names = ["summary.csv"]
     for kind, length_km in sorted(product(cfg.media, cfg.lengths_km)):
@@ -242,6 +235,17 @@ def test_stacked_sweep_files_match_one_run_per_point(case, tmp_path, monkeypatch
         summary += (out / "summary.csv").read_text(encoding="utf-8").splitlines(True)[1:]
     assert sorted(p.name for p in (tmp_path / "stacked").glob("*.csv")) == sorted(names)
     assert (tmp_path / "stacked" / "summary.csv").read_text(encoding="utf-8") == "".join(summary)
+
+
+def test_a_failing_pulsed_point_reruns_no_other_point(tmp_path):
+    # at dt_ns = 10 only the 1000 km cavity, the second of six points, fails:
+    # each point runs once, and none is run again after the failure
+    cfg = build_config({"scenario": "sweep-distance", "protocol": "stirap", **WEAK_LOSS,
+                        "dt_ns": 10.0, "lengths_km": (0.03, 1000.0, 0.1)})
+    with counting_runs() as runs, pytest.warns(
+            RuntimeWarning, match="^1 of 6 sweep points failed and read nan: cavity at 1000 km: "):
+        assert run_scenario(cfg, tmp_path) == 0
+    assert runs.call_count == 6
 
 
 def test_a_pulsed_point_that_fails_at_a_user_dt_ns_records_its_own_error(tmp_path):

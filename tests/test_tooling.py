@@ -18,7 +18,8 @@ FIDELITY_SLACK or clips a value.
 Every module-level private function or class, every private method and
 every method of a private class is read somewhere in the package outside its
 own definition, so that a helper left orphaned, or one only tests call,
-fails.
+fails. Every name a module imports at module level is read in that module or
+exported in its __all__, so that a deletion leaves no import behind.
 
 Every ```python block in README.md runs, and every ```ini block builds a
 config, so that an API change cannot leave an example stale. README.md's
@@ -39,15 +40,14 @@ drive once, through the same method; the calls and the tree's levels are
 held too, so that a fall-back to per-chunk or per-step loops, or a drive
 read past its schedule's couplings, fails.
 
-A long trajectory is formatted by forked processes; a fresh interpreter under
--X dev -X warn_default_encoding -W error, with its BLAS library held to one
-thread so that it may fork, shows that doing so leaves no warning behind (a
-text-mode open that relies on the default encoding among them) and writes
-the same bytes as a run held to one CPU, for one file and for a sweep's
-many. The same interpreter writes a table of the cells the CSV float kernel
-leaves to repr or decides at an edge (signed zeros, infinities, nan,
-subnormal, huge and tiny values, a power of two that needs 16 digits, 1.0
-and an exact 17-digit tie), so a RuntimeWarning from a lane the kernel
+A long trajectory, and a sweep's many files, are written by a fresh
+interpreter under -X dev -X warn_default_encoding -W error, which shows that
+writing them leaves no warning behind (a text-mode open that relies on the
+default encoding among them); every cell of their files must read as repr
+writes its value. The same interpreter writes a table of the cells the CSV
+float kernel leaves to repr or decides at an edge (signed zeros, infinities,
+nan, subnormal, huge and tiny values, a power of two that needs 16 digits,
+1.0 and an exact 17-digit tie), so a RuntimeWarning from a lane the kernel
 computes and then discards fails the test too, and that table's bytes must
 be repr's per cell.
 """
@@ -265,6 +265,31 @@ def test_every_private_helper_is_read_in_the_package():
     assert _unused_private_helpers(PACKAGE) == []
 
 
+def _unread_imports(package: Path) -> list[str]:
+    """Names imported at module level that their module neither reads nor lists in
+    __all__, as module:name; from __future__ imports aside."""
+    unread = []
+    for path, tree in _module_trees(package):
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(target, ast.Name) and target.id == "__all__"
+                            for target in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        kept = exported | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{name}" for name in names if name not in kept]
+    return unread
+
+
+def test_every_import_is_read_in_its_module():
+    assert _unread_imports(PACKAGE) == []
+
+
 COLD_START = """
 import json, sys
 from pathlib import Path
@@ -333,11 +358,9 @@ def _trajectory_rows(out: Path) -> int:
 
 
 @pytest.mark.parametrize("protocol", ["constant", "stirap"])
-def test_sweep_stacks_its_constant_points(protocol, tmp_path, monkeypatch):
-    # the default sweep: 7 lengths in 2 media, 72 rows each under a constant
-    # drive; on one CPU, so that no forked process formats blocks uncounted
+def test_sweep_stacks_its_constant_points(protocol, tmp_path):
+    # the default sweep: 7 lengths in 2 media, 72 rows each under a constant drive
     cfg = build_config({"scenario": "sweep-distance", "protocol": protocol})
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     with mock.patch.object(dynamics, "_amplitude_run", wraps=dynamics._amplitude_run) as runs, \
             mock.patch.object(cli, "_block_text", wraps=cli._block_text) as blocks:
         assert cli.run_scenario(cfg, tmp_path) == 0
@@ -399,92 +422,77 @@ def test_constant_run_reads_its_drive_once(monkeypatch):
 KERNEL_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300, 2.0 ** -30,
                 1.0, 1000000000000000.25]
 
-FORKING_TRANSFER = """
-import json, os, resource, sys
+DEV_MODE_TRANSFER = """
+import json, sys
 from pathlib import Path
 from qlinksim.cli import _Outputs, main
-config, out, cpus, edges = sys.argv[1:]
-if cpus == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+config, out, edges = sys.argv[1:]
 status = main(["transfer", "--config", config, "--out", out])
-forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
 cells = json.loads(edges)
 _Outputs(Path(out)).write_tables(["edges.csv"], ["x", "minus_x", "shifted"],
                                  [[cells, [-x for x in cells], cells[3:] + cells[:3]]])
-print(json.dumps({"status": status, "forked": forked}))
+print(json.dumps({"status": status}))
+"""
+
+DEV_MODE_SWEEP = """
+import json, sys
+from qlinksim.cli import main
+config, out = sys.argv[1:]
+print(json.dumps({"status": main(["sweep-distance", "--config", config, "--out", out])}))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two usable CPUs")
-def test_forked_csv_matches_one_cpu_under_dev_mode(tmp_path):
-    # 10 us at the default step is 11601 rows: two slices on two CPUs
+def _run_under_dev_mode(script: str, *args) -> dict:
+    """What script prints last, run by a fresh interpreter in which any warning is an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
+         "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""  # no ResourceWarning or other warning
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _repr_lines(path: Path) -> list[bytes]:
+    """A float CSV's lines, each row under the header as repr writes its cells' values."""
+    header, *rows = path.read_bytes().split(b"\n")[:-1]
+    return [header, *(",".join(repr(float(cell)) for cell in row.split(b",")).encode()
+                      for row in rows), b""]
+
+
+def test_transfer_csv_is_repr_per_cell_under_dev_mode(tmp_path):
+    # 10 us at the default step is 11601 rows, 23 blocks
     config = tmp_path / "transfer.cfg"
     config.write_text("protocol = constant\nt_final_us = 10\nsample_every = 1\n"
                       "g0_2pi_mhz = 5.8\nkappa_2pi_mhz = 0.34\ngamma_2pi_mhz = 0.006\n",
                       encoding="utf-8")
-    # one BLAS thread, so that the process runs one OS thread and may fork
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    runs = {}
-    for cpus in ("all", "one"):
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
-             "-c", FORKING_TRANSFER,
-             str(config), str(tmp_path / cpus), cpus, json.dumps(KERNEL_EDGES)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""  # no ResourceWarning or other warning
-        runs[cpus] = json.loads(proc.stdout.splitlines()[-1])
-    assert runs == {"all": {"status": 0, "forked": True}, "one": {"status": 0, "forked": False}}
-    trajectory = (tmp_path / "all" / "trajectory.csv").read_bytes()
-    assert trajectory.count(b"\n") == 11602
-    assert trajectory == (tmp_path / "one" / "trajectory.csv").read_bytes()
-    assert sorted(os.listdir(tmp_path / "all")) == ["edges.csv", "manifest.txt", "summary.csv",
-                                                     "trajectory.csv"]
+    out = tmp_path / "out"
+    run = _run_under_dev_mode(DEV_MODE_TRANSFER, config, out, json.dumps(KERNEL_EDGES))
+    assert run == {"status": 0}
+    trajectory = out / "trajectory.csv"
+    assert trajectory.read_bytes().count(b"\n") == 11602
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    assert trajectory.read_bytes().split(b"\n") == _repr_lines(trajectory)
+    assert sorted(os.listdir(out)) == ["edges.csv", "manifest.txt", "summary.csv",
+                                       "trajectory.csv"]
     rows = zip(KERNEL_EDGES, [-x for x in KERNEL_EDGES], KERNEL_EDGES[3:] + KERNEL_EDGES[:3])
     expected = "x,minus_x,shifted\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
-    for cpus in ("all", "one"):
-        assert (tmp_path / cpus / "edges.csv").read_text(encoding="utf-8") == expected
+    assert (out / "edges.csv").read_text(encoding="utf-8") == expected
 
 
-FORKING_SWEEP = """
-import json, os, resource, sys
-from qlinksim.cli import main
-config, out, cpus = sys.argv[1:]
-if cpus == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-status = main(["sweep-distance", "--config", config, "--out", out])
-forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
-print(json.dumps({"status": status, "forked": forked}))
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two usable CPUs")
-def test_forked_sweep_files_match_one_cpu_under_dev_mode(tmp_path):
-    # 14 points of 611 rows at 0.1 ns: 8554 rows, two slices on two CPUs,
-    # whose edge falls inside the seventh file
+def test_sweep_files_are_repr_per_cell_under_dev_mode(tmp_path):
+    # 14 points of 611 rows at 0.1 ns: 8554 rows, written as one stream of
+    # 17 blocks across the files' edges
     config = tmp_path / "sweep.cfg"
     config.write_text("scenario = sweep-distance\ndt_ns = 0.1\nsample_every = 1\n"
                       "g0_2pi_mhz = 5.8\nkappa_2pi_mhz = 0.34\ngamma_2pi_mhz = 0.006\n",
                       encoding="utf-8")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    runs = {}
-    for cpus in ("all", "one"):
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-X", "warn_default_encoding", "-W", "error",
-             "-c", FORKING_SWEEP,
-             str(config), str(tmp_path / cpus), cpus],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""  # no ResourceWarning or other warning
-        runs[cpus] = json.loads(proc.stdout.splitlines()[-1])
-    assert runs == {"all": {"status": 0, "forked": True}, "one": {"status": 0, "forked": False}}
-    names = sorted(path.name for path in (tmp_path / "all").glob("*.csv"))
-    assert len(names) == 15
-    assert names == sorted(path.name for path in (tmp_path / "one").glob("*.csv"))
-    assert _trajectory_rows(tmp_path / "all") == 14 * 611
-    for name in names:
-        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    out = tmp_path / "out"
+    assert _run_under_dev_mode(DEV_MODE_SWEEP, config, out) == {"status": 0}
+    trajectories = sorted(out.glob("trajectory_*.csv"))
+    assert len(trajectories) == 14
+    assert _trajectory_rows(out) == 14 * 611
+    for path in trajectories:
+        assert path.read_bytes().split(b"\n") == _repr_lines(path), path.name
