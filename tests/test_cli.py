@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from bisect import bisect_right
 from dataclasses import fields, replace
 from itertools import product
 
@@ -619,6 +620,19 @@ class TestColumnWriter:
         assert text.split("\n") == per_cell_lines(header, columns)
         assert os.listdir(tmp_path) == ["columns.csv"]
 
+    # A table of n_rows rows before a 300-row table: the block that holds the
+    # first table's last row is split by its newlines, at every place in a
+    # block that ROW_COUNTS ends on, and the second file opens with the next row.
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS, ids=[str(n) for n in ROW_COUNTS])
+    def test_a_table_ending_at_any_row_splits_its_block(self, n_rows, tmp_path):
+        header = ["t_us", "a", "b"]
+        tables = [edge_columns(n_rows, len(header)), edge_columns(300, len(header))]
+        _Outputs(tmp_path).write_tables(["first.csv", "second.csv"], header, tables)
+        for name, columns in zip(["first.csv", "second.csv"], tables):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text.split("\n") == per_cell_lines(header, columns), name
+        assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
+
     # tables written as one stream, by the row each ends before: one row, rows
     # within a block and across blocks, and a 1-row table on each side of
     # three blocks' edges (512, 4096 and 8704). So a block (rows 0-511)
@@ -626,11 +640,13 @@ class TestColumnWriter:
     TABLE_ENDS = [1, 256, 511, 512, 513, 4095, 4096, 4097, 8703, 8704, 8705, 13357]
     TABLE_ROWS = np.diff([0] + TABLE_ENDS).tolist()
 
-    def test_tables_match_per_cell_rows(self, tmp_path, monkeypatch):
-        # with three usable CPUs, one process still formats every row
+    @pytest.mark.parametrize("n_cpus", [1, 3])
+    def test_tables_match_per_cell_rows(self, n_cpus, tmp_path, monkeypatch):
+        # however many CPUs are usable, one process formats every row
         forks = []
         fork = getattr(os, "fork", None)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                            raising=False)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork(), raising=False)
         header = ["t_us", "a", "b"]
         tables = [edge_columns(n_rows, len(header)) for n_rows in self.TABLE_ROWS]
@@ -641,6 +657,55 @@ class TestColumnWriter:
             text = (tmp_path / name).read_text(encoding="utf-8")
             assert text.split("\n") == per_cell_lines(header, columns), name
         assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+    def write_failing_tables(self, outputs, monkeypatch, owner, method, fails_at):
+        """Write the TABLE_ENDS tables where the fails_at-th call of owner.method
+        (counted from 0) runs out of space; return the error it raised."""
+        real = getattr(owner, method)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) - 1 == fails_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args)
+
+        monkeypatch.setattr(owner, method, failing)
+        header = ["t_us", "a", "b"]
+        tables = [edge_columns(n_rows, len(header)) for n_rows in self.TABLE_ROWS]
+        names = [f"table{i}.csv" for i in range(len(tables))]
+        with pytest.raises(OSError) as err:
+            outputs.write_tables(names, header, tables)
+        return str(err.value)
+
+    # the first, the second, a middle and the last of the 27 blocks; block 8
+    # starts at row 4096, the first row of the table after one that ends there
+    @pytest.mark.parametrize("block", [0, 1, 8, 16, 26])
+    def test_a_write_that_fails_in_a_block_records_the_files_it_opened(self, block, tmp_path,
+                                                                       monkeypatch):
+        outputs = _Outputs(tmp_path)
+        error = self.write_failing_tables(outputs, monkeypatch, cli, "_block_text", block)
+        # the open file holds the last row written, or the first table's header
+        table = max(0, bisect_right(self.TABLE_ENDS, block * cli._CSV_BLOCK_ROWS - 1))
+        assert re.fullmatch(rf"cannot write .*table{table}\.csv: \[Errno 28\] No space left "
+                            r"on device", error), error
+        names = [f"table{i}.csv" for i in range(table + 1)]
+        # a run removes what outputs.written lists: every file that was opened
+        assert outputs.written == [tmp_path / name for name in names]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+    # the second file, which opens after the first table's one row, and the last
+    @pytest.mark.parametrize("table", [1, 11])
+    def test_a_file_that_cannot_open_stops_the_write(self, table, tmp_path, monkeypatch):
+        outputs = _Outputs(tmp_path)
+        error = self.write_failing_tables(outputs, monkeypatch, _Outputs, "_open", table)
+        assert re.fullmatch(rf"cannot write .*table{table}\.csv: \[Errno 28\] No space left "
+                            r"on device", error), error
+        names = [f"table{i}.csv" for i in range(table)]
+        assert outputs.written == [tmp_path / name for name in names]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        for name, n_rows in zip(names, self.TABLE_ROWS):  # each table before it is whole
+            assert len((tmp_path / name).read_bytes().split(b"\n")) == n_rows + 2, name
 
     # columns of unequal length, and a table with no rows after one with a row
     @pytest.mark.parametrize("tables, message", [
